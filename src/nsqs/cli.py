@@ -14,14 +14,18 @@ from dataclasses import asdict
 
 from . import analysis, catalog, constructions, fileio, search
 from .core import nested_design, pair_census, verify_steiner
-from .errors import NsqsError
+from .errors import NsqsError, ParseError
 
 
 def _read(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        source = "standard input" if path == "-" else path
+        raise ParseError(f"{source} is not valid UTF-8 (byte {exc.start})")
 
 
 def _load_design(path: str, strict_count: bool = True):
@@ -292,10 +296,7 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(args)
-    except NsqsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (NsqsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -19,6 +19,7 @@ from .core import (
     block_points,
     canonical_block,
     canonical_pair,
+    design_from_canonical,
     expected_block_count,
     nested_design,
     pair_census,
@@ -217,7 +218,8 @@ def rotational_expand(spec: RotationalSpec) -> NestedDesign:
         raise InconsistentSpecError(
             f"expansion produced {len(seen)} distinct blocks, expected {expected}"
         )
-    design = nested_design(spec.v, seen.values(), uses_infinity=True)
+    # map_block already returns canonical blocks
+    design = design_from_canonical(spec.v, seen.values(), uses_infinity=True)
     report = verify_steiner(design)
     if not report.ok:
         raise InconsistentSpecError(

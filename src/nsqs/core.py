@@ -16,9 +16,14 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
-from .errors import InvalidBlockError, InvalidPairError, InvalidSplitError
+from .errors import (
+    InvalidBlockError,
+    InvalidPairError,
+    InvalidSplitError,
+    PreconditionError,
+)
 
 Pair = tuple[int, int]
 NestedBlock = tuple[Pair, Pair]
@@ -35,7 +40,7 @@ def canonical_block(p1: Pair, p2: Pair) -> NestedBlock:
     """Canonicalize a split given as two pairs (each already canonical)."""
     a = canonical_pair(*p1)
     b = canonical_pair(*p2)
-    if set(a) & set(b):
+    if a[0] in b or a[1] in b:
         raise InvalidSplitError(f"split pairs {a} and {b} are not disjoint")
     return (a, b) if a <= b else (b, a)
 
@@ -45,16 +50,18 @@ def block_points(block: NestedBlock) -> frozenset[int]:
 
 
 def alternative_splits(points: Iterable[int]) -> list[NestedBlock]:
-    """All three ways to split a 4-set of points into two disjoint pairs."""
+    """All three ways to split a 4-set of points into two disjoint pairs.
+
+    ``points`` may also be a nested block.  Together the three splits
+    hold each of the six pairs of the points once.
+    """
     pts = sorted(points)
+    if len(pts) == 2 and isinstance(pts[0], tuple):  # a nested block
+        pts = sorted(pts[0] + pts[1])
     if len(pts) != 4 or len(set(pts)) != 4:
-        raise InvalidBlockError(f"need 4 distinct points, got {sorted(points)}")
+        raise InvalidBlockError(f"need 4 distinct points, got {pts}")
     a, b, c, d = pts
-    return [
-        canonical_block((a, b), (c, d)),
-        canonical_block((a, c), (b, d)),
-        canonical_block((a, d), (b, c)),
-    ]
+    return [((a, b), (c, d)), ((a, c), (b, d)), ((a, d), (b, c))]
 
 
 def expected_block_count(v: int) -> int:
@@ -94,12 +101,25 @@ def nested_design(
     uses_infinity: bool = False,
 ) -> NestedDesign:
     """Canonicalize blocks, validate point ranges, and build a design."""
+    return design_from_canonical(
+        v, (canonical_block(*blk) for blk in blocks), uses_infinity
+    )
+
+
+def design_from_canonical(
+    v: int,
+    blocks: Iterable[NestedBlock],
+    uses_infinity: bool = False,
+) -> NestedDesign:
+    """Validate point ranges and build a design from blocks that are
+    already canonical, as :func:`canonical_block` returns them."""
     canon = []
-    for blk in blocks:
-        nb = canonical_block(*blk)
-        for p in nb[0] + nb[1]:
-            if not 0 <= p < v:
-                raise InvalidBlockError(f"point {p} out of range for v={v}")
+    for nb in blocks:
+        (a, b), (c, d) = nb
+        # a canonical block's least point is a, its greatest b or d
+        if a < 0 or b >= v or d >= v:
+            p = next(p for p in (a, b, c, d) if not 0 <= p < v)
+            raise InvalidBlockError(f"point {p} out of range for v={v}")
         canon.append(nb)
     canon.sort()
     return NestedDesign(v=v, blocks=tuple(canon), uses_infinity=uses_infinity)
@@ -122,33 +142,63 @@ class VerificationReport:
     violations: int = 0
 
 
+def _triple_cells(blocks: Iterable[NestedBlock], v: int) -> Iterator[int]:
+    """The four triples of every block, each triple a < b < c as the cell
+    a*v*v + b*v + c.  Cells order like the triples they encode."""
+    vv = v * v
+    for p1, p2 in blocks:
+        a, b, c, d = sorted(p1 + p2)
+        ab = a * vv + b * v
+        yield ab + c
+        yield ab + d
+        yield a * vv + c * v + d
+        yield b * vv + c * v + d
+
+
 def verify_steiner(design: NestedDesign) -> VerificationReport:
     """Check that every 3-subset of points is covered by exactly one block."""
     v = design.v
-    cover: Counter = Counter()
-    for blk in design.blocks:
-        pts = sorted(blk[0] + blk[1])
-        for t in itertools.combinations(pts, 3):
-            cover[t] += 1
+    blocks = design.blocks
+    n_cells = v * v * v
+    if n_cells <= 64 * len(blocks) + (1 << 20):
+        # one byte per cell; covers after the first land in ``extra``
+        marks = bytearray(n_cells)
+        extra = []
+        for t in _triple_cells(blocks, v):
+            if marks[t]:
+                extra.append(t)
+            else:
+                marks[t] = 1
+        over = {t: 1 + n for t, n in Counter(extra).items()}
+        distinct = 4 * len(blocks) - len(extra)
+        covered = marks.__getitem__
+    else:
+        # far fewer blocks than cells (a huge v in a file header, say):
+        # memory stays proportional to the blocks
+        cover = Counter(_triple_cells(blocks, v))
+        over = {t: n for t, n in cover.items() if n > 1}
+        distinct = len(cover)
+        covered = cover.__contains__
 
-    over = [(t, c) for t, c in cover.items() if c != 1]
     n_triples = v * (v - 1) * (v - 2) // 6
-    missing = n_triples - len(cover)
+    missing = n_triples - distinct
     violations = len(over) + missing
     witness = None
     witness_cov = 0
     if over:
-        witness, witness_cov = min(over)
+        t = min(over)
+        witness, witness_cov = (t // (v * v), t // v % v, t % v), over[t]
     elif missing:
-        for t in itertools.combinations(range(v), 3):
-            if t not in cover:
-                witness = t
-                break
-    ok = violations == 0 and len(design.blocks) == expected_block_count(v)
+        witness = next(
+            (a, b, c)
+            for a, b, c in itertools.combinations(range(v), 3)
+            if not covered((a * v + b) * v + c)
+        )
+    ok = violations == 0 and len(blocks) == expected_block_count(v)
     return VerificationReport(
         ok=ok,
         v=v,
-        block_count=len(design.blocks),
+        block_count=len(blocks),
         expected_blocks=expected_block_count(v),
         witness=witness,
         witness_coverage=witness_cov,
@@ -169,11 +219,16 @@ class PairCensus:
 
     @property
     def min_mult(self) -> int:
-        return min(self.counts.values())
+        return min(self._multiplicities())
 
     @property
     def max_mult(self) -> int:
-        return max(self.counts.values())
+        return max(self._multiplicities())
+
+    def _multiplicities(self):
+        if not self.counts:
+            raise PreconditionError("the census is empty: the design has no blocks")
+        return self.counts.values()
 
     @property
     def total(self) -> int:

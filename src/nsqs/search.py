@@ -6,7 +6,11 @@ Three engines:
   split choices per block, with capacity/deficit pruning.
 * :func:`search_rotational` -- the same search at orbit level: only base
   block splits are chosen and feasibility is tracked on difference
-  classes, so one node covers a whole orbit of blocks.
+  classes, so one node covers a whole orbit of blocks.  Its domains are
+  kept incrementally through a watch list (class -> the options adding
+  to it, by increment), so a move touches only the options whose
+  feasibility it changes; fail-first picks the block with the fewest
+  feasible splits.  It runs on an explicit stack and has no depth limit.
 * :func:`local_balance` -- steepest-descent repartitioning of single
   blocks toward a multiplicity band.
 
@@ -174,25 +178,15 @@ def _resolve_target(target: SearchTarget, v: int) -> _Resolved | str:
     raise NsqsError(f"unknown target kind {target.kind!r}")
 
 
-def _as_point_sets(blocks) -> list[tuple[int, ...]]:
-    out = []
-    for blk in blocks:
-        if isinstance(blk[0], tuple):  # nested block
-            pts = tuple(sorted(blk[0] + blk[1]))
-        else:
-            pts = tuple(sorted(blk))
-        out.append(pts)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # full block-level search
 
 def search_nesting(blocks, spec: SearchSpec) -> SearchOutcome:
     """Depth-first search for a split assignment of every block."""
-    point_sets = _as_point_sets(blocks)
-    v = max(max(b) for b in point_sets) + 1
-    base = nested_design(v, [alternative_splits(b)[0] for b in point_sets])
+    choices = [alternative_splits(blk) for blk in blocks]
+    # split 0 of a block a < b < c < d is ((a, b), (c, d))
+    v = max(opts[0][1][1] for opts in choices) + 1
+    base = nested_design(v, [opts[0] for opts in choices])
     if not verify_steiner(base).ok:
         raise PreconditionError("block list is not a Steiner quadruple system")
 
@@ -200,25 +194,20 @@ def search_nesting(blocks, spec: SearchSpec) -> SearchOutcome:
     if isinstance(res, str):
         return SearchOutcome(status="refused", reason=res)
 
+    # each block's six pairs, computed once
+    pairs = [opts[0] + opts[1] + opts[2] for opts in choices]
     rng = random.Random(spec.seed)
-    n_blocks = len(point_sets)
-    choices: list[list[NestedBlock]] = []
-    for pts in point_sets:
-        opts = alternative_splits(pts)
-        if spec.seed is not None:
+    n_blocks = len(choices)
+    if spec.seed is not None:
+        for opts in choices:
             rng.shuffle(opts)
-        choices.append(opts)
 
     require_all = res.nd_pairs == comb(v, 2)
     m_exact = res.nd_pairs
     mu_lo, mu_hi = res.mu_lo, res.mu_hi
 
     counts: Counter = Counter()
-    avail: Counter = Counter()
-    for pts in point_sets:
-        a, b, c, d = pts
-        for pr in ((a, b), (a, c), (a, d), (b, c), (b, d), (c, d)):
-            avail[pr] += 1
+    avail: Counter = Counter(pr for prs in pairs for pr in prs)
 
     assigned: list[Optional[NestedBlock]] = [None] * n_blocks
     stats = SearchStats()
@@ -259,14 +248,12 @@ def search_nesting(blocks, spec: SearchSpec) -> SearchOutcome:
             counts[pr] = c + 1
             if c < mu_lo:
                 state["deficit"] -= 1
-        a, b, c_, d = point_sets[i]
-        for pr in ((a, b), (a, c_), (a, d), (b, c_), (b, d), (c_, d)):
+        for pr in pairs[i]:
             avail[pr] -= 1
 
     def undo(i: int, opt: NestedBlock) -> None:
         assigned[i] = None
-        a, b, c_, d = point_sets[i]
-        for pr in ((a, b), (a, c_), (a, d), (b, c_), (b, d), (c_, d)):
+        for pr in pairs[i]:
             avail[pr] += 1
         for pr in opt:
             c = counts[pr] - 1
@@ -280,8 +267,7 @@ def search_nesting(blocks, spec: SearchSpec) -> SearchOutcome:
 
     def dead_pair(i: int) -> bool:
         """After assigning block i, check its pairs can still be lifted."""
-        a, b, c_, d = point_sets[i]
-        for pr in ((a, b), (a, c_), (a, d), (b, c_), (b, d), (c_, d)):
+        for pr in pairs[i]:
             c = counts[pr]
             live = c > 0 or require_all
             if live and c < mu_lo and c + avail[pr] < mu_lo:
@@ -354,6 +340,11 @@ def search_rotational(spec: RotationalSpec, search: SearchSpec) -> SearchOutcome
     class min(md, p-md) for each multiplier m; shifts then spread that
     uniformly over every pair of the class, so per-class counts are exact
     predictions of the expanded census.
+
+    The depth-first search runs on an explicit stack, so the number of
+    base blocks is not limited by the recursion limit.  Domains are kept
+    incrementally: a move updates only the options that watch a class
+    whose count it changed.
     """
     spec.validate()
     p = spec.p
@@ -366,8 +357,8 @@ def search_rotational(spec: RotationalSpec, search: SearchSpec) -> SearchOutcome
         raise NsqsError("rotational search supports exact uniform targets only")
     mu = res.mu_lo
 
-    point_sets = _as_point_sets(spec.base_blocks)
-    inf_blocks = sum(1 for pts in point_sets if p in pts)
+    n_blocks = len(spec.base_blocks)
+    inf_blocks = sum(1 for b in spec.base_blocks if p in b[0] + b[1])
     complete = res.nd_pairs == comb(v, 2)
 
     # every split of an inf block pairs inf with someone, so the inf-pair
@@ -382,15 +373,16 @@ def search_rotational(spec: RotationalSpec, search: SearchSpec) -> SearchOutcome
             ),
         )
 
+    # Option o = 3*i + k is split k of block i (in seeded order).  It adds
+    # contribs[o] = ((class, increment), ...) to the class counts.
     n_classes = p // 2
     rng = random.Random(search.seed)
-    choices = []
-    contribs = []  # per block, per split: Counter of class contributions
-    for pts in point_sets:
-        opts = alternative_splits(pts)
+    splits: list[NestedBlock] = []
+    contribs: list[tuple[tuple[int, int], ...]] = []
+    for blk in spec.base_blocks:
+        opts = alternative_splits(blk)
         if search.seed is not None:
             rng.shuffle(opts)
-        per_opt = []
         for opt in opts:
             contrib: Counter = Counter()
             for pr in opt:
@@ -399,88 +391,112 @@ def search_rotational(spec: RotationalSpec, search: SearchSpec) -> SearchOutcome
                 d = pr[1] - pr[0]
                 for m in spec.multipliers:
                     contrib[difference_class(m * d, p)] += 1
-            per_opt.append(contrib)
-        choices.append(opts)
-        contribs.append(per_opt)
+            splits.append(opt)
+            contribs.append(tuple(contrib.items()))
 
-    class_counts: Counter = Counter()
-    assigned: list[Optional[NestedBlock]] = [None] * len(point_sets)
+    # Domains.  over[o] counts the classes option o would push past mu, so
+    # o is feasible iff over[o] == 0; nfeas[i] counts block i's feasible
+    # options.  watch[cl][inc] lists the options adding inc to class cl:
+    # when cl goes from c to c2, exactly those with mu - c2 < inc <= mu - c
+    # change side.
+    max_inc = max((inc for con in contribs for _, inc in con), default=0)
+    watch = [[[] for _ in range(max_inc + 1)] for _ in range(n_classes + 1)]
+    over = [0] * len(contribs)
+    for o, con in enumerate(contribs):
+        for cl, inc in con:
+            watch[cl][inc].append(o)
+            if inc > mu:
+                over[o] += 1
+    nfeas = [
+        sum(1 for o in range(3 * i, 3 * i + 3) if not over[o])
+        for i in range(n_blocks)
+    ]
+    # deficit = sum of gap[count] over classes: how far the live classes
+    # sit below mu; empty classes are live only when the support is complete
+    gap = [mu - c if complete or 0 < c < mu else 0 for c in range(mu + 1)]
+    counts = [0] * (n_classes + 1)
+    deficit = gap[0] * n_classes
+
+    def move(o: int, sign: int) -> int:
+        """Add (sign 1) or remove (sign -1) option o; returns the change
+        in the deficit."""
+        delta = 0
+        for cl, inc in contribs[o]:
+            c = counts[cl]
+            c2 = c + sign * inc
+            counts[cl] = c2
+            delta += gap[c2] - gap[c]
+            lo, hi = (c, c2) if sign < 0 else (c2, c)
+            flipped = watch[cl]
+            for j in range(mu - lo + 1, min(mu - hi, max_inc) + 1):
+                for o2 in flipped[j]:
+                    n = over[o2] + sign
+                    over[o2] = n
+                    # o2 became infeasible (n == 1 on add) or feasible
+                    # again (n == 0 on remove)
+                    if n == (sign > 0):
+                        nfeas[o2 // 3] -= sign
+        return delta
+
     stats = SearchStats()
     start = time.monotonic()
-    unassigned = set(range(len(point_sets)))
-
-    def feasible(i: int) -> list[int]:
-        out = []
-        for k, contrib in enumerate(contribs[i]):
-            if all(class_counts[cl] + inc <= mu for cl, inc in contrib.items()):
-                out.append(k)
-        return out
-
-    def dfs() -> Optional[str]:
+    chosen = [0] * n_blocks
+    # fail-first ties go to the first block in the set's iteration order;
+    # blocks leave and re-enter it in stack order, so the order and with
+    # it the node order are deterministic
+    unassigned = set(range(n_blocks))
+    stack: list[list] = []  # [block, its feasible options, next position]
+    capacity = 2 * n_mult
+    while True:
+        # a fresh node: a leaf, a budget stop, or a branch on the block
+        # with the fewest feasible options
         if not unassigned:
-            if complete:
-                if any(class_counts[cl] != mu for cl in range(1, n_classes + 1)):
-                    return None
+            # every class sits at 0 or mu; each full class holds p pairs
+            if deficit == 0 and (
+                complete or p * (counts.count(mu) + bool(inf_final)) == res.nd_pairs
+            ):
+                result = "found"
+                break
+        elif stats.nodes >= search.node_budget or (
+            time.monotonic() - start > search.time_budget
+        ):
+            result = "budget"
+            break
+        else:
+            i = min(unassigned, key=nfeas.__getitem__)
+            if nfeas[i]:
+                unassigned.discard(i)
+                feasible = [o for o in range(3 * i, 3 * i + 3) if not over[o]]
+                stack.append([i, feasible, 0])
             else:
-                if any(c not in (0, mu) for c in class_counts.values()):
-                    return None
-                support = sum(1 for c in class_counts.values() if c == mu) * p
-                if inf_final:
-                    support += p
-                if res.nd_pairs is not None and support != res.nd_pairs:
-                    return None
-            return "found"
-        if stats.nodes >= search.node_budget:
-            return "budget"
-        if time.monotonic() - start > search.time_budget:
-            return "budget"
-        best_i, best_ks = None, None
-        for i in unassigned:
-            ks = feasible(i)
-            if best_ks is None or len(ks) < len(best_ks):
-                best_i, best_ks = i, ks
-                if not ks:
-                    break
-        if not best_ks:
-            stats.prunes["no-feasible-split"] += 1
-            return None
-        unassigned.discard(best_i)
-        remaining = len(unassigned)
-        try:
-            for k in best_ks:
-                stats.nodes += 1
-                contrib = contribs[best_i][k]
-                assigned[best_i] = choices[best_i][k]
-                class_counts.update(contrib)
-                deficit = (
-                    sum(
-                        mu - class_counts[cl]
-                        for cl in range(1, n_classes + 1)
-                        if class_counts[cl] < mu
-                    )
-                    if complete
-                    else sum(
-                        mu - c for c in class_counts.values() if 0 < c < mu
-                    )
-                )
-                if deficit > 2 * n_mult * remaining:
-                    stats.prunes["deficit-exceeds-capacity"] += 1
-                else:
-                    r = dfs()
-                    if r is not None:
-                        return r
-                class_counts.subtract(contrib)
-                assigned[best_i] = None
-            return None
-        finally:
-            unassigned.add(best_i)
+                stats.prunes["no-feasible-split"] += 1
+        # undo the last option tried and apply the next untried one
+        while stack:
+            frame = stack[-1]
+            i, opts, pos = frame
+            if pos:
+                deficit += move(opts[pos - 1], -1)
+            if pos == len(opts):
+                stack.pop()
+                unassigned.add(i)
+                continue
+            frame[2] = pos + 1
+            stats.nodes += 1
+            chosen[i] = opts[pos]
+            deficit += move(opts[pos], 1)
+            if deficit > capacity * len(unassigned):
+                stats.prunes["deficit-exceeds-capacity"] += 1
+                continue
+            break
+        else:
+            result = "exhausted"
+            break
 
-    result = dfs()
     stats.elapsed = time.monotonic() - start
     if result == "found":
         witness = RotationalSpec(
             p=p,
-            base_blocks=tuple(s for s in assigned if s is not None),
+            base_blocks=tuple(splits[o] for o in chosen),
             multipliers=spec.multipliers,
         )
         # the class prediction is exact, but expand once as a post-check

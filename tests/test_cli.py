@@ -197,3 +197,40 @@ def test_stdin_default(capsys, monkeypatch):
     code, out, _ = run(capsys, "classify")
     assert code == 0
     assert out.splitlines()[0] == "uniform M=30 mu=2"
+
+
+def _assert_usage_error(code, out, err):
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+
+
+def test_verify_directory_is_usage_error(capsys, tmp_path):
+    _assert_usage_error(*run(capsys, "verify", str(tmp_path)))
+
+
+def test_non_utf8_file_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "latin1.nsqs"
+    path.write_bytes(b"nsqs v=8 blocks=0\n# note=caf\xe9\n")
+    code, out, err = run(capsys, "verify", str(path))
+    _assert_usage_error(code, out, err)
+    assert "UTF-8" in err
+
+
+def test_non_utf8_stdin_is_usage_error(capsys, monkeypatch):
+    import io
+
+    stdin = io.TextIOWrapper(io.BytesIO(b"nsqs v=8 \xff"), encoding="utf-8")
+    monkeypatch.setattr("sys.stdin", stdin)
+    _assert_usage_error(*run(capsys, "census"))
+
+
+@pytest.mark.parametrize("command", ["census", "classify"])
+@pytest.mark.parametrize("v", [0, 3])
+def test_blockless_design_is_usage_error(capsys, tmp_path, command, v):
+    path = tmp_path / "empty.nsqs"
+    path.write_text(f"nsqs v={v} blocks=0\n")
+    code, out, err = run(capsys, command, str(path))
+    _assert_usage_error(code, out, err)
+    assert "no blocks" in err

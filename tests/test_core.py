@@ -1,5 +1,9 @@
 """Core data model: pairs, splits, designs, census, verification."""
 
+import itertools
+from collections import Counter
+from math import comb
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -11,7 +15,9 @@ from nsqs import (
     block_points,
     canonical_block,
     canonical_pair,
+    VerificationReport,
     catalog_get,
+    catalog_names,
     expected_block_count,
     find_block,
     nested_design,
@@ -61,6 +67,7 @@ def test_alternative_splits():
     ]
     for s in splits:
         assert block_points(s) == frozenset({0, 1, 2, 3})
+    assert alternative_splits(((1, 3), (0, 2))) == splits  # a nested block
 
 
 def test_alternative_splits_rejects_bad_sets():
@@ -115,6 +122,66 @@ def test_verify_steiner_fails_on_duplicate():
     report = verify_steiner(dup)
     assert not report.ok
     assert report.witness_coverage == 2
+
+
+def reference_verify(design):
+    """verify_steiner by counting triples as tuple keys of a Counter."""
+    v = design.v
+    cover = Counter(
+        t
+        for blk in design.blocks
+        for t in itertools.combinations(sorted(blk[0] + blk[1]), 3)
+    )
+    over = sorted((t, c) for t, c in cover.items() if c != 1)
+    missing = comb(v, 3) - len(cover)
+    witness, coverage = over[0] if over else (None, 0)
+    if witness is None and missing:
+        witness = next(
+            t for t in itertools.combinations(range(v), 3) if t not in cover
+        )
+    expected = expected_block_count(v)
+    return VerificationReport(
+        ok=not over and not missing and len(design.blocks) == expected,
+        v=v,
+        block_count=len(design.blocks),
+        expected_blocks=expected,
+        witness=witness,
+        witness_coverage=coverage,
+        violations=len(over) + missing,
+    )
+
+
+def _moved_point(blk, v):
+    """blk with its largest point moved to the least point outside it."""
+    (a, b), (c, d) = blk
+    x = next(x for x in range(v) if x not in (a, b, c, d))
+    return ((a, b), (c, x)) if d > b else ((a, x), (c, d))
+
+
+def _verify_cases():
+    for name in catalog_names():
+        d = catalog_get(name).design()
+        mid = len(d.blocks) // 2
+        blocks = list(d.blocks)
+        yield name, d
+        yield name + "-dropped", nested_design(d.v, blocks[:mid] + blocks[mid + 1:])
+        yield name + "-duplicated", nested_design(d.v, blocks + [blocks[mid]])
+        moved = blocks[:mid] + [_moved_point(blocks[mid], d.v)] + blocks[mid + 1:]
+        yield name + "-moved", nested_design(d.v, moved)
+    # covers beyond one byte, and designs far sparser than their order
+    yield "repeated", nested_design(8, [((0, 1), (2, 3))] * 300)
+    yield "sparse", nested_design(
+        128, [((0, 1), (2, 3)), ((0, 1), (2, 4)), ((5, 9), (6, 127))]
+    )
+    yield "huge-v", nested_design(10**5, [((3, 4), (5, 99_999))])
+    yield "empty", nested_design(0, [])
+
+
+@pytest.mark.parametrize(
+    "design", [pytest.param(d, id=name) for name, d in _verify_cases()]
+)
+def test_verify_steiner_matches_reference(design):
+    assert verify_steiner(design) == reference_verify(design)
 
 
 def test_pair_census_totals():

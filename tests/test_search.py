@@ -1,5 +1,8 @@
 """Nesting search: refusal, backtracking, rotational, local balance."""
 
+import hashlib
+import sys
+
 import pytest
 
 from nsqs import (
@@ -19,6 +22,7 @@ from nsqs import (
     rotational_spec,
     search_nesting,
     search_rotational,
+    serialize_base_spec,
     uniform,
     verify_steiner,
 )
@@ -107,6 +111,62 @@ def test_rotational_search_recovers_ro62():
     out = search_rotational(_stripped_spec("ro62"), SearchSpec(complete_uniform()))
     assert out.status == "found"
     assert classify(rotational_expand(out.witness)).kind == "complete-uniform"
+
+
+# Seeded orbit searches on stripped base blocks: (entry, target, seed, node
+# budget, status, nodes, prunes, sha256 prefix of the serialized witness).
+# The uniform(5) case on ro26 has an incomplete support, so it runs the
+# deficit prune.
+ROTATIONAL_PINS = [
+    ("ro20", "complete", None, None, "found", 23, {"no-feasible-split": 2}, "69987953d34d1148"),
+    ("ro20", "complete", 2, None, "found", 107, {"no-feasible-split": 27}, "ec23a8847d543b60"),
+    ("ro20", "complete", 3, None, "found", 51, {"no-feasible-split": 10}, "df73a79d9cc05eb9"),
+    ("ro26", "complete", None, None, "found", 26, {}, "585f82856e0f5c71"),
+    ("ro26", "complete", 3, None, "found", 64, {"no-feasible-split": 7}, "ec2d02f286f03f77"),
+    ("ro26", "uniform5", 4, 400, "budget-exceeded", 400,
+     {"deficit-exceeds-capacity": 182, "no-feasible-split": 1}, None),
+    ("bool32", "complete", 1, None, "found", 8, {}, "3c2c2e00d3492e0f"),
+    ("ro38", "complete", 1, 3000, "budget-exceeded", 3000, {"no-feasible-split": 718}, None),
+    ("ro38", "complete", 5, 3000, "found", 709, {"no-feasible-split": 158}, "7f957f082de87e85"),
+]
+
+
+@pytest.mark.parametrize(
+    "name,target,seed,budget,status,nodes,prunes,witness", ROTATIONAL_PINS
+)
+def test_rotational_search_pinned(
+    name, target, seed, budget, status, nodes, prunes, witness
+):
+    spec = SearchSpec(
+        complete_uniform() if target == "complete" else uniform(5),
+        node_budget=budget or 10**8,
+        seed=seed,
+    )
+    out = search_rotational(_stripped_spec(name), spec)
+    assert out.status == status
+    assert out.stats.nodes == nodes
+    assert dict(out.stats.prunes) == prunes
+    if witness is None:
+        assert out.witness is None
+    else:
+        text = serialize_base_spec(out.witness)
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == witness
+
+
+def test_rotational_search_has_no_depth_limit():
+    spec = _stripped_spec("ro38")
+    assert len(spec.base_blocks) == 57
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 20)
+    try:
+        out = search_rotational(spec, SearchSpec(complete_uniform(), seed=5))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert out.status == "found"
+    assert out.stats.nodes == 709
 
 
 def test_rotational_search_refuses_bad_order():
