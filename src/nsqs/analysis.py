@@ -8,6 +8,7 @@ after all divisibility and counting conditions are applied.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from math import comb
 from typing import Optional
@@ -50,11 +51,15 @@ class BoundsProfile:
     min_point_degree: int
 
 
-def bounds_profile(v: int) -> BoundsProfile:
+def _require_admissible(v: int) -> None:
     if not admissible(v):
         raise InvalidOrderError(
             f"no quadruple system of order {v} (need v >= 4, v = 2 or 4 mod 6)"
         )
+
+
+def bounds_profile(v: int) -> BoundsProfile:
+    _require_admissible(v)
     raised = v % 12 in (2, 10)
     return BoundsProfile(
         v=v,
@@ -240,13 +245,45 @@ def _survives(v: int, m: int) -> Optional[int]:
     return mu
 
 
+def _add_prime_factors(n: int, exponents: Counter) -> None:
+    """Add the prime factorization of n >= 1 to ``exponents``."""
+    p = 2
+    while p * p <= n:
+        while n % p == 0:
+            exponents[p] += 1
+            n //= p
+        p += 1 if p == 2 else 2
+    if n > 1:
+        exponents[n] += 1
+
+
+def _slot_divisors(v: int, lo: int, hi: int) -> list[int]:
+    """Divisors of total_pair_slots(v) = v(v-1)(v-2)/12 in [lo, hi], ascending.
+
+    Each of v, v-1, v-2 is factored on its own (trial division up to
+    sqrt(v)), so no number near the total is ever scanned.  Needs 12 to
+    divide v(v-1)(v-2), which holds for every admissible v.
+    """
+    exponents: Counter = Counter()
+    for n in (v, v - 1, v - 2):
+        _add_prime_factors(n, exponents)
+    exponents[2] -= 2
+    exponents[3] -= 1
+    divisors = [1]
+    for p, e in exponents.items():
+        divisors = [d * p**k for d in divisors for k in range(e + 1)]
+    return sorted(d for d in divisors if lo <= d <= hi)
+
+
 def feasibility_row(v: int) -> FeasibilityRow:
+    _require_admissible(v)
     total = total_pair_slots(v)
     lo = min_nd_pairs(v)
     lo_raised = min_nd_pairs_raised(v)
     hi = comb(v, 2)
     candidates = []
-    for m in range(lo, hi + 1):
+    # a candidate's multiplicity is total / m, so only divisors can survive
+    for m in _slot_divisors(v, lo, hi):
         mu = _survives(v, m)
         if mu is None:
             continue

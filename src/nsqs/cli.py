@@ -32,6 +32,20 @@ def _load_design(path: str, strict_count: bool = True):
     return fileio.parse_design(_read(path), strict_count=strict_count)
 
 
+def _warn_unless_steiner(design) -> None:
+    """One stderr line, after the output, when a design given to census
+    or classify is not an SQS: their figures then describe whatever
+    blocks the file holds.  A design they refuse gets only the error."""
+    report = verify_steiner(design)
+    if not report.ok:
+        print(
+            f"warning: input is not a Steiner quadruple system "
+            f"({report.violations} bad triples; {report.block_count} blocks, "
+            f"expected {report.expected_blocks})",
+            file=sys.stderr,
+        )
+
+
 def _mu_text(lo: int, hi: int) -> str:
     return str(lo) if lo == hi else f"{lo}..{hi}"
 
@@ -104,7 +118,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_census(args) -> int:
-    census = pair_census(_load_design(args.file))
+    design = _load_design(args.file)
+    census = pair_census(design)
     if args.json:
         print(
             json.dumps(
@@ -128,11 +143,13 @@ def _cmd_census(args) -> int:
         )
         for mult, n in sorted(census.histogram().items()):
             print(f"  multiplicity {mult}: {n} pairs")
+    _warn_unless_steiner(design)
     return 0
 
 
 def _cmd_classify(args) -> int:
-    cls = analysis.classify(_load_design(args.file))
+    design = _load_design(args.file)
+    cls = analysis.classify(design)
     if args.json:
         payload = asdict(cls)
         print(json.dumps(payload, indent=2))
@@ -141,6 +158,7 @@ def _cmd_classify(args) -> int:
         if cls.half_partition is not None:
             q1, q2 = cls.half_partition
             print(f"half-partition {list(q1)} / {list(q2)}")
+    _warn_unless_steiner(design)
     return 0
 
 

@@ -338,19 +338,15 @@ def negation_preserves_blocks(n: int, poly: int | None = None) -> bool:
 # ---------------------------------------------------------------------------
 # doubling constructions
 
-def _side(x: int, i: int, v: int) -> int:
-    """Encode the point (x, i) of Q x {0,1} as a flat index."""
-    return x + i * v
-
-
 def doubling_a(
     design: NestedDesign, factorization: OneFactorization | None = None
 ) -> NestedDesign:
     """One-factorization doubling: nested SQS(v) -> nested SQS(2v).
 
-    Type I blocks copy the input design (and its splits) onto each side;
-    Type II blocks pair up edges of the same one-factor across sides and
-    are always split into their two within-side pairs.
+    The point (x, i) of Q x {0,1} is the index x + i*v.  Type I blocks
+    copy the input design (and its splits) onto each side; Type II
+    blocks pair up edges of the same one-factor across sides and are
+    always split into their two within-side pairs.
     """
     v = design.v
     if not verify_steiner(design).ok:
@@ -363,33 +359,28 @@ def doubling_a(
         )
     factorization.validate()
 
-    blocks = []
-    for (a, b), (c, d) in design.blocks:
-        for i in (0, 1):
-            blocks.append(
-                canonical_block(
-                    (_side(a, i, v), _side(b, i, v)),
-                    (_side(c, i, v), _side(d, i, v)),
-                )
-            )
+    # every block below is built canonical: shifting all four points of
+    # a canonical block by v keeps it canonical, and a Type II block's
+    # side-0 pair precedes its side-1 pair
+    blocks = list(design.blocks)
+    blocks += [
+        ((a + v, b + v), (c + v, d + v)) for (a, b), (c, d) in design.blocks
+    ]
     for factor in factorization.factors:
-        for (x, y) in factor:
-            for (z, w) in factor:
-                blocks.append(
-                    canonical_block(
-                        (_side(x, 0, v), _side(y, 0, v)),
-                        (_side(z, 1, v), _side(w, 1, v)),
-                    )
-                )
-    return nested_design(2 * v, blocks)
+        # validate() admits an edge written either way round
+        edges = [(x, y) if x < y else (y, x) for x, y in factor]
+        shifted = [(z + v, w + v) for z, w in edges]
+        blocks += [(e, f) for e in edges for f in shifted]
+    return design_from_canonical(2 * v, blocks)
 
 
 def doubling_b(design: NestedDesign) -> NestedDesign:
     """Parity doubling: needs an input in which every pair is an ND-pair.
 
-    Type I places each input block on the even-parity side patterns,
-    carrying the split through; Type II joins both copies of two points
-    and splits them into the two same-point pairs.
+    The point (x, i) of Q x {0,1} is the index x + i*v.  Type I places
+    each input block on the even-parity side patterns, carrying the
+    split through; Type II joins both copies of two points and splits
+    them into the two same-point pairs.
     """
     v = design.v
     if not verify_steiner(design).ok:
@@ -403,22 +394,20 @@ def doubling_b(design: NestedDesign) -> NestedDesign:
                     f"pair ({a}, {b}) is not"
                 )
 
+    # the side of each point, times v, for the even-parity patterns
+    offsets = [
+        (i * v, j * v, k * v, (i + j + k) % 2 * v)
+        for i, j, k in itertools.product((0, 1), repeat=3)
+    ]
     blocks = []
     for (x, y), (z, w) in design.blocks:
-        for i, j, k in itertools.product((0, 1), repeat=3):
-            m = (i + j + k) % 2
-            blocks.append(
-                canonical_block(
-                    (_side(x, i, v), _side(y, j, v)),
-                    (_side(z, k, v), _side(w, m, v)),
-                )
-            )
-    for x in range(v):
-        for y in range(x + 1, v):
-            blocks.append(
-                canonical_block(
-                    (_side(x, 0, v), _side(x, 1, v)),
-                    (_side(y, 0, v), _side(y, 1, v)),
-                )
-            )
-    return nested_design(2 * v, blocks)
+        for dx, dy, dz, dw in offsets:
+            s, t, u, r = x + dx, y + dy, z + dz, w + dw
+            p = (s, t) if s < t else (t, s)
+            q = (u, r) if u < r else (r, u)
+            blocks.append((p, q) if p < q else (q, p))
+    # x < y, so both of these pairs and their order are canonical
+    blocks += [
+        ((x, x + v), (y, y + v)) for x in range(v) for y in range(x + 1, v)
+    ]
+    return design_from_canonical(2 * v, blocks)

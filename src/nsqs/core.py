@@ -37,12 +37,25 @@ def canonical_pair(a: int, b: int) -> Pair:
 
 
 def canonical_block(p1: Pair, p2: Pair) -> NestedBlock:
-    """Canonicalize a split given as two pairs (each already canonical)."""
-    a = canonical_pair(*p1)
-    b = canonical_pair(*p2)
-    if a[0] in b or a[1] in b:
-        raise InvalidSplitError(f"split pairs {a} and {b} are not disjoint")
-    return (a, b) if a <= b else (b, a)
+    """Canonicalize a split given as two pairs, each in either order.
+
+    Checks as :func:`canonical_pair` would, first ``p1`` then ``p2``,
+    and then that the pairs are disjoint.
+    """
+    a, b = p1
+    c, d = p2
+    if a == b:
+        raise InvalidPairError(f"pair needs two distinct points, got {a} twice")
+    if c == d:
+        raise InvalidPairError(f"pair needs two distinct points, got {c} twice")
+    if a > b:
+        a, b = b, a
+    if c > d:
+        c, d = d, c
+    if a == c or a == d or b == c or b == d:
+        raise InvalidSplitError(f"split pairs {(a, b)} and {(c, d)} are not disjoint")
+    # disjoint pairs order by their least points
+    return ((a, b), (c, d)) if a < c else ((c, d), (a, b))
 
 
 def block_points(block: NestedBlock) -> frozenset[int]:
@@ -102,7 +115,7 @@ def nested_design(
 ) -> NestedDesign:
     """Canonicalize blocks, validate point ranges, and build a design."""
     return design_from_canonical(
-        v, (canonical_block(*blk) for blk in blocks), uses_infinity
+        v, itertools.starmap(canonical_block, blocks), uses_infinity
     )
 
 
@@ -121,7 +134,13 @@ def design_from_canonical(
             p = next(p for p in (a, b, c, d) if not 0 <= p < v)
             raise InvalidBlockError(f"point {p} out of range for v={v}")
         canon.append(nb)
-    canon.sort()
+
+    def key(nb: NestedBlock) -> int:
+        # with every point in 0..v-1 this orders like the nested tuples
+        (a, b), (c, d) = nb
+        return ((a * v + b) * v + c) * v + d
+
+    canon.sort(key=key)
     return NestedDesign(v=v, blocks=tuple(canon), uses_infinity=uses_infinity)
 
 

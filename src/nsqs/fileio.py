@@ -26,7 +26,7 @@ from __future__ import annotations
 import re
 
 from .constructions import RotationalSpec, rotational_spec
-from .core import NestedDesign, nested_design
+from .core import NestedDesign, design_from_canonical
 from .errors import ParseError
 
 _DESIGN_HEADER = re.compile(r"^nsqs v=(\d+) blocks=(\d+)$")
@@ -47,33 +47,49 @@ def _parse_point(token: str, inf_index: int, lineno: int) -> int:
 
 
 def _parse_blocks(lines, start_lineno, count, inf_index):
-    """Parse block lines; returns (blocks, saw_inf, metadata, next_lineno)."""
+    """Parse the lines after the header into canonical blocks.
+
+    Returns (blocks, saw_inf, metadata).
+    """
     blocks = []
     saw_inf = False
     metadata: dict[str, str] = {}
-    lineno = start_lineno
-    for raw in lines:
-        line = raw.rstrip("\n")
-        if not line.strip():
-            lineno += 1
-            continue
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if "=" not in body:
-                raise ParseError(f"line {lineno}: metadata needs key=value")
-            key, _, value = body.partition("=")
-            metadata[key.strip()] = value.strip()
-            lineno += 1
-            continue
+    for lineno, line in enumerate(lines, start_lineno):
         m = _BLOCK_LINE.match(line)
-        if not m:
+        # a block line never starts blank, but "# 1 | 2 3" would match
+        if m is None or line[0] == "#":
+            if not line.strip():
+                continue
+            if line.startswith("#"):
+                body = line[1:].strip()
+                if "=" not in body:
+                    raise ParseError(f"line {lineno}: metadata needs key=value")
+                key, _, value = body.partition("=")
+                metadata[key.strip()] = value.strip()
+                continue
             raise ParseError(f"line {lineno}: malformed block line {line!r}")
-        saw_inf = saw_inf or "inf" in m.groups()
-        a, b, c, d = (_parse_point(t, inf_index, lineno) for t in m.groups())
-        if len({a, b, c, d}) != 4:
+        tokens = m.groups()
+        ta, tb, tc, td = tokens
+        try:
+            a, b, c, d = int(ta), int(tb), int(tc), int(td)
+        except ValueError:  # "inf" or a bad token
+            a = -1
+        if not (
+            0 <= a <= inf_index
+            and 0 <= b <= inf_index
+            and 0 <= c <= inf_index
+            and 0 <= d <= inf_index
+        ):
+            # the token-by-token path reads "inf" and words every error
+            saw_inf = saw_inf or "inf" in tokens
+            a, b, c, d = (_parse_point(t, inf_index, lineno) for t in tokens)
+        if a == b or c == d or a == c or a == d or b == c or b == d:
             raise ParseError(f"line {lineno}: repeated point in block {line!r}")
-        blocks.append(((a, b), (c, d)))
-        lineno += 1
+        if a > b:
+            a, b = b, a
+        if c > d:
+            c, d = d, c
+        blocks.append(((a, b), (c, d)) if a < c else ((c, d), (a, b)))
     if len(blocks) != count:
         raise ParseError(
             f"header announced {count} blocks, file contains {len(blocks)}"
@@ -99,7 +115,7 @@ def parse_design(text: str, strict_count: bool = True) -> NestedDesign:
         count = _count_blocks(lines[1:])
     blocks, saw_inf, metadata = _parse_blocks(lines[1:], 2, count, v - 1)
     uses_infinity = saw_inf or metadata.get("infinity") == "1"
-    return nested_design(v, blocks, uses_infinity=uses_infinity)
+    return design_from_canonical(v, blocks, uses_infinity=uses_infinity)
 
 
 def _fmt_point(x: int, inf_index: int, uses_infinity: bool) -> str:
@@ -107,11 +123,15 @@ def _fmt_point(x: int, inf_index: int, uses_infinity: bool) -> str:
 
 
 def serialize_design(design: NestedDesign) -> str:
-    out = [f"nsqs v={design.v} blocks={len(design.blocks)}"]
-    inf_index = design.v - 1
-    for (a, b), (c, d) in design.blocks:
-        pts = [_fmt_point(x, inf_index, design.uses_infinity) for x in (a, b, c, d)]
-        out.append(f"{pts[0]} {pts[1]} | {pts[2]} {pts[3]}")
+    v = design.v
+    names = [str(x) for x in range(v)]
+    if design.uses_infinity and v:
+        names[-1] = "inf"
+    out = [f"nsqs v={v} blocks={len(design.blocks)}"]
+    out += [
+        f"{names[a]} {names[b]} | {names[c]} {names[d]}"
+        for (a, b), (c, d) in design.blocks
+    ]
     if design.uses_infinity:
         out.append("# infinity=1")
     return "\n".join(out) + "\n"

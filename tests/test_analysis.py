@@ -1,6 +1,7 @@
 """Bounds, classification, feasibility table, difference censuses, cosets."""
 
 import random
+import time
 from math import comb
 
 import pytest
@@ -30,6 +31,15 @@ from nsqs import (
     total_pair_slots,
     validate_bounds,
 )
+from nsqs.analysis import (
+    KNOWN_UNIFORM,
+    UNMARKED,
+    Candidate,
+    Exclusion,
+    FeasibilityRow,
+    _survives,
+)
+from nsqs.cli import main
 
 
 def test_admissible():
@@ -157,6 +167,76 @@ def test_candidate_slots_multiply_out():
     for row in feasibility_table(8, 64):
         for c in row.candidates:
             assert c.nd_pairs * c.mu == row.total_pair_slots
+
+
+def _scan_feasibility_row(v):
+    """Reference: the row from a scan of every m in [min_nd, C(v, 2)]."""
+    total = total_pair_slots(v)
+    lo = min_nd_pairs(v)
+    hi = comb(v, 2)
+    candidates = []
+    for m in range(lo, hi + 1):
+        mu = _survives(v, m)
+        if mu is None:
+            continue
+        kind = "complete" if m == hi else "minimum" if m == lo else "intermediate"
+        if (v, m) in KNOWN_UNIFORM:
+            status = "known"
+        elif (v, m) in UNMARKED:
+            status = "unmarked"
+        else:
+            status = "open"
+        candidates.append(Candidate(nd_pairs=m, mu=mu, kind=kind, status=status))
+    exclusions = []
+    if _survives(v, lo) is None:
+        if v % 12 in (2, 10):
+            reason = "minimum excluded: ND-pair count below v^2/4 for v = 2, 10 (mod 12)"
+        else:
+            reason = "minimum excluded: multiplicity (v-1)/3 not an integer"
+        exclusions.append(Exclusion(nd_pairs=lo, reason=reason))
+    if _survives(v, hi) is None:
+        exclusions.append(
+            Exclusion(
+                nd_pairs=hi,
+                reason="complete excluded: multiplicity (v-2)/6 not an integer",
+            )
+        )
+    return FeasibilityRow(
+        v=v,
+        total_pair_slots=total,
+        min_nd=lo,
+        min_nd_raised=min_nd_pairs_raised(v),
+        max_nd=hi,
+        candidates=tuple(candidates),
+        exclusions=tuple(exclusions),
+    )
+
+
+def test_feasibility_row_equals_scan():
+    for v in range(8, 257):
+        if admissible(v):
+            assert feasibility_row(v) == _scan_feasibility_row(v), f"v={v}"
+
+
+def test_feasibility_row_rejects_inadmissible():
+    for v in (3, 7, 12):
+        with pytest.raises(InvalidOrderError):
+            feasibility_row(v)
+
+
+def test_feasibility_rows_at_scale(capsys):
+    # a scan of every m would take O(v^2) steps per row, ~2e8 here
+    start = time.perf_counter()
+    row = feasibility_row(19996)
+    assert main(["table", "--min", "19990", "--max", "20000"]) == 0
+    assert time.perf_counter() - start < 5
+    assert [c.nd_pairs * c.mu for c in row.candidates] == (
+        [row.total_pair_slots] * len(row.candidates)
+    )
+    out = capsys.readouterr().out
+    assert [line.split()[0] for line in out.splitlines() if line.startswith("v=")] == [
+        "v=19990", "v=19994", "v=19996", "v=20000"
+    ]
 
 
 # ---------------------------------------------------------------------------

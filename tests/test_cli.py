@@ -234,3 +234,31 @@ def test_blockless_design_is_usage_error(capsys, tmp_path, command, v):
     code, out, err = run(capsys, command, str(path))
     _assert_usage_error(code, out, err)
     assert "no blocks" in err
+
+
+@pytest.mark.parametrize("command", ["census", "classify"])
+def test_non_steiner_input_warns(capsys, tmp_path, command):
+    path = tmp_path / "one-block.nsqs"
+    path.write_text("nsqs v=8 blocks=1\n0 1 | 2 3\n")
+    code, out, err = run(capsys, command, str(path))
+    assert code == 0
+    if command == "classify":
+        assert out == "uniform M=2 mu=1\n"
+    assert err == (
+        "warning: input is not a Steiner quadruple system "
+        "(52 bad triples; 1 blocks, expected 14)\n"
+    )
+
+
+@pytest.mark.parametrize("command", ["census", "classify"])
+def test_steiner_input_does_not_warn(capsys, monkeypatch, command):
+    import io
+
+    code, text, _ = run(capsys, "expand", "--catalog", "ro62")
+    assert code == 0
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code, out, err = run(capsys, command)
+    assert code == 0
+    assert err == ""
+    if command == "classify":
+        assert out == "complete-uniform M=1891 mu=10\n"

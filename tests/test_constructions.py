@@ -7,6 +7,7 @@ from nsqs import (
     InconsistentSpecError,
     InvalidOrderError,
     InvalidSplitError,
+    OneFactorization,
     PreconditionError,
     alternative_splits,
     block_classes,
@@ -181,6 +182,20 @@ def test_doubling_a_from_sqs8uniform():
     assert cls.nd_pairs == 56
     assert cls.mu_min == cls.mu_max == 5
     assert cls.half_partition == (tuple(range(8)), tuple(range(8, 16)))
+
+
+def test_doubling_a_accepts_edges_written_high_to_low():
+    for name in ("sqs8uniform", "sqs10", "ro20"):
+        design = catalog_get(name).design()
+        standard = one_factorization(design.v)
+        reversed_edges = OneFactorization(
+            v=design.v,
+            factors=tuple(
+                frozenset((hi, lo) for lo, hi in factor) for factor in standard.factors
+            ),
+        )
+        reversed_edges.validate()
+        assert doubling_a(design, reversed_edges) == doubling_a(design, standard)
 
 
 def test_doubling_a_census_law_sqs10():

@@ -1,6 +1,7 @@
 """Core data model: pairs, splits, designs, census, verification."""
 
 import itertools
+import random
 from collections import Counter
 from math import comb
 
@@ -54,8 +55,20 @@ def test_canonical_block_orders_pairs():
 
 
 def test_canonical_block_rejects_overlap():
-    with pytest.raises(InvalidSplitError):
-        canonical_block((0, 1), (1, 2))
+    # the first pair is checked, then the second, then disjointness
+    cases = [
+        (((1, 1), (2, 3)), InvalidPairError, "pair needs two distinct points, got 1 twice"),
+        (((0, 1), (2, 2)), InvalidPairError, "pair needs two distinct points, got 2 twice"),
+        (((1, 1), (1, 2)), InvalidPairError, "pair needs two distinct points, got 1 twice"),
+        (((0, 1), (1, 2)), InvalidSplitError, "split pairs (0, 1) and (1, 2) are not disjoint"),
+        (((3, 2), (2, 3)), InvalidSplitError, "split pairs (2, 3) and (2, 3) are not disjoint"),
+        (((5, 0), (3, 0)), InvalidSplitError, "split pairs (0, 5) and (0, 3) are not disjoint"),
+    ]
+    for pairs, error, message in cases:
+        with pytest.raises(error) as info:
+            canonical_block(*pairs)
+        assert type(info.value) is error
+        assert str(info.value) == message
 
 
 def test_alternative_splits():
@@ -90,6 +103,23 @@ def test_nested_design_canonicalizes_and_sorts():
     d = nested_design(8, [((3, 1), (0, 2)), ((5, 4), (7, 6))])
     assert d.blocks[0] == ((0, 2), (1, 3))
     assert d.blocks == tuple(sorted(d.blocks))
+
+
+@pytest.mark.parametrize("name", sorted(catalog_names()))
+def test_nested_design_of_scrambled_blocks(name):
+    design = catalog_get(name).design()
+    rng = random.Random(name)
+    shuffled = list(design.blocks)
+    rng.shuffle(shuffled)
+    for blocks in (design.blocks[::-1], shuffled):
+        flipped = [
+            ((b, a), (d, c)) if rng.random() < 0.5 else ((c, d), (a, b))
+            for (a, b), (c, d) in blocks
+        ]
+        for scrambled in (blocks, flipped):
+            again = nested_design(design.v, scrambled, design.uses_infinity)
+            assert again == design
+            assert again.blocks == design.blocks
 
 
 def test_nested_design_rejects_out_of_range():

@@ -98,3 +98,61 @@ def test_base_spec_header():
 def test_base_spec_bad_header():
     with pytest.raises(ParseError, match="line 1"):
         parse_base_spec("nsqs v=4 blocks=1\n0 1 | 2 3\n")
+
+
+# Each block line after the header "nsqs v=8 blocks=1", with the blocks it
+# parses to or the exact ParseError text.
+BLOCK_LINE_CASES = [
+    ("inf 1 | 2 3", (((1, 7), (2, 3)),)),
+    ("0 1 | inf 3", (((0, 1), (3, 7)),)),
+    ("+5 1 | 2 3", (((1, 5), (2, 3)),)),
+    ("007 1 | 2 3", (((1, 7), (2, 3)),)),
+    ("-0 1 | 2 +7", (((0, 1), (2, 7)),)),
+    ("5 4 | 1 0", (((0, 1), (4, 5)),)),
+    ("-1 1 | 2 3", "line 2: point -1 out of range 0..7"),
+    ("0 x | 2 3", "line 2: bad point 'x'"),
+    ("0x1 1 | 2 3", "line 2: bad point '0x1'"),
+    ("0 1 | 2 8", "line 2: point 8 out of range 0..7"),
+    ("0 1 | 9 x", "line 2: point 9 out of range 0..7"),
+    ("1_0 1 | 2 3", "line 2: point 10 out of range 0..7"),
+    ("0 1 | 1 2", "line 2: repeated point in block '0 1 | 1 2'"),
+    ("0 0 | 1 2", "line 2: repeated point in block '0 0 | 1 2'"),
+    ("0 1 | 2 2", "line 2: repeated point in block '0 1 | 2 2'"),
+    ("inf 7 | 1 2", "line 2: repeated point in block 'inf 7 | 1 2'"),
+    ("0 1 | inf inf", "line 2: repeated point in block '0 1 | inf inf'"),
+    ("0\t1 | 2 3", "line 2: malformed block line '0\\t1 | 2 3'"),
+    ("0  1 | 2 3", "line 2: malformed block line '0  1 | 2 3'"),
+    ("0 1 |  2 3", "line 2: malformed block line '0 1 |  2 3'"),
+    ("0 1 | 2 3\t", "line 2: malformed block line '0 1 | 2 3\\t'"),
+    (" 0 1 | 2 3", "line 2: malformed block line ' 0 1 | 2 3'"),
+    ("0 1 2 3", "line 2: malformed block line '0 1 2 3'"),
+    ("0 1 || 2 3", "line 2: malformed block line '0 1 || 2 3'"),
+    ("# 1 | 2 3", "line 2: metadata needs key=value"),
+]
+
+
+@pytest.mark.parametrize("line, expected", BLOCK_LINE_CASES)
+def test_block_line_contract(line, expected):
+    text = f"nsqs v=8 blocks=1\n{line}\n"
+    if isinstance(expected, str):
+        with pytest.raises(ParseError) as info:
+            parse_design(text)
+        assert str(info.value) == expected
+    else:
+        design = parse_design(text)
+        assert design.blocks == expected
+        assert design.uses_infinity == ("inf" in line)
+
+
+def test_error_line_numbers_count_blank_and_metadata_lines():
+    text = "nsqs v=8 blocks=2\n\n# source=x\n0 1 | 2 3\n   \n4 5 | 6 6\n"
+    with pytest.raises(ParseError) as info:
+        parse_design(text)
+    assert str(info.value) == "line 6: repeated point in block '4 5 | 6 6'"
+
+
+def test_uses_infinity_from_metadata_alone():
+    d = parse_design("nsqs v=8 blocks=1\n0 1 | 2 3\n# infinity=1\n")
+    assert d.uses_infinity
+    assert serialize_design(d) == "nsqs v=8 blocks=1\n0 1 | 2 3\n# infinity=1\n"
+    assert not parse_design("nsqs v=8 blocks=1\n0 1 | 2 7\n# infinity=0\n").uses_infinity
