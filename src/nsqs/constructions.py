@@ -159,6 +159,12 @@ class RotationalSpec:
                     raise InconsistentSpecError(
                         f"multipliers not closed: {m}*{m2} mod {self.p} missing"
                     )
+        for block in self.base_blocks:
+            for x in block[0] + block[1]:
+                if not 0 <= x <= self.p:
+                    raise InconsistentSpecError(
+                        f"base-block point {x} out of range 0..{self.p}"
+                    )
 
 
 def rotational_spec(

@@ -1,16 +1,13 @@
 """Search for nestings of a given (un-nested) quadruple system.
 
-Three engines:
+One engine, two front ends, plus local rebalancing:
 
-* :func:`search_nesting` -- depth-first over whole block lists, three
-  split choices per block, with capacity/deficit pruning.
-* :func:`search_rotational` -- the same search at orbit level: only base
-  block splits are chosen and feasibility is tracked on difference
-  classes, so one node covers a whole orbit of blocks.  Its domains are
-  kept incrementally through a watch list (class -> the options adding
-  to it, by increment), so a move touches only the options whose
-  feasibility it changes; fail-first picks the block with the fewest
-  feasible splits.  It runs on an explicit stack and has no depth limit.
+* :func:`_assign_splits` -- the engine: an explicit-stack depth-first
+  search for one of three splits per *unit*, where each split adds to
+  the counts of *cells* that must end in the target band.
+* :func:`search_nesting` -- units are whole blocks, cells are pairs.
+* :func:`search_rotational` -- units are rotational base blocks, cells
+  are difference classes, so one node covers a whole orbit of blocks.
 * :func:`local_balance` -- steepest-descent repartitioning of single
   blocks toward a multiplicity band.
 
@@ -171,18 +168,224 @@ def _resolve_target(target: SearchTarget, v: int) -> _Resolved | str:
         return _Resolved(mu, mu, m, True)
     if kind in ("quasi-uniform", "band"):
         lo, hi = target.mu_lo, target.mu_hi
-        if lo is None or hi is None or lo > hi:
-            raise NsqsError(f"{kind} target needs mu_lo <= mu_hi")
+        if lo is None or hi is None or not 0 <= lo <= hi:
+            raise NsqsError(f"{kind} target needs 0 <= mu_lo <= mu_hi")
         # divisibility screens are advisory when the support is free
         return _Resolved(lo, hi, target.nd_pairs, False)
     raise NsqsError(f"unknown target kind {target.kind!r}")
 
 
 # ---------------------------------------------------------------------------
-# full block-level search
+# the split-assignment engine
+
+def _assign_splits(
+    contribs: list[tuple[tuple[int, int], ...]],
+    n_cells: int,
+    mu_lo: int,
+    mu_hi: int,
+    nd_cells: Optional[int],
+    unliftable: bool,
+    spec: SearchSpec,
+) -> tuple[str, list[int], SearchStats]:
+    """Depth-first search for one split per unit, every cell ending in
+    [mu_lo, mu_hi] or at zero.
+
+    Unit i has the options 3i, 3i+1 and 3i+2; option o adds
+    ``contribs[o] = ((cell, increment), ...)`` to the cell counts.
+    ``nd_cells`` pins how many cells end up nonzero (None leaves it
+    free; all of them makes every cell live from the start).  With
+    ``unliftable`` a move is also pruned when one of its unit's cells
+    sits below mu_lo and the unassigned units can no longer lift it.
+    Returns the outcome status, the chosen option of every unit (when
+    found) and the stats.
+
+    The search runs on an explicit stack, so the number of units is not
+    limited by the recursion limit.  Domains are kept incrementally: a
+    move updates only the options that watch a cell whose count it
+    changed, and tallies of unassigned units by feasible count give the
+    fail-first choice without scoring every unit.
+    """
+    n_units = len(contribs) // 3
+    complete = nd_cells == n_cells
+    # With the support pinned below all cells, an option is feasible only
+    # if the cells it would open fit in the slack (nd_cells less the
+    # nonzero cells).  That test binds only while the slack is below
+    # max_new, the most cells one option touches; then the options of
+    # each unit are counted afresh at every node instead of tallied.
+    pinned = nd_cells is not None and not complete
+    max_new = max(map(len, contribs), default=0)
+    # no unassigned unit can lower the deficit by more than this
+    capacity = max((sum(inc for _, inc in con) for con in contribs), default=0)
+
+    # spans[i]: the most unit i can add to each cell it touches;
+    # reach[cell]: the most the unassigned units can still add to it.
+    # No count ever passes its cell's initial reach, so capping mu_hi at
+    # the largest one changes no test and keeps the tables below small.
+    spans: list[tuple[tuple[int, int], ...]] = []
+    reach = [0] * n_cells
+    for i in range(n_units):
+        span: dict[int, int] = {}
+        for o in range(3 * i, 3 * i + 3):
+            for cl, inc in contribs[o]:
+                span[cl] = max(span.get(cl, 0), inc)
+        spans.append(tuple(span.items()))
+        for cl, inc in span.items():
+            reach[cl] += inc
+    mu_hi = max(0, min(mu_hi, max(reach, default=0)))
+
+    # Domains.  over[o] counts the cells option o would push past mu_hi,
+    # so o is feasible iff over[o] == 0 (and the support pin allows it).
+    # An option adding inc to a cell fits while the cell's count is at
+    # most mu_hi - inc, so watch[cell][t] lists the options with that
+    # threshold t: a count crossing t flips exactly those.  For an
+    # unassigned unit i, nfeas[i] counts its options with over == 0
+    # (refreshed when i re-enters), and tally[k] counts the unassigned
+    # units with nfeas == k.
+    watch = [[[] for _ in range(mu_hi)] for _ in range(n_cells)]
+    over = [0] * len(contribs)
+    for o, con in enumerate(contribs):
+        for cl, inc in con:
+            if inc > mu_hi:
+                over[o] += 1
+            else:
+                watch[cl][mu_hi - inc].append(o)
+
+    def n_feasible(i: int) -> int:
+        return (not over[3 * i]) + (not over[3 * i + 1]) + (not over[3 * i + 2])
+
+    nfeas = [n_feasible(i) for i in range(n_units)]
+    tally = [nfeas.count(k) for k in range(4)]
+    free = [True] * n_units  # i in unassigned, as a cheaper test in move
+    # deficit = sum of gap[count] over cells: how far the live cells sit
+    # below mu_lo; empty cells are live only when the support is complete
+    gap = [
+        mu_lo - c if c < mu_lo and (complete or c) else 0 for c in range(mu_hi + 1)
+    ]
+    counts = [0] * n_cells
+    deficit = gap[0] * n_cells
+
+    def move(o: int, sign: int) -> int:
+        """Add (sign 1) or remove (sign -1) option o; returns the change
+        in the deficit."""
+        delta = 0
+        for cl, inc in contribs[o]:
+            c = counts[cl]
+            c2 = c + sign * inc
+            counts[cl] = c2
+            delta += gap[c2] - gap[c]
+            crossed = watch[cl]
+            for t in range(c, c2) if sign > 0 else range(c2, c):
+                for o2 in crossed[t]:
+                    n = over[o2] + sign
+                    over[o2] = n
+                    # o2 became infeasible (n == 1 on add) or feasible
+                    # again (n == 0 on remove)
+                    if n == (sign > 0) and free[o2 // 3]:
+                        i = o2 // 3
+                        k = nfeas[i]
+                        nfeas[i] = k - sign
+                        tally[k] -= 1
+                        tally[k - sign] += 1
+        return delta
+
+    def options(i: int, slack: int) -> list[int]:
+        """Unit i's feasible options when ``slack`` more cells may open."""
+        return [
+            o
+            for o in range(3 * i, 3 * i + 3)
+            if not over[o]
+            and (slack >= max_new or sum(not counts[cl] for cl, _ in contribs[o]) <= slack)
+        ]
+
+    stats = SearchStats()
+    start = time.monotonic()
+    chosen = [0] * n_units
+    # fail-first ties go to the first unit in the set's iteration order;
+    # units leave and re-enter it in stack order, so the order and with
+    # it the node order are deterministic
+    unassigned = set(range(n_units))
+    stack: list[list] = []  # [unit, its feasible options, next position]
+    while True:
+        # a fresh node: a leaf, a budget stop, or a branch on the unit
+        # with the fewest feasible options
+        if not unassigned:
+            if deficit == 0 and (nd_cells is None or n_cells - counts.count(0) == nd_cells):
+                status = "found"
+                break
+        elif stats.nodes >= spec.node_budget or (
+            time.monotonic() - start > spec.time_budget
+        ):
+            status = "budget-exceeded"
+            break
+        else:
+            slack = nd_cells - n_cells + counts.count(0) if pinned else max_new
+            if slack < max_new:
+                least = 4
+                for u in unassigned:
+                    k = len(options(u, slack))
+                    if k < least:
+                        i, least = u, k
+                        if not k:
+                            break
+            else:
+                least = 0 if tally[0] else 1 if tally[1] else 2 if tally[2] else 3
+                if least:
+                    for i in unassigned:
+                        if nfeas[i] == least:
+                            break
+            if least:
+                unassigned.discard(i)
+                free[i] = False
+                tally[nfeas[i]] -= 1
+                if unliftable:
+                    for cl, inc in spans[i]:
+                        reach[cl] -= inc
+                stack.append([i, options(i, slack), 0])
+            else:
+                stats.prunes["no-feasible-split"] += 1
+        # undo the last option tried and apply the next untried one
+        while stack:
+            frame = stack[-1]
+            i, opts, pos = frame
+            if pos:
+                deficit += move(opts[pos - 1], -1)
+            if pos == len(opts):
+                stack.pop()
+                unassigned.add(i)
+                free[i] = True
+                nfeas[i] = k = n_feasible(i)
+                tally[k] += 1
+                if unliftable:
+                    for cl, inc in spans[i]:
+                        reach[cl] += inc
+                continue
+            frame[2] = pos + 1
+            stats.nodes += 1
+            chosen[i] = opts[pos]
+            deficit += move(opts[pos], 1)
+            if deficit > capacity * len(unassigned):
+                stats.prunes["deficit-exceeds-capacity"] += 1
+                continue
+            if unliftable and any(
+                counts[cl] + reach[cl] < mu_lo and (complete or counts[cl])
+                for cl, _ in spans[i]
+            ):
+                stats.prunes["pair-unliftable"] += 1
+                continue
+            break
+        else:
+            status = "exhausted"
+            break
+
+    stats.elapsed = time.monotonic() - start
+    return status, chosen, stats
+
+
+# ---------------------------------------------------------------------------
+# the two front ends: whole block lists, and rotational base blocks
 
 def search_nesting(blocks, spec: SearchSpec) -> SearchOutcome:
-    """Depth-first search for a split assignment of every block."""
+    """Search for a split of every block; the cells are the pairs."""
     choices = [alternative_splits(blk) for blk in blocks]
     # split 0 of a block a < b < c < d is ((a, b), (c, d))
     v = max(opts[0][1][1] for opts in choices) + 1
@@ -194,157 +397,35 @@ def search_nesting(blocks, spec: SearchSpec) -> SearchOutcome:
     if isinstance(res, str):
         return SearchOutcome(status="refused", reason=res)
 
-    # each block's six pairs, computed once
-    pairs = [opts[0] + opts[1] + opts[2] for opts in choices]
     rng = random.Random(spec.seed)
-    n_blocks = len(choices)
-    if spec.seed is not None:
-        for opts in choices:
+    splits: list[NestedBlock] = []
+    cell_of: dict[tuple[int, int], int] = {}
+    for opts in choices:
+        if spec.seed is not None:
             rng.shuffle(opts)
+        splits += opts
+    contribs = [
+        tuple((cell_of.setdefault(pr, len(cell_of)), 1) for pr in opt)
+        for opt in splits
+    ]
+    status, chosen, stats = _assign_splits(
+        contribs, len(cell_of), res.mu_lo, res.mu_hi, res.nd_pairs,
+        unliftable=True, spec=spec,
+    )
+    if status != "found":
+        return SearchOutcome(status=status, stats=stats)
+    witness = nested_design(v, [splits[o] for o in chosen])
+    return SearchOutcome(status=status, witness=witness, stats=stats)
 
-    require_all = res.nd_pairs == comb(v, 2)
-    m_exact = res.nd_pairs
-    mu_lo, mu_hi = res.mu_lo, res.mu_hi
-
-    counts: Counter = Counter()
-    avail: Counter = Counter(pr for prs in pairs for pr in prs)
-
-    assigned: list[Optional[NestedBlock]] = [None] * n_blocks
-    stats = SearchStats()
-    start = time.monotonic()
-    # deficit = sum over "live" pairs of how far below mu_lo they sit;
-    # zero-count pairs are live only when the support must be complete
-    state = {
-        "support": 0,
-        "deficit": mu_lo * comb(v, 2) if require_all else 0,
-    }
-
-    def feasible_splits(i: int) -> list[NestedBlock]:
-        out = []
-        for opt in choices[i]:
-            ok = True
-            new_pairs = 0
-            for pr in opt:
-                c = counts[pr]
-                if c + 1 > mu_hi:
-                    ok = False
-                    break
-                if c == 0:
-                    new_pairs += 1
-            if ok and m_exact is not None and state["support"] + new_pairs > m_exact:
-                ok = False
-            if ok:
-                out.append(opt)
-        return out
-
-    def apply(i: int, opt: NestedBlock) -> None:
-        assigned[i] = opt
-        for pr in opt:
-            c = counts[pr]
-            if c == 0:
-                state["support"] += 1
-                if not require_all:
-                    state["deficit"] += mu_lo
-            counts[pr] = c + 1
-            if c < mu_lo:
-                state["deficit"] -= 1
-        for pr in pairs[i]:
-            avail[pr] -= 1
-
-    def undo(i: int, opt: NestedBlock) -> None:
-        assigned[i] = None
-        for pr in pairs[i]:
-            avail[pr] += 1
-        for pr in opt:
-            c = counts[pr] - 1
-            counts[pr] = c
-            if c < mu_lo:
-                state["deficit"] += 1
-            if c == 0:
-                state["support"] -= 1
-                if not require_all:
-                    state["deficit"] -= mu_lo
-
-    def dead_pair(i: int) -> bool:
-        """After assigning block i, check its pairs can still be lifted."""
-        for pr in pairs[i]:
-            c = counts[pr]
-            live = c > 0 or require_all
-            if live and c < mu_lo and c + avail[pr] < mu_lo:
-                return True
-        return False
-
-    unassigned = set(range(n_blocks))
-
-    def dfs() -> Optional[str]:
-        if not unassigned:
-            if m_exact is not None and state["support"] != m_exact:
-                return None
-            if state["deficit"] != 0:
-                return None
-            return "found"
-        if stats.nodes >= spec.node_budget:
-            return "budget"
-        if time.monotonic() - start > spec.time_budget:
-            return "budget"
-        # fail-first: expand the block with the fewest feasible splits
-        best_i, best_opts = None, None
-        for i in unassigned:
-            opts = feasible_splits(i)
-            if best_opts is None or len(opts) < len(best_opts):
-                best_i, best_opts = i, opts
-                if not opts:
-                    break
-        if not best_opts:
-            stats.prunes["no-feasible-split"] += 1
-            return None
-        remaining = len(unassigned) - 1
-        unassigned.discard(best_i)
-        try:
-            for opt in best_opts:
-                stats.nodes += 1
-                apply(best_i, opt)
-                pruned = None
-                if state["deficit"] > 2 * remaining:
-                    stats.prunes["deficit-exceeds-capacity"] += 1
-                    pruned = True
-                elif dead_pair(best_i):
-                    stats.prunes["pair-unliftable"] += 1
-                    pruned = True
-                if not pruned:
-                    r = dfs()
-                    if r is not None:
-                        return r
-                undo(best_i, opt)
-            return None
-        finally:
-            unassigned.add(best_i)
-
-    result = dfs()
-    stats.elapsed = time.monotonic() - start
-    if result == "found":
-        witness = nested_design(v, [s for s in assigned if s is not None])
-        return SearchOutcome(status="found", witness=witness, stats=stats)
-    if result == "budget":
-        return SearchOutcome(status="budget-exceeded", stats=stats)
-    return SearchOutcome(status="exhausted", stats=stats)
-
-
-# ---------------------------------------------------------------------------
-# orbit-level search over rotational base blocks
 
 def search_rotational(spec: RotationalSpec, search: SearchSpec) -> SearchOutcome:
-    """Choose base-block splits only; feasibility runs on difference classes.
+    """Choose base-block splits only; the cells are the difference classes.
 
     A chosen split pair with finite difference d contributes one unit to
     class min(md, p-md) for each multiplier m; shifts then spread that
     uniformly over every pair of the class, so per-class counts are exact
-    predictions of the expanded census.
-
-    The depth-first search runs on an explicit stack, so the number of
-    base blocks is not limited by the recursion limit.  Domains are kept
-    incrementally: a move updates only the options that watch a class
-    whose count it changed.
+    predictions of the expanded census.  The p pairs through the fixed
+    point are not a cell: their multiplicity is forced.
     """
     spec.validate()
     p = spec.p
@@ -357,14 +438,10 @@ def search_rotational(spec: RotationalSpec, search: SearchSpec) -> SearchOutcome
         raise NsqsError("rotational search supports exact uniform targets only")
     mu = res.mu_lo
 
-    n_blocks = len(spec.base_blocks)
-    inf_blocks = sum(1 for b in spec.base_blocks if p in b[0] + b[1])
-    complete = res.nd_pairs == comb(v, 2)
-
     # every split of an inf block pairs inf with someone, so the inf-pair
     # multiplicity is forced before any choice is made
-    inf_final = inf_blocks * n_mult
-    if complete and inf_final != mu:
+    inf_final = n_mult * sum(1 for b in spec.base_blocks if p in b[0] + b[1])
+    if inf_final != mu:
         return SearchOutcome(
             status="refused",
             reason=(
@@ -372,13 +449,19 @@ def search_rotational(spec: RotationalSpec, search: SearchSpec) -> SearchOutcome
                 f"{inf_final}, target needs {mu}"
             ),
         )
+    if res.nd_pairs % p:
+        return SearchOutcome(
+            status="refused",
+            reason=(
+                f"{res.nd_pairs} ND-pairs are not a union of difference "
+                f"classes and the fixed point, which hold {p} pairs each"
+            ),
+        )
 
-    # Option o = 3*i + k is split k of block i (in seeded order).  It adds
-    # contribs[o] = ((class, increment), ...) to the class counts.
-    n_classes = p // 2
+    # option 3*i + k is split k of base block i (in seeded order)
     rng = random.Random(search.seed)
     splits: list[NestedBlock] = []
-    contribs: list[tuple[tuple[int, int], ...]] = []
+    contribs = []
     for blk in spec.base_blocks:
         opts = alternative_splits(blk)
         if search.seed is not None:
@@ -390,124 +473,29 @@ def search_rotational(spec: RotationalSpec, search: SearchSpec) -> SearchOutcome
                     continue
                 d = pr[1] - pr[0]
                 for m in spec.multipliers:
-                    contrib[difference_class(m * d, p)] += 1
+                    contrib[difference_class(m * d, p) - 1] += 1
             splits.append(opt)
             contribs.append(tuple(contrib.items()))
 
-    # Domains.  over[o] counts the classes option o would push past mu, so
-    # o is feasible iff over[o] == 0; nfeas[i] counts block i's feasible
-    # options.  watch[cl][inc] lists the options adding inc to class cl:
-    # when cl goes from c to c2, exactly those with mu - c2 < inc <= mu - c
-    # change side.
-    max_inc = max((inc for con in contribs for _, inc in con), default=0)
-    watch = [[[] for _ in range(max_inc + 1)] for _ in range(n_classes + 1)]
-    over = [0] * len(contribs)
-    for o, con in enumerate(contribs):
-        for cl, inc in con:
-            watch[cl][inc].append(o)
-            if inc > mu:
-                over[o] += 1
-    nfeas = [
-        sum(1 for o in range(3 * i, 3 * i + 3) if not over[o])
-        for i in range(n_blocks)
-    ]
-    # deficit = sum of gap[count] over classes: how far the live classes
-    # sit below mu; empty classes are live only when the support is complete
-    gap = [mu - c if complete or 0 < c < mu else 0 for c in range(mu + 1)]
-    counts = [0] * (n_classes + 1)
-    deficit = gap[0] * n_classes
-
-    def move(o: int, sign: int) -> int:
-        """Add (sign 1) or remove (sign -1) option o; returns the change
-        in the deficit."""
-        delta = 0
-        for cl, inc in contribs[o]:
-            c = counts[cl]
-            c2 = c + sign * inc
-            counts[cl] = c2
-            delta += gap[c2] - gap[c]
-            lo, hi = (c, c2) if sign < 0 else (c2, c)
-            flipped = watch[cl]
-            for j in range(mu - lo + 1, min(mu - hi, max_inc) + 1):
-                for o2 in flipped[j]:
-                    n = over[o2] + sign
-                    over[o2] = n
-                    # o2 became infeasible (n == 1 on add) or feasible
-                    # again (n == 0 on remove)
-                    if n == (sign > 0):
-                        nfeas[o2 // 3] -= sign
-        return delta
-
-    stats = SearchStats()
-    start = time.monotonic()
-    chosen = [0] * n_blocks
-    # fail-first ties go to the first block in the set's iteration order;
-    # blocks leave and re-enter it in stack order, so the order and with
-    # it the node order are deterministic
-    unassigned = set(range(n_blocks))
-    stack: list[list] = []  # [block, its feasible options, next position]
-    capacity = 2 * n_mult
-    while True:
-        # a fresh node: a leaf, a budget stop, or a branch on the block
-        # with the fewest feasible options
-        if not unassigned:
-            # every class sits at 0 or mu; each full class holds p pairs
-            if deficit == 0 and (
-                complete or p * (counts.count(mu) + bool(inf_final)) == res.nd_pairs
-            ):
-                result = "found"
-                break
-        elif stats.nodes >= search.node_budget or (
-            time.monotonic() - start > search.time_budget
-        ):
-            result = "budget"
-            break
-        else:
-            i = min(unassigned, key=nfeas.__getitem__)
-            if nfeas[i]:
-                unassigned.discard(i)
-                feasible = [o for o in range(3 * i, 3 * i + 3) if not over[o]]
-                stack.append([i, feasible, 0])
-            else:
-                stats.prunes["no-feasible-split"] += 1
-        # undo the last option tried and apply the next untried one
-        while stack:
-            frame = stack[-1]
-            i, opts, pos = frame
-            if pos:
-                deficit += move(opts[pos - 1], -1)
-            if pos == len(opts):
-                stack.pop()
-                unassigned.add(i)
-                continue
-            frame[2] = pos + 1
-            stats.nodes += 1
-            chosen[i] = opts[pos]
-            deficit += move(opts[pos], 1)
-            if deficit > capacity * len(unassigned):
-                stats.prunes["deficit-exceeds-capacity"] += 1
-                continue
-            break
-        else:
-            result = "exhausted"
-            break
-
-    stats.elapsed = time.monotonic() - start
-    if result == "found":
-        witness = RotationalSpec(
-            p=p,
-            base_blocks=tuple(splits[o] for o in chosen),
-            multipliers=spec.multipliers,
-        )
-        # the class prediction is exact, but expand once as a post-check
-        design = rotational_expand(witness)
-        census = pair_census(design)
-        if census.min_mult != mu or census.max_mult != mu:
-            raise NsqsError("rotational search produced a non-uniform witness")
-        return SearchOutcome(status="found", witness=witness, stats=stats)
-    if result == "budget":
-        return SearchOutcome(status="budget-exceeded", stats=stats)
-    return SearchOutcome(status="exhausted", stats=stats)
+    # the nonzero classes are the ND-pairs less the fixed point's p; the
+    # unliftable prune stays off at orbit level, since it would change
+    # the node order and with it every seeded orbit result
+    status, chosen, stats = _assign_splits(
+        contribs, p // 2, mu, mu, res.nd_pairs // p - 1,
+        unliftable=False, spec=search,
+    )
+    if status != "found":
+        return SearchOutcome(status=status, stats=stats)
+    witness = RotationalSpec(
+        p=p,
+        base_blocks=tuple(splits[o] for o in chosen),
+        multipliers=spec.multipliers,
+    )
+    # the class prediction is exact, but expand once as a post-check
+    census = pair_census(rotational_expand(witness))
+    if census.min_mult != mu or census.max_mult != mu:
+        raise NsqsError("rotational search produced a non-uniform witness")
+    return SearchOutcome(status=status, witness=witness, stats=stats)
 
 
 # ---------------------------------------------------------------------------

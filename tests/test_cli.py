@@ -154,6 +154,19 @@ def test_search_found_writes_design(capsys, sqs10_file, tmp_path):
     assert out.splitlines()[0] == "uniform M=30 mu=2"
 
 
+def test_search_flat_design_has_no_depth_limit(capsys, tmp_path):
+    path = tmp_path / "ro38.nsqs"
+    path.write_text(serialize_design(catalog_get("ro38").design()))
+    code, out, err = run(
+        capsys, "search", str(path), "--target", "complete-uniform",
+        "--budget", "3000",
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("status=budget-exceeded nodes=3000 ")
+    assert "Traceback" not in err
+
+
 def test_search_rotational_base_file(capsys, tmp_path):
     spec = catalog_get("ro20").payload
     from nsqs import alternative_splits, block_points, rotational_spec

@@ -110,6 +110,11 @@ def test_rotational_spec_validates_multiplier_closure():
         rotational_spec(19, [((19, 1), (0, 9))], (1, 2)).validate()
 
 
+def test_rotational_spec_rejects_point_out_of_range():
+    with pytest.raises(InconsistentSpecError, match="point 9 out of range 0..7"):
+        rotational_spec(7, [((0, 1), (2, 9))])
+
+
 def test_block_classes_n3():
     classes = block_classes(3)
     assert [c.size for c in classes] == [7, 7]

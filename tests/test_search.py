@@ -6,10 +6,12 @@ import sys
 import pytest
 
 from nsqs import (
+    NsqsError,
     PreconditionError,
     SearchSpec,
     alternative_splits,
     block_points,
+    boolean_sqs,
     catalog_get,
     classify,
     complete_uniform,
@@ -23,9 +25,22 @@ from nsqs import (
     search_nesting,
     search_rotational,
     serialize_base_spec,
+    serialize_design,
     uniform,
     verify_steiner,
 )
+from nsqs.search import band
+
+
+def _call_depth():
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    return depth
+
+
+def _witness_digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 def _point_sets(name):
@@ -87,6 +102,17 @@ def test_search_deterministic_under_seed():
     assert a.stats.nodes == b.stats.nodes
 
 
+def test_band_target_needs_nonnegative_lower_bound():
+    with pytest.raises(NsqsError, match="0 <= mu_lo <= mu_hi"):
+        search_nesting(_point_sets("sqs10"), SearchSpec(band(-5, 10**9)))
+
+
+def test_band_target_upper_bound_may_exceed_any_count():
+    out = search_nesting(_point_sets("sqs10"), SearchSpec(band(1, 10**9), seed=1))
+    assert out.status == "found"
+    assert out.stats.nodes == 30
+
+
 def test_search_budget_exceeded():
     out = search_nesting(_point_sets("sqs10"), SearchSpec(uniform(2), node_budget=3))
     assert out.status == "budget-exceeded"
@@ -97,6 +123,86 @@ def test_search_rejects_non_steiner_input():
     blocks = _point_sets("sqs10")[:-1]
     with pytest.raises(PreconditionError):
         search_nesting(blocks, SearchSpec(uniform(2)))
+
+
+# Block-level searches: (design, target, seed, node budget, status, nodes,
+# prunes, sha256 prefix of the serialized witness).  Recorded from the
+# recursive engine (ro38 under a raised recursion limit).  bool4 is
+# boolean_sqs(4); its quasi_uniform(2) case runs the deficit prune.
+BLOCK_TARGETS = {
+    "uniform2": uniform(2),
+    "minimum": minimum_uniform(),
+    "band24": band(2, 4),
+    "complete": complete_uniform(),
+    "quasi2": quasi_uniform(2),
+}
+BLOCK_PINS = [
+    ("sqs10", "uniform2", None, 5000, "found", 618,
+     {"no-feasible-split": 112, "pair-unliftable": 119}, "b6c1ad90bab08a25"),
+    ("sqs10", "uniform2", 0, 5000, "found", 344,
+     {"no-feasible-split": 41, "pair-unliftable": 80}, "d5b6714e0c3a6347"),
+    ("sqs10", "uniform2", 1, 5000, "found", 210,
+     {"no-feasible-split": 30, "pair-unliftable": 49}, "e756e62f307c8529"),
+    ("sqs10", "uniform2", 2, 5000, "found", 144,
+     {"no-feasible-split": 24, "pair-unliftable": 25}, "4dac5a142030a698"),
+    ("sqs10", "uniform2", 3, 5000, "found", 759,
+     {"no-feasible-split": 116, "pair-unliftable": 157}, "fbd65f81ddead81b"),
+    ("sqs10", "uniform2", 7, 5000, "found", 191,
+     {"no-feasible-split": 21, "pair-unliftable": 48}, "8ff6d1297c65527c"),
+    ("bool4", "minimum", None, 100_000, "found", 1017,
+     {"no-feasible-split": 13, "pair-unliftable": 471}, "368488029e5365a0"),
+    ("bool4", "minimum", 1, 100_000, "found", 18213,
+     {"no-feasible-split": 293, "pair-unliftable": 10949}, "f2889962df9f5557"),
+    ("bool4", "minimum", 5, 100_000, "found", 44142,
+     {"no-feasible-split": 2019, "pair-unliftable": 24107}, "18abdc9fc0de1df4"),
+    ("bool4", "minimum", 2, 100_000, "budget-exceeded", 100_002,
+     {"no-feasible-split": 6, "pair-unliftable": 66392}, None),
+    ("bool4", "band24", 1, 10**8, "found", 972,
+     {"deficit-exceeds-capacity": 110, "pair-unliftable": 403}, "e4a5280aca0683ff"),
+    ("bool4", "quasi2", None, 5000, "budget-exceeded", 5000,
+     {"deficit-exceeds-capacity": 632, "no-feasible-split": 2, "pair-unliftable": 1425},
+     None),
+    ("ro20", "complete", None, 5000, "budget-exceeded", 5000,
+     {"no-feasible-split": 212, "pair-unliftable": 55}, None),
+    ("ro38", "complete", None, 20_000, "budget-exceeded", 20_000,
+     {"no-feasible-split": 1295, "pair-unliftable": 735}, None),
+]
+
+
+@pytest.mark.parametrize(
+    "name,target,seed,budget,status,nodes,prunes,witness", BLOCK_PINS
+)
+def test_search_nesting_pinned(
+    name, target, seed, budget, status, nodes, prunes, witness
+):
+    blocks = (
+        [b[0] + b[1] for b in boolean_sqs(4).blocks]
+        if name == "bool4"
+        else _point_sets(name)
+    )
+    spec = SearchSpec(BLOCK_TARGETS[target], node_budget=budget, seed=seed)
+    out = search_nesting(blocks, spec)
+    assert out.status == status
+    assert out.stats.nodes == nodes
+    assert dict(out.stats.prunes) == prunes
+    if witness is None:
+        assert out.witness is None
+    else:
+        assert _witness_digest(serialize_design(out.witness)) == witness
+
+
+def test_search_nesting_has_no_depth_limit():
+    blocks = _point_sets("ro38")
+    assert len(blocks) == 2109
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_call_depth() + 20)
+    try:
+        out = search_nesting(blocks, SearchSpec(complete_uniform(), node_budget=3000))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert out.status == "budget-exceeded"
+    assert out.stats.nodes == 3000
+    assert dict(out.stats.prunes) == {"no-feasible-split": 225, "pair-unliftable": 56}
 
 
 def test_rotational_search_recovers_ro20():
@@ -115,16 +221,15 @@ def test_rotational_search_recovers_ro62():
 
 # Seeded orbit searches on stripped base blocks: (entry, target, seed, node
 # budget, status, nodes, prunes, sha256 prefix of the serialized witness).
-# The uniform(5) case on ro26 has an incomplete support, so it runs the
-# deficit prune.
+# uniform(5) on ro26 is refused: the pairs through the fixed point are
+# forced to multiplicity 4.
 ROTATIONAL_PINS = [
     ("ro20", "complete", None, None, "found", 23, {"no-feasible-split": 2}, "69987953d34d1148"),
     ("ro20", "complete", 2, None, "found", 107, {"no-feasible-split": 27}, "ec23a8847d543b60"),
     ("ro20", "complete", 3, None, "found", 51, {"no-feasible-split": 10}, "df73a79d9cc05eb9"),
     ("ro26", "complete", None, None, "found", 26, {}, "585f82856e0f5c71"),
     ("ro26", "complete", 3, None, "found", 64, {"no-feasible-split": 7}, "ec2d02f286f03f77"),
-    ("ro26", "uniform5", 4, 400, "budget-exceeded", 400,
-     {"deficit-exceeds-capacity": 182, "no-feasible-split": 1}, None),
+    ("ro26", "uniform5", 4, 400, "refused", 0, {}, None),
     ("bool32", "complete", 1, None, "found", 8, {}, "3c2c2e00d3492e0f"),
     ("ro38", "complete", 1, 3000, "budget-exceeded", 3000, {"no-feasible-split": 718}, None),
     ("ro38", "complete", 5, 3000, "found", 709, {"no-feasible-split": 158}, "7f957f082de87e85"),
@@ -149,18 +254,14 @@ def test_rotational_search_pinned(
     if witness is None:
         assert out.witness is None
     else:
-        text = serialize_base_spec(out.witness)
-        assert hashlib.sha256(text.encode()).hexdigest()[:16] == witness
+        assert _witness_digest(serialize_base_spec(out.witness)) == witness
 
 
 def test_rotational_search_has_no_depth_limit():
     spec = _stripped_spec("ro38")
     assert len(spec.base_blocks) == 57
-    depth, frame = 0, sys._getframe()
-    while frame is not None:
-        depth, frame = depth + 1, frame.f_back
     limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(depth + 20)
+    sys.setrecursionlimit(_call_depth() + 20)
     try:
         out = search_rotational(spec, SearchSpec(complete_uniform(), seed=5))
     finally:
@@ -173,6 +274,20 @@ def test_rotational_search_refuses_bad_order():
     out = search_rotational(_stripped_spec("ro20"), SearchSpec(minimum_uniform()))
     assert out.status == "refused"
     assert out.stats.nodes == 0
+
+
+def test_rotational_search_refuses_support_off_the_classes():
+    # one more inf base block forces the fixed-point pairs to 5, which
+    # uniform(5) allows, but its 260 ND-pairs are not a multiple of p = 25
+    spec = catalog_get("ro26").payload
+    inf_block = next(b for b in spec.base_blocks if spec.p in b[0] + b[1])
+    padded = rotational_spec(
+        spec.p, list(spec.base_blocks) + [inf_block], spec.multipliers
+    )
+    out = search_rotational(padded, SearchSpec(uniform(5), node_budget=400))
+    assert out.status == "refused"
+    assert out.stats.nodes == 0
+    assert "260 ND-pairs" in out.reason
 
 
 def test_local_balance_reaches_quasi_uniform():
