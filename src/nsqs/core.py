@@ -14,6 +14,7 @@ be dict keys and set members in the hot loops.
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Sequence
@@ -140,7 +141,10 @@ def design_from_canonical(
         (a, b), (c, d) = nb
         return ((a * v + b) * v + c) * v + d
 
-    canon.sort(key=key)
+    # blocks read back from a serialized design already come in order;
+    # checking that costs less than the key sort
+    if not all(map(operator.le, canon, itertools.islice(canon, 1, None))):
+        canon.sort(key=key)
     return NestedDesign(v=v, blocks=tuple(canon), uses_infinity=uses_infinity)
 
 

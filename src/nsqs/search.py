@@ -18,6 +18,7 @@ outcome's ``reason``.
 
 from __future__ import annotations
 
+import heapq
 import random
 import time
 from collections import Counter
@@ -35,7 +36,7 @@ from .core import (
     NestedBlock,
     NestedDesign,
     alternative_splits,
-    block_points,
+    design_from_canonical,
     nested_design,
     pair_census,
     total_pair_slots,
@@ -134,8 +135,8 @@ def _resolve_target(target: SearchTarget, v: int) -> _Resolved | str:
         return _Resolved((v - 1) // 3, (v - 1) // 3, min_nd_pairs(v), True)
     if kind == "uniform":
         mu = target.mu
-        if mu is None:
-            raise NsqsError("uniform target needs mu")
+        if mu is None or mu < 1:
+            raise NsqsError("uniform target needs mu >= 1")
         if total % mu:
             return f"multiplicity {mu} does not divide the total pair count {total}"
         m = target.nd_pairs if target.nd_pairs is not None else total // mu
@@ -236,9 +237,9 @@ def _assign_splits(
     # Domains.  over[o] counts the cells option o would push past mu_hi,
     # so o is feasible iff over[o] == 0 (and the support pin allows it).
     # An option adding inc to a cell fits while the cell's count is at
-    # most mu_hi - inc, so watch[cell][t] lists the options with that
-    # threshold t: a count crossing t flips exactly those.  For an
-    # unassigned unit i, nfeas[i] counts its options with over == 0
+    # most mu_hi - inc, so watch[cell][t] lists the (option, unit) pairs
+    # with that threshold t: a count crossing t flips exactly those.  For
+    # an unassigned unit i, nfeas[i] counts its options with over == 0
     # (refreshed when i re-enters), and tally[k] counts the unassigned
     # units with nfeas == k.
     watch = [[[] for _ in range(mu_hi)] for _ in range(n_cells)]
@@ -248,14 +249,14 @@ def _assign_splits(
             if inc > mu_hi:
                 over[o] += 1
             else:
-                watch[cl][mu_hi - inc].append(o)
+                watch[cl][mu_hi - inc].append((o, o // 3))
 
     def n_feasible(i: int) -> int:
         return (not over[3 * i]) + (not over[3 * i + 1]) + (not over[3 * i + 2])
 
     nfeas = [n_feasible(i) for i in range(n_units)]
     tally = [nfeas.count(k) for k in range(4)]
-    free = [True] * n_units  # i in unassigned, as a cheaper test in move
+    free = [True] * n_units  # i in unassigned, as a cheaper test in add/remove
     # deficit = sum of gap[count] over cells: how far the live cells sit
     # below mu_lo; empty cells are live only when the support is complete
     gap = [
@@ -264,57 +265,74 @@ def _assign_splits(
     counts = [0] * n_cells
     deficit = gap[0] * n_cells
 
-    def move(o: int, sign: int) -> int:
-        """Add (sign 1) or remove (sign -1) option o; returns the change
-        in the deficit."""
+    def add(o: int) -> int:
+        """Apply option o; returns the change in the deficit."""
         delta = 0
         for cl, inc in contribs[o]:
             c = counts[cl]
-            c2 = c + sign * inc
+            c2 = c + inc
             counts[cl] = c2
             delta += gap[c2] - gap[c]
             crossed = watch[cl]
-            for t in range(c, c2) if sign > 0 else range(c2, c):
-                for o2 in crossed[t]:
-                    n = over[o2] + sign
-                    over[o2] = n
-                    # o2 became infeasible (n == 1 on add) or feasible
-                    # again (n == 0 on remove)
-                    if n == (sign > 0) and free[o2 // 3]:
-                        i = o2 // 3
+            for t in range(c, c2):
+                for o2, i in crossed[t]:
+                    n = over[o2]
+                    over[o2] = n + 1
+                    if not n and free[i]:  # o2 stopped fitting
                         k = nfeas[i]
-                        nfeas[i] = k - sign
+                        nfeas[i] = k - 1
                         tally[k] -= 1
-                        tally[k - sign] += 1
+                        tally[k - 1] += 1
+        return delta
+
+    def remove(o: int) -> int:
+        """Undo option o; returns the change in the deficit."""
+        delta = 0
+        for cl, inc in contribs[o]:
+            c2 = counts[cl]
+            c = c2 - inc
+            counts[cl] = c
+            delta += gap[c] - gap[c2]
+            crossed = watch[cl]
+            for t in range(c, c2):
+                for o2, i in crossed[t]:
+                    n = over[o2] - 1
+                    over[o2] = n
+                    if not n and free[i]:  # o2 fits again
+                        k = nfeas[i]
+                        nfeas[i] = k + 1
+                        tally[k] -= 1
+                        tally[k + 1] += 1
         return delta
 
     def options(i: int, slack: int) -> list[int]:
-        """Unit i's feasible options when ``slack`` more cells may open."""
+        """Unit i's feasible options when only ``slack`` more cells may
+        open, fewer than ``max_new``."""
         return [
             o
             for o in range(3 * i, 3 * i + 3)
-            if not over[o]
-            and (slack >= max_new or sum(not counts[cl] for cl, _ in contribs[o]) <= slack)
+            if not over[o] and sum(not counts[cl] for cl, _ in contribs[o]) <= slack
         ]
 
-    stats = SearchStats()
+    budget = spec.node_budget
+    time_budget = spec.time_budget
+    nodes = no_split = over_capacity = unliftable_cell = 0
     start = time.monotonic()
     chosen = [0] * n_units
     # fail-first ties go to the first unit in the set's iteration order;
     # units leave and re-enter it in stack order, so the order and with
     # it the node order are deterministic
     unassigned = set(range(n_units))
+    n_free = n_units
     stack: list[list] = []  # [unit, its feasible options, next position]
     while True:
         # a fresh node: a leaf, a budget stop, or a branch on the unit
         # with the fewest feasible options
-        if not unassigned:
+        if not n_free:
             if deficit == 0 and (nd_cells is None or n_cells - counts.count(0) == nd_cells):
                 status = "found"
                 break
-        elif stats.nodes >= spec.node_budget or (
-            time.monotonic() - start > spec.time_budget
-        ):
+        elif nodes >= budget or time.monotonic() - start > time_budget:
             status = "budget-exceeded"
             break
         else:
@@ -327,32 +345,37 @@ def _assign_splits(
                         i, least = u, k
                         if not k:
                             break
+                if least:
+                    opts = options(i, slack)
             else:
                 least = 0 if tally[0] else 1 if tally[1] else 2 if tally[2] else 3
                 if least:
                     for i in unassigned:
                         if nfeas[i] == least:
                             break
+                    opts = [o for o in range(3 * i, 3 * i + 3) if not over[o]]
             if least:
                 unassigned.discard(i)
                 free[i] = False
+                n_free -= 1
                 tally[nfeas[i]] -= 1
                 if unliftable:
                     for cl, inc in spans[i]:
                         reach[cl] -= inc
-                stack.append([i, options(i, slack), 0])
+                stack.append([i, opts, 0])
             else:
-                stats.prunes["no-feasible-split"] += 1
+                no_split += 1
         # undo the last option tried and apply the next untried one
         while stack:
             frame = stack[-1]
             i, opts, pos = frame
             if pos:
-                deficit += move(opts[pos - 1], -1)
+                deficit += remove(opts[pos - 1])
             if pos == len(opts):
                 stack.pop()
                 unassigned.add(i)
                 free[i] = True
+                n_free += 1
                 nfeas[i] = k = n_feasible(i)
                 tally[k] += 1
                 if unliftable:
@@ -360,24 +383,37 @@ def _assign_splits(
                         reach[cl] += inc
                 continue
             frame[2] = pos + 1
-            stats.nodes += 1
-            chosen[i] = opts[pos]
-            deficit += move(opts[pos], 1)
-            if deficit > capacity * len(unassigned):
-                stats.prunes["deficit-exceeds-capacity"] += 1
+            nodes += 1
+            o = opts[pos]
+            chosen[i] = o
+            deficit += add(o)
+            if deficit > capacity * n_free:
+                over_capacity += 1
                 continue
-            if unliftable and any(
-                counts[cl] + reach[cl] < mu_lo and (complete or counts[cl])
-                for cl, _ in spans[i]
-            ):
-                stats.prunes["pair-unliftable"] += 1
+            if unliftable:
+                # prune when one of the unit's cells sits below mu_lo out
+                # of reach of the unassigned units
+                for cl, _ in spans[i]:
+                    c = counts[cl]
+                    if c + reach[cl] < mu_lo and (complete or c):
+                        unliftable_cell += 1
+                        break
+                else:
+                    break
                 continue
             break
         else:
             status = "exhausted"
             break
 
-    stats.elapsed = time.monotonic() - start
+    stats = SearchStats(nodes=nodes, elapsed=time.monotonic() - start)
+    for name, n in (
+        ("no-feasible-split", no_split),
+        ("deficit-exceeds-capacity", over_capacity),
+        ("pair-unliftable", unliftable_cell),
+    ):
+        if n:
+            stats.prunes[name] = n
     return status, chosen, stats
 
 
@@ -387,6 +423,8 @@ def _assign_splits(
 def search_nesting(blocks, spec: SearchSpec) -> SearchOutcome:
     """Search for a split of every block; the cells are the pairs."""
     choices = [alternative_splits(blk) for blk in blocks]
+    if not choices:
+        raise PreconditionError("the block list is empty")
     # split 0 of a block a < b < c < d is ((a, b), (c, d))
     v = max(opts[0][1][1] for opts in choices) + 1
     base = nested_design(v, [opts[0] for opts in choices])
@@ -511,8 +549,14 @@ def local_balance(
 
     The objective is (total distance of ND-pair multiplicities outside
     the band, sum of squared multiplicities); pairs dropped to count
-    zero leave the census and stop counting.  Moves never worsen the
-    objective; the walk stops at a local optimum or the move budget.
+    zero leave the census and stop counting.  Each move takes the
+    resplit that lowers the objective most, ties going to the first
+    block in design order and then to the first of its
+    :func:`alternative_splits`.  Moves never worsen the objective; the
+    walk stops at a local optimum or the move budget.
+
+    Only the blocks through the four pairs a move changes are re-scored
+    after it.  ``stats.nodes`` counts the resplits scored.
     """
     if not verify_steiner(design).ok:
         raise PreconditionError("local balance needs a verified design")
@@ -522,47 +566,94 @@ def local_balance(
             return 0
         return max(0, mu_lo - c, c - mu_hi)
 
-    blocks = list(design.blocks)
-    counts: Counter = Counter()
-    for p1, p2 in blocks:
-        counts[p1] += 1
-        counts[p2] += 1
+    # A pair (x, y) has the id x * v + y.  splits[i]: the three splits of
+    # block i, in the order of :func:`alternative_splits`, as six pair
+    # ids, split k at 2k and 2k + 1; cur[i]: the position of its current
+    # split.  A canonical block ((a, b), (c, d)) has its least point a
+    # and c < d, so where b falls among c and d gives both.
+    v = design.v
+    splits: list[tuple[int, ...]] = []
+    cur: list[int] = []
+    through: list[list[int]] = [[] for _ in range(v * v)]  # pair id -> blocks
+    counts = [0] * (v * v)
+    for i, ((a, b), (c, d)) in enumerate(design.blocks):
+        av = a * v
+        if b < c:
+            k, ids = 0, (av + b, c * v + d, av + c, b * v + d, av + d, b * v + c)
+        elif b < d:
+            k, ids = 1, (av + c, b * v + d, av + b, c * v + d, av + d, c * v + b)
+        else:
+            k, ids = 2, (av + c, d * v + b, av + d, c * v + b, av + b, c * v + d)
+        splits.append(ids)
+        cur.append(k)
+        for pid in ids:
+            through[pid].append(i)
+        counts[av + b] += 1
+        counts[c * v + d] += 1
 
+    # A move's score is weight * d_dist + d_sq.  No count passes the
+    # number of blocks through its pair, cmax, so |d_sq| < 8 * cmax <
+    # weight / 2, and scores order like the (d_dist, d_sq) pairs; a
+    # move improves iff its score is negative.  drop[c] and rise[c]
+    # score one pair's count going from c to c - 1 and to c + 1.
+    cmax = max(map(len, through), default=0)
+    weight = 16 * cmax + 16
+    drop = [weight * (dist(c - 1) - dist(c)) + 1 - 2 * c for c in range(cmax + 2)]
+    rise = [weight * (dist(c + 1) - dist(c)) + 1 + 2 * c for c in range(cmax + 2)]
+
+    # heap of improving moves (score, block, split position, stamp); an
+    # entry whose stamp is not its block's latest is stale, so the first
+    # live entry is the first-minimum move over all blocks
+    heap: list[tuple[int, int, int, int]] = []
+    stamp = [0] * len(splits)
     stats = SearchStats()
+
+    def rescore(i: int) -> None:
+        stamp[i] = s = stamp[i] + 1
+        ids = splits[i]
+        k = cur[i]
+        base = drop[counts[ids[2 * k]]] + drop[counts[ids[2 * k + 1]]]
+        for pos in range(3):
+            if pos != k:
+                score = base + rise[counts[ids[2 * pos]]] + rise[counts[ids[2 * pos + 1]]]
+                if score < 0:
+                    heapq.heappush(heap, (score, i, pos, s))
+        stats.nodes += 2
+
     start = time.monotonic()
+    for i in range(len(splits)):
+        rescore(i)
+    moved: set[int] = set()
     while stats.moves < max_moves:
-        best = None  # (d_dist, d_sq, index, new_split)
-        for i, blk in enumerate(blocks):
-            for alt in alternative_splits(block_points(blk)):
-                if alt == blk:
-                    continue
-                stats.nodes += 1
-                d_dist = d_sq = 0
-                for pr in blk:
-                    c = counts[pr]
-                    d_dist += dist(c - 1) - dist(c)
-                    d_sq += (c - 1) ** 2 - c**2
-                for pr in alt:
-                    c = counts[pr]
-                    d_dist += dist(c + 1) - dist(c)
-                    d_sq += (c + 1) ** 2 - c**2
-                key = (d_dist, d_sq)
-                if key < (0, 0) and (best is None or key < best[0]):
-                    best = (key, i, alt)
-        if best is None:
+        while heap and heap[0][3] != stamp[heap[0][1]]:
+            heapq.heappop(heap)
+        if not heap:
             break
-        (_, i, alt) = best
-        for pr in blocks[i]:
-            counts[pr] -= 1
-            if not counts[pr]:
-                del counts[pr]
-        for pr in alt:
-            counts[pr] += 1
-        blocks[i] = alt
+        _, i, pos, _ = heapq.heappop(heap)
+        ids = splits[i]
+        k = cur[i]
+        changed = (ids[2 * k], ids[2 * k + 1], ids[2 * pos], ids[2 * pos + 1])
+        counts[changed[0]] -= 1
+        counts[changed[1]] -= 1
+        counts[changed[2]] += 1
+        counts[changed[3]] += 1
+        cur[i] = pos
+        moved.add(i)
         stats.moves += 1
+        for j in set().union(*(through[pid] for pid in changed)):
+            rescore(j)
+        if len(heap) > 8 * len(splits):
+            # drop stale entries, so the heap stays within the live moves
+            heap = [e for e in heap if e[3] == stamp[e[1]]]
+            heapq.heapify(heap)
 
     stats.elapsed = time.monotonic() - start
-    result = nested_design(design.v, blocks, design.uses_infinity)
-    if all(dist(c) == 0 for c in counts.values()):
+    blocks = list(design.blocks)
+    for i in moved:
+        ids = splits[i]
+        k = cur[i]
+        blocks[i] = (divmod(ids[2 * k], v), divmod(ids[2 * k + 1], v))
+    result = design_from_canonical(v, blocks, design.uses_infinity)
+    if all(dist(c) == 0 for c in counts):
         return SearchOutcome(status="found", witness=result, stats=stats)
     return SearchOutcome(status="exhausted", witness=result, stats=stats)

@@ -249,6 +249,23 @@ def test_blockless_design_is_usage_error(capsys, tmp_path, command, v):
     assert "no blocks" in err
 
 
+@pytest.mark.parametrize("mu", ["0", "-2"])
+def test_search_nonpositive_mu_is_usage_error(capsys, sqs10_file, mu):
+    code, out, err = run(
+        capsys, "search", sqs10_file, "--target", "uniform", "--mu", mu
+    )
+    _assert_usage_error(code, out, err)
+    assert "mu >= 1" in err
+
+
+def test_search_blockless_design_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "empty.nsqs"
+    path.write_text("nsqs v=8 blocks=0\n")
+    code, out, err = run(capsys, "search", str(path), "--target", "uniform", "--mu", "2")
+    _assert_usage_error(code, out, err)
+    assert "block list is empty" in err
+
+
 @pytest.mark.parametrize("command", ["census", "classify"])
 def test_non_steiner_input_warns(capsys, tmp_path, command):
     path = tmp_path / "one-block.nsqs"

@@ -25,9 +25,11 @@ from nsqs import (
     pair_census,
     relabel,
     repartition,
+    serialize_design,
     total_pair_slots,
     verify_steiner,
 )
+from nsqs.core import design_from_canonical
 
 
 def test_canonical_pair_sorts():
@@ -108,10 +110,17 @@ def test_nested_design_canonicalizes_and_sorts():
 @pytest.mark.parametrize("name", sorted(catalog_names()))
 def test_nested_design_of_scrambled_blocks(name):
     design = catalog_get(name).design()
+    text = serialize_design(design)
     rng = random.Random(name)
     shuffled = list(design.blocks)
     rng.shuffle(shuffled)
-    for blocks in (design.blocks[::-1], shuffled):
+    # sorted but for the last two blocks
+    late = list(design.blocks)
+    late[-2:] = late[:-3:-1]
+    for blocks in (design.blocks, design.blocks[::-1], shuffled, late):
+        again = design_from_canonical(design.v, blocks, design.uses_infinity)
+        assert again == design
+        assert serialize_design(again) == text
         flipped = [
             ((b, a), (d, c)) if rng.random() < 0.5 else ((c, d), (a, b))
             for (a, b), (c, d) in blocks
@@ -120,6 +129,7 @@ def test_nested_design_of_scrambled_blocks(name):
             again = nested_design(design.v, scrambled, design.uses_infinity)
             assert again == design
             assert again.blocks == design.blocks
+            assert serialize_design(again) == text
 
 
 def test_nested_design_rejects_out_of_range():

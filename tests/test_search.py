@@ -102,6 +102,17 @@ def test_search_deterministic_under_seed():
     assert a.stats.nodes == b.stats.nodes
 
 
+@pytest.mark.parametrize("mu", [0, -2])
+def test_uniform_target_needs_positive_mu(mu):
+    with pytest.raises(NsqsError, match="mu >= 1"):
+        search_nesting(_point_sets("sqs10"), SearchSpec(uniform(mu)))
+
+
+def test_search_rejects_empty_block_list():
+    with pytest.raises(PreconditionError, match="block list is empty"):
+        search_nesting([], SearchSpec(uniform(2)))
+
+
 def test_band_target_needs_nonnegative_lower_bound():
     with pytest.raises(NsqsError, match="0 <= mu_lo <= mu_hi"):
         search_nesting(_point_sets("sqs10"), SearchSpec(band(-5, 10**9)))
@@ -288,6 +299,35 @@ def test_rotational_search_refuses_support_off_the_classes():
     assert out.status == "refused"
     assert out.stats.nodes == 0
     assert "260 ND-pairs" in out.reason
+
+
+# local_balance runs: (design, mu_lo, mu_hi, max_moves, status, moves,
+# sha256 prefix of the serialized witness).  Recorded from the version
+# that re-scored every block at every move.  bool5 toward [4, 6] reaches
+# a local optimum after 128 moves; sqs8uniform.b is doubling_b of
+# sqs8uniform.  stats.nodes counts score evaluations, so it is not pinned.
+BALANCE_PINS = [
+    ("bool5", 4, 6, 20, "exhausted", 20, "6b02d9fffbdff957"),
+    ("bool5", 4, 6, 400, "exhausted", 128, "1f325991dd67b3c6"),
+    ("bool6", 9, 11, 3, "exhausted", 3, "0364638e1e1f3c76"),
+    ("sqs8uniform.b", 2, 3, 10_000, "found", 16, "96d93b811bd98f5b"),
+    ("sqs10", 2, 2, 10_000, "found", 0, "5fd7ac0c52216c2f"),
+    ("ro38", 5, 7, 10_000, "found", 0, "7ecab2fbecc5ee27"),
+]
+
+
+@pytest.mark.parametrize("name,lo,hi,max_moves,status,moves,witness", BALANCE_PINS)
+def test_local_balance_pinned(name, lo, hi, max_moves, status, moves, witness):
+    if name.startswith("bool"):
+        design = boolean_sqs(int(name[4:]))
+    elif name.endswith(".b"):
+        design = doubling_b(catalog_get(name[:-2]).design())
+    else:
+        design = catalog_get(name).design()
+    out = local_balance(design, lo, hi, max_moves)
+    assert out.status == status
+    assert out.stats.moves == moves
+    assert _witness_digest(serialize_design(out.witness)) == witness
 
 
 def test_local_balance_reaches_quasi_uniform():
