@@ -29,6 +29,7 @@ from .errors import (
     InconsistentSpecError,
     InvalidOrderError,
     InvalidSplitError,
+    NsqsError,
     PreconditionError,
 )
 from .gf2n import Gf2nField
@@ -199,33 +200,51 @@ def map_block(block: NestedBlock, mult: int, shift: int, p: int) -> NestedBlock:
 def rotational_expand(spec: RotationalSpec) -> NestedDesign:
     """Apply every multiplier and shift to every base block.
 
-    Images are deduplicated by canonical form.  A block reached with two
-    different splits, a wrong final block count, or a failed Steiner
-    check all raise InconsistentSpecError carrying a witness.
+    Images that number exactly the blocks of an SQS(v) and pass the
+    Steiner check are the design.  Otherwise they are deduplicated by
+    canonical form, in image order: a block reached with two different
+    splits, a wrong final block count, or a failed Steiner check all
+    raise InconsistentSpecError carrying a witness.
     """
     spec.validate()
     p = spec.p
-    seen: dict[frozenset[int], NestedBlock] = {}
-    for base in spec.base_blocks:
-        for m in sorted(spec.multipliers):
-            for s in range(p):
-                nb = map_block(base, m, s, p)
-                pts = block_points(nb)
-                prev = seen.get(pts)
-                if prev is None:
-                    seen[pts] = nb
-                elif prev != nb:
-                    raise InconsistentSpecError(
-                        f"block {sorted(pts)} reached with conflicting splits "
-                        f"{prev} and {nb}"
-                    )
-    expected = expected_block_count(spec.v)
-    if len(seen) != expected:
+    v = spec.v
+    # rot[x]: the image of point x under each of the p shifts, in order
+    rot = [list(range(x, p)) + list(range(x)) for x in range(p)]
+    rot.append([p] * p)
+    multipliers = sorted(spec.multipliers)
+    images: list[NestedBlock] = []
+    try:
+        for (a, b), (c, d) in spec.base_blocks:
+            for m in multipliers:
+                ra, rb, rc, rd = (
+                    rot[pt if pt == p else m * pt % p] for pt in (a, b, c, d)
+                )
+                # the shift-0 image raises for a degenerate base block
+                canonical_block((ra[0], rb[0]), (rc[0], rd[0]))
+                for w, x, y, z in zip(ra, rb, rc, rd):
+                    if w > x:
+                        w, x = x, w
+                    if y > z:
+                        y, z = z, y
+                    images.append(((w, x), (y, z)) if w < y else ((y, z), (w, x)))
+    except NsqsError:
+        # image by image, a conflict among the earlier images raised first
+        _distinct_images(images)
+        raise
+    expected = expected_block_count(v)
+    if len(images) == expected:
+        # every triple covered once: no two images share a point set, so
+        # deduplication would keep every image
+        design = design_from_canonical(v, images, uses_infinity=True)
+        if verify_steiner(design).ok:
+            return design
+    distinct = _distinct_images(images)
+    if len(distinct) != expected:
         raise InconsistentSpecError(
-            f"expansion produced {len(seen)} distinct blocks, expected {expected}"
+            f"expansion produced {len(distinct)} distinct blocks, expected {expected}"
         )
-    # map_block already returns canonical blocks
-    design = design_from_canonical(spec.v, seen.values(), uses_infinity=True)
+    design = design_from_canonical(v, distinct, uses_infinity=True)
     report = verify_steiner(design)
     if not report.ok:
         raise InconsistentSpecError(
@@ -233,6 +252,23 @@ def rotational_expand(spec: RotationalSpec) -> NestedDesign:
             f"{report.witness} covered {report.witness_coverage} times"
         )
     return design
+
+
+def _distinct_images(images: list[NestedBlock]) -> list[NestedBlock]:
+    """The images less repeats, in first-seen order; a point set reached
+    with two different splits raises InconsistentSpecError."""
+    seen: dict[frozenset[int], NestedBlock] = {}
+    for nb in images:
+        pts = block_points(nb)
+        prev = seen.get(pts)
+        if prev is None:
+            seen[pts] = nb
+        elif prev != nb:
+            raise InconsistentSpecError(
+                f"block {sorted(pts)} reached with conflicting splits "
+                f"{prev} and {nb}"
+            )
+    return list(seen.values())
 
 
 # ---------------------------------------------------------------------------

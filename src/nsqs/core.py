@@ -187,7 +187,37 @@ def verify_steiner(design: NestedDesign) -> VerificationReport:
         # one byte per cell; covers after the first land in ``extra``
         marks = bytearray(n_cells)
         extra = []
-        for t in _triple_cells(blocks, v):
+        vv = v * v
+        for (a, b), (c, d) in blocks:
+            # in canonical shape a is the least point, and where b falls
+            # among c < d sorts the rest
+            if a < b and c < d and a < c:
+                if b > c:
+                    if b < d:
+                        b, c = c, b
+                    else:
+                        b, c, d = c, d, b
+            else:
+                a, b, c, d = sorted((a, b, c, d))
+            # the four triples abc, abd, acd and bcd, unrolled
+            ab = a * vv + b * v
+            cd = c * v + d
+            t = ab + c
+            if marks[t]:
+                extra.append(t)
+            else:
+                marks[t] = 1
+            t = ab + d
+            if marks[t]:
+                extra.append(t)
+            else:
+                marks[t] = 1
+            t = a * vv + cd
+            if marks[t]:
+                extra.append(t)
+            else:
+                marks[t] = 1
+            t = b * vv + cd
             if marks[t]:
                 extra.append(t)
             else:
@@ -272,10 +302,8 @@ class PairCensus:
 
 
 def pair_census(design: NestedDesign) -> PairCensus:
-    counts: Counter = Counter()
-    for p1, p2 in design.blocks:
-        counts[p1] += 1
-        counts[p2] += 1
+    # pairs enter in block order, first pair then second, as keys
+    counts = Counter(itertools.chain.from_iterable(design.blocks))
     return PairCensus(v=design.v, counts=dict(counts))
 
 

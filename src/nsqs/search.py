@@ -169,11 +169,16 @@ def _resolve_target(target: SearchTarget, v: int) -> _Resolved | str:
         return _Resolved(mu, mu, m, True)
     if kind in ("quasi-uniform", "band"):
         lo, hi = target.mu_lo, target.mu_hi
-        if lo is None or hi is None or not 0 <= lo <= hi:
-            raise NsqsError(f"{kind} target needs 0 <= mu_lo <= mu_hi")
+        _check_band(f"{kind} target", lo, hi)
         # divisibility screens are advisory when the support is free
         return _Resolved(lo, hi, target.nd_pairs, False)
     raise NsqsError(f"unknown target kind {target.kind!r}")
+
+
+def _check_band(what: str, lo: Optional[int], hi: Optional[int]) -> None:
+    """Raise NsqsError unless 0 <= lo <= hi."""
+    if lo is None or hi is None or not 0 <= lo <= hi:
+        raise NsqsError(f"{what} needs 0 <= mu_lo <= mu_hi")
 
 
 # ---------------------------------------------------------------------------
@@ -558,6 +563,7 @@ def local_balance(
     Only the blocks through the four pairs a move changes are re-scored
     after it.  ``stats.nodes`` counts the resplits scored.
     """
+    _check_band("local balance", mu_lo, mu_hi)
     if not verify_steiner(design).ok:
         raise PreconditionError("local balance needs a verified design")
 

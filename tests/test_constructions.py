@@ -1,14 +1,18 @@
 """One-factorizations, Boolean and rotational constructions, doubling."""
 
+import hashlib
+
 import pytest
 
 from nsqs import (
     Gf2nField,
     InconsistentSpecError,
     InvalidOrderError,
+    InvalidPairError,
     InvalidSplitError,
     OneFactorization,
     PreconditionError,
+    RotationalSpec,
     alternative_splits,
     block_classes,
     block_points,
@@ -28,6 +32,7 @@ from nsqs import (
     pair_census,
     rotational_expand,
     rotational_spec,
+    serialize_design,
     verify_steiner,
 )
 
@@ -101,8 +106,112 @@ def test_rotational_expand_matches_catalog():
 def test_rotational_expand_detects_wrong_block_count():
     spec = catalog_get("ro20").payload
     short = rotational_spec(spec.p, spec.base_blocks[:-1], spec.multipliers)
-    with pytest.raises(InconsistentSpecError):
+    with pytest.raises(InconsistentSpecError) as info:
         rotational_expand(short)
+    # the text of the version that deduplicated image by image
+    assert str(info.value) == "expansion produced 266 distinct blocks, expected 285"
+
+
+# sha256 of serialize_design of each rotational catalog expansion,
+# recorded from the version that mapped and deduplicated image by image
+EXPANSION_PINS = {
+    "bool32": "44c397faddf3c43d17a0d17020c5aca89ac374792dc552ee85638ee96652bfef",
+    "ro20": "ec77dbaafd42ee45c38090d2137e0c5c914eb266eae9b7051655f96078f5cdbf",
+    "ro26": "224e410ce8a28295b4a81b657d07c81d1f33a8faea331edbacb443a0ca42ca8e",
+    "ro38": "7ecab2fbecc5ee27d2eb4b547b36a3e431c313f13c83017a76b37eb47258d561",
+    "ro62": "4c0904d058a530fdd8b84dbf41b9f581118dfd9a9f3833d9835fe8a0a1fef65f",
+}
+
+
+def _expansion_digest(spec):
+    return hashlib.sha256(serialize_design(rotational_expand(spec)).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(EXPANSION_PINS))
+def test_rotational_expand_pinned(name):
+    assert _expansion_digest(catalog_get(name).payload) == EXPANSION_PINS[name]
+
+
+def _ro20_variant(blocks):
+    """A directly built spec over Z_19 + {inf}, skipping rotational_spec's
+    canonicalization and validation."""
+    return RotationalSpec(19, tuple(blocks))
+
+
+_RO20_BASE = list(catalog_get("ro20").payload.base_blocks)
+_RO20_RESPLIT = ((0, 1), (8, 19))  # base block 0 is ((0, 8), (1, 19))
+
+
+@pytest.mark.parametrize(
+    "blocks",
+    [
+        pytest.param(_RO20_BASE + [_RO20_BASE[0]], id="repeated"),
+        pytest.param([((19, 1), (8, 0))] + _RO20_BASE[1:], id="noncanonical"),
+    ],
+)
+def test_rotational_expand_equivalent_specs_give_ro20(blocks):
+    assert _expansion_digest(_ro20_variant(blocks)) == EXPANSION_PINS["ro20"]
+
+
+# errors of bad specs, recorded from the version that mapped and
+# deduplicated image by image: (id, base blocks, error class, message)
+EXPANSION_ERRORS = [
+    (
+        "resplit",
+        _RO20_BASE + [_RO20_RESPLIT],
+        InconsistentSpecError,
+        "block [0, 1, 8, 19] reached with conflicting splits "
+        "((0, 8), (1, 19)) and ((0, 1), (8, 19))",
+    ),
+    (
+        # the right block count, but not a quadruple system
+        "moved",
+        [((1, 19), (2, 8))] + _RO20_BASE[1:],
+        InconsistentSpecError,
+        "expansion is not a quadruple system; witness triple (0, 1, 7) "
+        "covered 2 times",
+    ),
+    (
+        "degenerate-split",
+        [((0, 1), (1, 5))] + _RO20_BASE[1:],
+        InvalidSplitError,
+        "split pairs (0, 1) and (1, 5) are not disjoint",
+    ),
+    (
+        "degenerate-pair",
+        _RO20_BASE[:3] + [((4, 4), (1, 5))] + _RO20_BASE[3:],
+        InvalidPairError,
+        "pair needs two distinct points, got 4 twice",
+    ),
+    (
+        # the conflict comes before the degenerate block in image order
+        "resplit-then-degenerate",
+        [_RO20_BASE[0], _RO20_RESPLIT, ((0, 1), (1, 5))],
+        InconsistentSpecError,
+        "block [0, 1, 8, 19] reached with conflicting splits "
+        "((0, 8), (1, 19)) and ((0, 1), (8, 19))",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "blocks,error,message",
+    [pytest.param(b, e, m, id=i) for i, b, e, m in EXPANSION_ERRORS],
+)
+def test_rotational_expand_error_pinned(blocks, error, message):
+    with pytest.raises(error) as info:
+        rotational_expand(_ro20_variant(blocks))
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
+def test_rotational_expand_short_orbit():
+    # {1, 12, 2, 11} split (1, 12) / (2, 11) is fixed by negation, so
+    # its 26 images hold 13 distinct blocks
+    spec = RotationalSpec(13, (((1, 12), (2, 11)),), frozenset({1, 12}))
+    with pytest.raises(InconsistentSpecError) as info:
+        rotational_expand(spec)
+    assert str(info.value) == "expansion produced 13 distinct blocks, expected 91"
 
 
 def test_rotational_spec_validates_multiplier_closure():

@@ -12,6 +12,7 @@ from nsqs import (
     InvalidBlockError,
     InvalidPairError,
     InvalidSplitError,
+    NestedDesign,
     alternative_splits,
     block_points,
     canonical_block,
@@ -19,6 +20,8 @@ from nsqs import (
     VerificationReport,
     catalog_get,
     catalog_names,
+    doubling_a,
+    doubling_b,
     expected_block_count,
     find_block,
     nested_design,
@@ -198,6 +201,14 @@ def _moved_point(blk, v):
     return ((a, b), (c, x)) if d > b else ((a, x), (c, d))
 
 
+_NONCANONICAL_SHAPES = {
+    "high-to-low": lambda blk: (blk[0][::-1], blk[1][::-1]),
+    "first-high-to-low": lambda blk: (blk[0][::-1], blk[1]),
+    "second-first": lambda blk: (blk[1], blk[0]),
+    "both": lambda blk: (blk[1][::-1], blk[0][::-1]),
+}
+
+
 def _verify_cases():
     for name in catalog_names():
         d = catalog_get(name).design()
@@ -208,6 +219,11 @@ def _verify_cases():
         yield name + "-duplicated", nested_design(d.v, blocks + [blocks[mid]])
         moved = blocks[:mid] + [_moved_point(blocks[mid], d.v)] + blocks[mid + 1:]
         yield name + "-moved", nested_design(d.v, moved)
+        # built directly, so the blocks keep a shape nested_design
+        # would have canonicalized away
+        for label, shape in _NONCANONICAL_SHAPES.items():
+            yield f"{name}-{label}", NestedDesign(d.v, tuple(map(shape, d.blocks)))
+            yield f"{name}-moved-{label}", NestedDesign(d.v, tuple(map(shape, moved)))
     # covers beyond one byte, and designs far sparser than their order
     yield "repeated", nested_design(8, [((0, 1), (2, 3))] * 300)
     yield "sparse", nested_design(
@@ -215,6 +231,8 @@ def _verify_cases():
     )
     yield "huge-v", nested_design(10**5, [((3, 4), (5, 99_999))])
     yield "empty", nested_design(0, [])
+    # canonical in shape but with a repeated point: b == c, then b == d
+    yield "degenerate", NestedDesign(8, (((0, 1), (1, 2)), ((0, 3), (2, 3))))
 
 
 @pytest.mark.parametrize(
@@ -233,6 +251,27 @@ def test_pair_census_totals():
     assert census.min_mult == 2
     assert census.max_mult == 3
     assert sum(census.point_degrees()) == 2 * census.nd_pair_count
+
+
+def _census_designs():
+    for name in catalog_names():
+        d = catalog_get(name).design()
+        yield name, d
+        yield name + "-doubling-a", doubling_a(d)
+        if pair_census(d).nd_pair_count == comb(d.v, 2):
+            yield name + "-doubling-b", doubling_b(d)
+
+
+@pytest.mark.parametrize(
+    "design", [pytest.param(d, id=name) for name, d in _census_designs()]
+)
+def test_pair_census_key_order(design):
+    # pairs enter the census in block order, first pair then second
+    reference: dict = {}
+    for p1, p2 in design.blocks:
+        reference[p1] = reference.get(p1, 0) + 1
+        reference[p2] = reference.get(p2, 0) + 1
+    assert list(pair_census(design).counts.items()) == list(reference.items())
 
 
 def test_repartition_changes_one_split():

@@ -361,3 +361,10 @@ def test_quasi_uniform_target_search():
     assert out.status == "found"
     census = pair_census(out.witness)
     assert set(census.histogram()) <= {2, 3}
+
+
+@pytest.mark.parametrize("lo,hi", [(3, 1), (-4, -1)])
+def test_local_balance_rejects_empty_or_negative_band(lo, hi):
+    # the band target refuses the same bounds with the same condition
+    with pytest.raises(NsqsError, match=r"local balance needs 0 <= mu_lo <= mu_hi"):
+        local_balance(catalog_get("sqs10").design(), lo, hi)
