@@ -115,9 +115,30 @@ def nested_design(
     uses_infinity: bool = False,
 ) -> NestedDesign:
     """Canonicalize blocks, validate point ranges, and build a design."""
-    return design_from_canonical(
-        v, itertools.starmap(canonical_block, blocks), uses_infinity
-    )
+    blocks = list(blocks)
+    if not _all_canonical(blocks):
+        blocks = itertools.starmap(canonical_block, blocks)
+    return design_from_canonical(v, blocks, uses_infinity)
+
+
+def _all_canonical(blocks: list) -> bool:
+    """Whether every block is a tuple of two tuples ``((a, b), (c, d))``
+    with a < b, c < d, a < c, and b neither c nor d.
+
+    :func:`canonical_block` returns such a block as an equal tuple over
+    the same points, so the block itself can stand in for it.
+    """
+    # the types first: unpacking would consume a block given as an iterator
+    pairs = itertools.chain.from_iterable(blocks)
+    if {*map(type, blocks)} - {tuple} or {*map(type, pairs)} - {tuple}:
+        return False
+    try:
+        for (a, b), (c, d) in blocks:
+            if not (a < b and c < d and a < c and b != c and b != d):
+                return False
+    except (TypeError, ValueError):  # not two pairs of two, or no order
+        return False
+    return True
 
 
 def design_from_canonical(
@@ -176,6 +197,15 @@ def _triple_cells(blocks: Iterable[NestedBlock], v: int) -> Iterator[int]:
         yield ab + d
         yield a * vv + c * v + d
         yield b * vv + c * v + d
+
+
+def _triples(v: int) -> Iterator[tuple[int, int, int]]:
+    """The triples a < b < c of 0..v-1 in lexicographic order, lazily:
+    ``itertools.combinations(range(v), 3)`` would copy the range."""
+    for a in range(v):
+        for b in range(a + 1, v):
+            for c in range(b + 1, v):
+                yield a, b, c
 
 
 def verify_steiner(design: NestedDesign) -> VerificationReport:
@@ -242,9 +272,11 @@ def verify_steiner(design: NestedDesign) -> VerificationReport:
         t = min(over)
         witness, witness_cov = (t // (v * v), t // v % v, t % v), over[t]
     elif missing:
+        # the blocks cover at most 4 * len(blocks) triples, so one of the
+        # first 4 * len(blocks) + 1 in order is uncovered
         witness = next(
             (a, b, c)
-            for a, b, c in itertools.combinations(range(v), 3)
+            for a, b, c in itertools.islice(_triples(v), 4 * len(blocks) + 1)
             if not covered((a * v + b) * v + c)
         )
     ok = violations == 0 and len(blocks) == expected_block_count(v)

@@ -23,6 +23,7 @@ header::
 
 from __future__ import annotations
 
+import operator
 import re
 
 from .constructions import RotationalSpec, rotational_spec
@@ -32,6 +33,17 @@ from .errors import ParseError
 _DESIGN_HEADER = re.compile(r"^nsqs v=(\d+) blocks=(\d+)$")
 _BASE_HEADER = re.compile(r"^nsqs-base p=(\d+) multipliers=(\d+(?:,\d+)*)$")
 _BLOCK_LINE = re.compile(r"^(\S+) (\S+) \| (\S+) (\S+)$")
+# A run of lines shaped like serialize_design's block lines: two pair
+# texts of digits, letters of "inf" and spaces, split by " | ", each line
+# ended by "\n".  Whether a pair text names a pair is checked apart.
+_PAIR_TEXT = "[0-9inf ]+"
+_PLAIN_LINES = re.compile(rf"(?:{_PAIR_TEXT} \| {_PAIR_TEXT}\n)*")
+# The header's v is untrusted: the bulk parse builds a point-name table
+# of v entries, so it runs only up to this order.
+_BULK_MAX_V = 1 << 16
+_BULK_CHUNK = 1 << 16  # characters the bulk parse reads per pass
+_first = operator.itemgetter(0)
+_second = operator.itemgetter(1)
 
 
 def _parse_point(token: str, inf_index: int, lineno: int) -> int:
@@ -46,8 +58,8 @@ def _parse_point(token: str, inf_index: int, lineno: int) -> int:
     return x
 
 
-def _parse_blocks(lines, start_lineno, count, inf_index):
-    """Parse the lines after the header into canonical blocks.
+def _parse_blocks(lines, start_lineno, inf_index):
+    """Parse lines of a design body into canonical blocks, one by one.
 
     Returns (blocks, saw_inf, metadata).
     """
@@ -90,11 +102,68 @@ def _parse_blocks(lines, start_lineno, count, inf_index):
         if c > d:
             c, d = d, c
         blocks.append(((a, b), (c, d)) if a < c else ((c, d), (a, b)))
-    if len(blocks) != count:
-        raise ParseError(
-            f"header announced {count} blocks, file contains {len(blocks)}"
-        )
     return blocks, saw_inf, metadata
+
+
+def _bulk_blocks(body: str, v: int):
+    """Read the leading run of plain, canonical block lines of ``body``.
+
+    Works a chunk of lines at a time in C-level passes, reading each
+    distinct pair text once, and gives every distinct pair one shared
+    tuple.  Stops at the first chunk it cannot prove, which the per-line
+    parser then reads, errors and all.
+
+    Returns (blocks, saw_inf, end), with ``body[:end]`` the lines read.
+    """
+    names = {str(x): x for x in range(v)}
+    names["inf"] = v - 1
+    pairs: dict = {}  # each distinct pair to its one tuple
+    pair_of: dict = {}  # pair text, such as "3 inf", to that tuple
+    blocks: list = []
+    saw_inf = False
+    pos = 0
+    while True:
+        end = body.rfind("\n", pos, pos + _BULK_CHUNK) + 1
+        if end <= pos:
+            break
+        stop = _PLAIN_LINES.match(body, pos, end).end()
+        chunk = body[pos:stop]
+        # the first and second pair texts of each line, alternating
+        texts = chunk.replace(" | ", "\n").split("\n")
+        del texts[-1]
+        if not _read_pair_texts(set(texts).difference(pair_of), names, pairs, pair_of):
+            break
+        first = list(map(pair_of.__getitem__, texts[0::2]))
+        second = list(map(pair_of.__getitem__, texts[1::2]))
+        # each pair has a < b and c < d: the block is canonical when
+        # a < c, and then only b may meet c or d
+        b = list(map(_second, first))
+        c = list(map(_first, second))
+        if not (
+            all(map(operator.lt, map(_first, first), c))
+            and all(map(operator.ne, b, c))
+            and all(map(operator.ne, b, map(_second, second)))
+        ):
+            break
+        saw_inf = saw_inf or "inf" in chunk
+        blocks += zip(first, second)
+        pos = stop
+        if stop < end:
+            break
+    return blocks, saw_inf, pos
+
+
+def _read_pair_texts(texts, names, pairs, pair_of) -> bool:
+    """Enter each pair text "x y", with x < y named in ``names``, into
+    ``pair_of``; False at the first text that is not one."""
+    for text in texts:
+        tx, _, ty = text.partition(" ")
+        x, y = names.get(tx), names.get(ty)
+        if x is None or y is None or not x < y:
+            return False
+        pair = (x, y)
+        pair_of[text] = pairs.setdefault(pair, pair)
+    return True
 
 
 def parse_design(text: str, strict_count: bool = True) -> NestedDesign:
@@ -104,17 +173,30 @@ def parse_design(text: str, strict_count: bool = True) -> NestedDesign:
     announcement (e.g. a truncated file), leaving the shortfall for
     verification to report.
     """
-    lines = text.splitlines()
-    if not lines:
-        raise ParseError("empty input")
-    m = _DESIGN_HEADER.match(lines[0].strip())
-    if not m:
-        raise ParseError(f"line 1: bad header {lines[0]!r}")
-    v, count = int(m.group(1)), int(m.group(2))
-    if not strict_count:
-        count = _count_blocks(lines[1:])
-    blocks, saw_inf, metadata = _parse_blocks(lines[1:], 2, count, v - 1)
-    uses_infinity = saw_inf or metadata.get("infinity") == "1"
+    head, _, body = text.partition("\n")
+    m = _DESIGN_HEADER.match(head)
+    if m is not None and int(m.group(1)) <= _BULK_MAX_V:
+        # a header line ended by a plain "\n": the body is the other lines
+        v = int(m.group(1))
+        blocks, saw_inf, end = _bulk_blocks(body, v)
+        lines = body[end:].splitlines()
+    else:
+        lines = text.splitlines()
+        if not lines:
+            raise ParseError("empty input")
+        m = _DESIGN_HEADER.match(lines[0].strip())
+        if not m:
+            raise ParseError(f"line 1: bad header {lines[0]!r}")
+        v = int(m.group(1))
+        blocks, saw_inf, lines = [], False, lines[1:]
+    count = int(m.group(2))
+    more, more_inf, metadata = _parse_blocks(lines, 2 + len(blocks), v - 1)
+    blocks += more
+    if strict_count and len(blocks) != count:
+        raise ParseError(
+            f"header announced {count} blocks, file contains {len(blocks)}"
+        )
+    uses_infinity = saw_inf or more_inf or metadata.get("infinity") == "1"
     return design_from_canonical(v, blocks, uses_infinity=uses_infinity)
 
 
@@ -148,16 +230,8 @@ def parse_base_spec(text: str) -> RotationalSpec:
     multipliers = tuple(int(t) for t in m.group(2).split(","))
     body = lines[1:]
     # count is not in the header for base files; accept whatever is present
-    blocks, _, _ = _parse_blocks(body, 2, _count_blocks(body), p)
+    blocks, _, _ = _parse_blocks(body, 2, p)
     return rotational_spec(p, blocks, multipliers)
-
-
-def _count_blocks(lines) -> int:
-    return sum(
-        1
-        for line in lines
-        if line.strip() and not line.lstrip().startswith("#")
-    )
 
 
 def serialize_base_spec(spec: RotationalSpec) -> str:

@@ -1,8 +1,11 @@
 """Command-line surface: subcommands, exit codes, JSON output."""
 
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from nsqs import catalog_get, serialize_base_spec, serialize_design
 from nsqs.cli import main
@@ -292,3 +295,122 @@ def test_steiner_input_does_not_warn(capsys, monkeypatch, command):
     assert err == ""
     if command == "classify":
         assert out == "complete-uniform M=1891 mu=10\n"
+
+
+# ---------------------------------------------------------------------------
+# a header's v is untrusted input
+
+HUGE_V = "nsqs v=99999999999 blocks={n}\n"
+
+
+@pytest.mark.parametrize(
+    "body, witness",
+    [("", "(0, 1, 2)"), ("0 1 | 2 3\n", "(0, 1, 4)")],
+)
+def test_verify_huge_v_reports_first_missing_triple(capsys, tmp_path, body, witness):
+    path = tmp_path / "huge.nsqs"
+    path.write_text(HUGE_V.format(n=body.count("\n")) + body)
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 1
+    assert out.splitlines()[0] == f"FAIL triple {witness} covered 0 times (expected 1)"
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command, first_line",
+    [
+        ("census", "v=99999999999 nd_pairs=2 min=1 max=1 total=2"),
+        ("classify", "uniform M=2 mu=1"),
+    ],
+)
+def test_census_and_classify_of_huge_v_warn(capsys, tmp_path, command, first_line):
+    path = tmp_path / "huge.nsqs"
+    path.write_text(HUGE_V.format(n=1) + "0 1 | 2 3\n")
+    code, out, err = run(capsys, command, str(path))
+    assert code == 0
+    assert out.splitlines()[0] == first_line
+    assert err.startswith("warning: input is not a Steiner quadruple system (")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# fuzz: any file gives exit 0, 1 or 2, and no exception escapes main
+
+_FUZZ_TOKENS = st.one_of(
+    st.integers(0, 40).map(str),
+    st.sampled_from(
+        ["inf", "x", "-1", "+5", "007", "1_0", "٣", "７", "", "|", "#", "1e3",
+         "99999999999999"]
+    ),
+)
+_FUZZ_BLOCK_LINES = st.builds(
+    "{} {} | {} {}".format, _FUZZ_TOKENS, _FUZZ_TOKENS, _FUZZ_TOKENS, _FUZZ_TOKENS
+)
+_FUZZ_LINES = st.one_of(
+    st.sampled_from(["", "  ", "# infinity=1", "0 1 | 2 3", "4 5 | 6 7", "inf 1 | 2 3"]),
+    _FUZZ_BLOCK_LINES,
+    st.sampled_from(["# note", "0 1 2 3", "inf inf | 1 2"]),
+    st.text(max_size=12),
+)
+_FUZZ_SEPARATORS = st.sampled_from(["\n", "\r\n", "\r", "\x0c", "\x1c", "\u2028", "\x85"])
+_FUZZ_HEADERS = st.one_of(
+    st.builds(
+        "nsqs v={} blocks={}".format,
+        st.one_of(
+            st.sampled_from([0, 4, 8, 10, 2**16, 2**16 + 1, 3 * 10**9, 10**12]),
+            st.integers(0, 10**12),
+        ),
+        st.integers(0, 12),
+    ),
+    # expansion costs grow with p squared, so base headers stay small
+    st.builds(
+        "nsqs-base p={} multipliers={}".format,
+        st.integers(0, 40),
+        st.sampled_from(["1", "1,2", "1,3,9", "0"]),
+    ),
+    st.text(max_size=24),
+)
+
+
+@st.composite
+def _fuzz_files(draw):
+    sep = draw(_FUZZ_SEPARATORS)
+    lines = [draw(_FUZZ_HEADERS)] + draw(st.lists(_FUZZ_LINES, max_size=10))
+    data = (sep.join(lines) + draw(st.sampled_from(["", sep]))).encode()
+    if draw(st.booleans()):
+        data += draw(st.binary(max_size=24))
+    return data
+
+
+def _run_quietly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's own usage errors
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(
+    max_examples=200,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(data=_fuzz_files())
+def test_cli_fuzz_exits_cleanly(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("fuzz") / "input.nsqs"
+    path.write_bytes(data)
+    for argv in (
+        ["verify", str(path)],
+        ["census", str(path)],
+        ["classify", str(path)],
+        ["expand", "--base", str(path)],
+    ):
+        code, _, err = _run_quietly(argv)
+        assert code in (0, 1, 2), (argv[0], data)
+        assert "Traceback" not in err
+        if code == 2:
+            assert err.startswith("error: ") and err.count("\n") == 1, (argv[0], err)

@@ -2,7 +2,7 @@
 
 import itertools
 import random
-from collections import Counter
+from collections import Counter, namedtuple
 from math import comb
 
 import pytest
@@ -26,6 +26,7 @@ from nsqs import (
     find_block,
     nested_design,
     pair_census,
+    parse_design,
     relabel,
     repartition,
     serialize_design,
@@ -333,3 +334,153 @@ def test_relabel_random_perms_preserve_histogram(rnd):
     d2 = relabel(d, perm)
     assert verify_steiner(d2).ok
     assert pair_census(d2).histogram() == pair_census(d).histogram()
+
+
+# ---------------------------------------------------------------------------
+# nested_design keeps canonical blocks: the same design as canonicalizing
+
+
+def reference_nested_design(v, blocks, uses_infinity=False):
+    """nested_design as it was: canonical_block on every block."""
+    return design_from_canonical(
+        v, itertools.starmap(canonical_block, blocks), uses_infinity
+    )
+
+
+def _outcome(build, v, blocks, uses_infinity=False):
+    try:
+        design = build(v, blocks, uses_infinity)
+    except Exception as exc:  # the class and the text must match
+        return ("error", type(exc), str(exc))
+    # equal designs, down to the types of blocks, pairs and points
+    types = [(type(b), *map(type, b), *map(type, itertools.chain(*b))) for b in design.blocks]
+    return ("design", design, design.blocks, types)
+
+
+def assert_nests_like_reference(v, blocks, uses_infinity=False):
+    got = _outcome(nested_design, v, list(blocks), uses_infinity)
+    want = _outcome(reference_nested_design, v, list(blocks), uses_infinity)
+    assert got == want
+    return got
+
+
+# doubling_b needs a complete nesting: every pair an ND-pair
+_COMPLETE = ["bool32", "ro20", "ro26", "ro38", "ro62", "sqs8uniform"]
+_NESTING_INPUTS = (
+    sorted(catalog_names())
+    + [name + ".a" for name in sorted(catalog_names())]
+    + [name + ".b" for name in _COMPLETE]
+)
+
+
+def _build(name):
+    base, _, step = name.partition(".")
+    design = catalog_get(base).design()
+    if step:
+        design = {"a": doubling_a, "b": doubling_b}[step](design)
+    return design
+
+
+@pytest.mark.parametrize("name", _NESTING_INPUTS)
+def test_nested_design_matches_canonicalizing_reference(name):
+    design = _build(name)
+    rng = random.Random(name)
+    shuffled = list(design.blocks)
+    rng.shuffle(shuffled)
+    flipped = [
+        ((b, a), (c, d)) if rng.random() < 0.5 else ((c, d), (a, b))
+        for (a, b), (c, d) in shuffled
+    ]
+    for blocks in (design.blocks, design.blocks[::-1], shuffled, flipped):
+        got = assert_nests_like_reference(design.v, blocks, design.uses_infinity)
+        assert got[1] == design
+
+
+_NamedPair = namedtuple("_NamedPair", "lo hi")
+
+NESTING_EDGE_CASES = {
+    "lists": [[[0, 1], [2, 3]], [[4, 5], [6, 7]]],
+    "list pair": [((0, 1), [2, 3])],
+    "list block": [[(0, 1), (2, 3)]],
+    "three-element block": [((0, 1), (2, 3), (4, 5))],
+    "three-element pair": [((0, 1, 4), (2, 3))],
+    "one-element block": [((0, 1),)],
+    "empty block": [()],
+    "int block": [5],
+    "bool points": [((False, True), (2, 3)), ((True, 2), (4, 5))],
+    "float points": [((0.0, 1.0), (2.0, 3.0)), ((4.0, 5.0), (6.0, 7.0))],
+    "fractional points": [((0, 1.5), (2, 3)), ((0, 2), (1, 3))],
+    "nan point": [((0, float("nan")), (2, 3))],
+    "string points": [(("a", "b"), ("c", "d"))],
+    "mixed points": [((0, "b"), (2, 3))],
+    "out of range": [((0, 1), (2, 8))],
+    "negative": [((-1, 1), (2, 3))],
+    "out of range then overlap": [((0, 1), (2, 9)), ((0, 1), (1, 2))],
+    "overlap then out of range": [((0, 1), (1, 2)), ((0, 1), (2, 9))],
+    "overlapping pairs": [((0, 1), (1, 2))],
+    "same pair twice": [((0, 1), (0, 1))],
+    "repeated point in pair": [((1, 1), (2, 3))],
+    "second pair first": [((2, 3), (0, 1))],
+    "pair high to low": [((1, 0), (2, 3))],
+    "a equals c": [((0, 1), (0, 2))],
+    "b equals d": [((0, 2), (1, 2))],
+    "duplicate blocks": [((0, 1), (2, 3)), ((0, 1), (2, 3))],
+    "namedtuple pair": [(_NamedPair(0, 1), (2, 3))],
+    "empty": [],
+}
+
+
+@pytest.mark.parametrize("name", sorted(NESTING_EDGE_CASES))
+def test_nested_design_edge_cases_match_reference(name):
+    assert_nests_like_reference(8, NESTING_EDGE_CASES[name])
+
+
+def test_nested_design_of_iterator_blocks_matches_reference():
+    def blocks():
+        return (iter(pairs) for pairs in [((1, 0), (2, 3)), ((4, 5), (6, 7))])
+
+    assert nested_design(8, blocks()) == reference_nested_design(8, blocks())
+
+
+def test_parsed_v128_design_shares_one_tuple_per_pair():
+    design = doubling_a(doubling_a(catalog_get("bool32").design()))
+    parsed = parse_design(serialize_design(design))
+    census = pair_census(parsed)
+    pair_objects = {id(p) for block in parsed.blocks for p in block}
+    assert len(pair_objects) == census.nd_pair_count
+    shuffled = list(parsed.blocks)
+    random.Random(128).shuffle(shuffled)
+    again = nested_design(parsed.v, shuffled)
+    assert again == design
+    # the blocks are kept, not rebuilt
+    assert {id(b) for b in again.blocks} == {id(b) for b in parsed.blocks}
+
+
+# ---------------------------------------------------------------------------
+# the missing-triple witness of a huge, nearly empty design
+
+
+@pytest.mark.parametrize(
+    "blocks, witness",
+    [((), (0, 1, 2)), ((((0, 1), (2, 3)),), (0, 1, 4))],
+)
+def test_verify_steiner_witness_with_huge_v(blocks, witness):
+    v = 3 * 10**9
+    report = verify_steiner(NestedDesign(v=v, blocks=blocks))
+    assert not report.ok
+    assert report.witness == witness
+    assert report.witness_coverage == 0
+    assert report.violations == comb(v, 3) - 4 * len(blocks)
+
+
+def test_verify_steiner_missing_witness_is_first_in_order():
+    d = catalog_get("sqs10").design()
+    for k in range(len(d.blocks)):
+        blocks = d.blocks[:k] + d.blocks[k + 1:]
+        first_missing = next(
+            t
+            for t in itertools.combinations(range(10), 3)
+            if not any(set(t) <= block_points(b) for b in blocks)
+        )
+        report = verify_steiner(NestedDesign(v=10, blocks=blocks))
+        assert report.witness == first_missing

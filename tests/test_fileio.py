@@ -1,11 +1,15 @@
 """Design file parsing and byte-deterministic serialization."""
 
+import re
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nsqs import (
     ParseError,
     catalog_get,
     catalog_names,
+    doubling_a,
     nested_design,
     parse_base_spec,
     parse_design,
@@ -13,6 +17,7 @@ from nsqs import (
     serialize_base_spec,
     serialize_design,
 )
+from nsqs.core import design_from_canonical
 
 
 def test_single_block_example():
@@ -156,3 +161,210 @@ def test_uses_infinity_from_metadata_alone():
     assert d.uses_infinity
     assert serialize_design(d) == "nsqs v=8 blocks=1\n0 1 | 2 3\n# infinity=1\n"
     assert not parse_design("nsqs v=8 blocks=1\n0 1 | 2 7\n# infinity=0\n").uses_infinity
+
+
+# ---------------------------------------------------------------------------
+# The bulk parse against the line-by-line parser it shortcuts
+
+_REF_HEADER = re.compile(r"^nsqs v=(\d+) blocks=(\d+)$")
+_REF_LINE = re.compile(r"^(\S+) (\S+) \| (\S+) (\S+)$")
+
+
+def _ref_point(token, inf_index, lineno):
+    if token == "inf":
+        return inf_index
+    try:
+        x = int(token)
+    except ValueError:
+        raise ParseError(f"line {lineno}: bad point {token!r}")
+    if not 0 <= x < inf_index + 1:
+        raise ParseError(f"line {lineno}: point {x} out of range 0..{inf_index}")
+    return x
+
+
+def reference_parse_design(text, strict_count=True):
+    """The parser as it was before the bulk pass: every line read alone."""
+    lines = text.splitlines()
+    if not lines:
+        raise ParseError("empty input")
+    m = _REF_HEADER.match(lines[0].strip())
+    if not m:
+        raise ParseError(f"line 1: bad header {lines[0]!r}")
+    v, count = int(m.group(1)), int(m.group(2))
+    body = lines[1:]
+    if not strict_count:
+        count = sum(
+            1 for line in body if line.strip() and not line.lstrip().startswith("#")
+        )
+    blocks, saw_inf, metadata = [], False, {}
+    for lineno, line in enumerate(body, 2):
+        m = _REF_LINE.match(line)
+        if m is None or line[0] == "#":
+            if not line.strip():
+                continue
+            if line.startswith("#"):
+                meta = line[1:].strip()
+                if "=" not in meta:
+                    raise ParseError(f"line {lineno}: metadata needs key=value")
+                key, _, value = meta.partition("=")
+                metadata[key.strip()] = value.strip()
+                continue
+            raise ParseError(f"line {lineno}: malformed block line {line!r}")
+        tokens = m.groups()
+        saw_inf = saw_inf or "inf" in tokens
+        a, b, c, d = (_ref_point(t, v - 1, lineno) for t in tokens)
+        if len({a, b, c, d}) < 4:
+            raise ParseError(f"line {lineno}: repeated point in block {line!r}")
+        p, q = (min(a, b), max(a, b)), (min(c, d), max(c, d))
+        blocks.append((p, q) if p < q else (q, p))
+    if len(blocks) != count:
+        raise ParseError(f"header announced {count} blocks, file contains {len(blocks)}")
+    uses_infinity = saw_inf or metadata.get("infinity") == "1"
+    return design_from_canonical(v, blocks, uses_infinity=uses_infinity)
+
+
+def _outcome(parse, text, strict_count):
+    try:
+        design = parse(text, strict_count=strict_count)
+    except ParseError as exc:
+        return ("error", str(exc))
+    return ("design", design, design.uses_infinity, design.blocks)
+
+
+def assert_parses_like_reference(text):
+    for strict_count in (True, False):
+        got = _outcome(parse_design, text, strict_count)
+        want = _outcome(reference_parse_design, text, strict_count)
+        assert got == want, (text[:200], strict_count)
+
+
+_RO20 = serialize_design(catalog_get("ro20").design())
+_SQS8 = serialize_design(catalog_get("sqs8uniform").design())
+
+
+def _swap_line(text, i, line):
+    lines = text.split("\n")
+    lines[i] = line
+    return "\n".join(lines)
+
+
+PARSER_DIFFERENTIAL_CASES = {
+    "crlf": _RO20.replace("\n", "\r\n"),
+    "crlf body only": _RO20.replace("\n", "\r\n").replace("\r\n", "\n", 1),
+    "cr body": _RO20.replace("\n", "\r").replace("\r", "\n", 1),
+    "cr in header": _RO20.replace("\n", "\r", 1),
+    "cr header end": _RO20.replace("\n", "\r\n", 1),
+    "formfeed in header": _RO20.replace(" blocks", "\x0cblocks", 1),
+    "formfeed header end": _RO20.replace("\n", "\x0c", 1),
+    "file separator body": _RO20.replace("\n", "\x1c", 3),
+    "line separator body": _RO20.replace("\n", "\u2028", 5),
+    "line separator header": _RO20.replace("\n", "\u2028", 1),
+    "formfeed mid line": _swap_line(_RO20, 40, "0 1 |\x0c2 3"),
+    "nel mid file": _swap_line(_RO20, 40, _RO20.split("\n")[40] + "\x85"),
+    "blank line mid file": _swap_line(_RO20, 100, "\n" + _RO20.split("\n")[100]),
+    "spaces line mid file": _swap_line(_RO20, 100, "   \n" + _RO20.split("\n")[100]),
+    "comment mid file": _swap_line(_RO20, 100, "# note=x\n" + _RO20.split("\n")[100]),
+    "bad comment mid file": _swap_line(_RO20, 100, "# loose\n" + _RO20.split("\n")[100]),
+    "infinity metadata only": "nsqs v=8 blocks=1\n0 1 | 2 3\n# infinity=1\n",
+    "infinity metadata first": "nsqs v=8 blocks=1\n# infinity=1\n0 1 | 2 3\n",
+    "inf tokens": _SQS8,
+    "inf spelled out": _SQS8.replace("inf", "7"),
+    "inf mixed": _SQS8.replace("inf", "7", 3),
+    "leading zeros": _swap_line(_RO20, 7, "007 1 | 2 3"),
+    "plus sign": _swap_line(_RO20, 7, "+5 1 | 2 3"),
+    "underscore": _swap_line(_RO20, 7, "1_0 11 | 2 3"),
+    "arabic digit": _swap_line(_RO20, 7, "٣ 1 | 5 6"),
+    "arabic digit header": _RO20.replace("v=20", "v=٢٠", 1),
+    "out of range": _swap_line(_RO20, 9, "0 1 | 2 20"),
+    "far out of range": _swap_line(_RO20, 9, "0 1 | 2 99999999999999"),
+    "negative": _swap_line(_RO20, 9, "-1 1 | 2 3"),
+    "repeated point": _swap_line(_RO20, 9, "0 1 | 1 2"),
+    "repeated greatest point": _swap_line(_RO20, 9, "0 2 | 1 2"),
+    "repeated least point": _swap_line(_RO20, 9, "0 1 | 0 2"),
+    "repeated inf": _swap_line(_SQS8, 3, "inf 7 | 1 2"),
+    "pair high to low": _swap_line(_RO20, 9, "3 1 | 0 2"),
+    "second pair first": _swap_line(_RO20, 9, "2 3 | 0 1"),
+    "pairs interleaved": "nsqs v=8 blocks=2\n0 2 | 1 3\n0 3 | 1 2\n",
+    "blocks out of order": "nsqs v=8 blocks=2\n4 5 | 6 7\n0 1 | 2 3\n",
+    "no trailing newline": _RO20.rstrip("\n"),
+    "no trailing newline inf": _SQS8.rstrip("\n"),
+    "truncated": "\n".join(_RO20.split("\n")[:50]) + "\n",
+    "count too low": _RO20.replace("blocks=285", "blocks=284", 1),
+    "count too high": _RO20.replace("blocks=285", "blocks=286", 1),
+    "huge v": "nsqs v=99999999999 blocks=1\n0 1 | 2 3\n",
+    "bulk limit v": "nsqs v=65536 blocks=1\n0 1 | 2 65535\n",
+    "past bulk limit v": "nsqs v=65537 blocks=1\n0 1 | 2 65536\n",
+    "zero v": "nsqs v=0 blocks=1\ninf 0 | 1 2\n",
+    "one v inf": "nsqs v=1 blocks=1\ninf 0 | inf 0\n",
+    "header only": "nsqs v=8 blocks=0",
+    "header newline": "nsqs v=8 blocks=0\n",
+    "empty": "",
+    "newline only": "\n",
+    "header trailing space": "nsqs v=8 blocks=1 \n0 1 | 2 3\n",
+    "double space": _swap_line(_RO20, 9, "0  1 | 2 3"),
+    "tab": _swap_line(_RO20, 9, "0\t1 | 2 3"),
+    "pipe token": _swap_line(_RO20, 9, "0 1 | | 3"),
+    "two pipes": _swap_line(_RO20, 9, "0 1 | 2 | 3"),
+    "hash block": _swap_line(_RO20, 9, "# 1 | 2 3"),
+    "fin token": _swap_line(_RO20, 9, "fin 1 | 2 3"),
+    "three tokens in a pair": _swap_line(_RO20, 9, "0 1 2 | 3 4"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PARSER_DIFFERENTIAL_CASES))
+def test_parse_matches_line_by_line_reference(name):
+    assert_parses_like_reference(PARSER_DIFFERENTIAL_CASES[name])
+
+
+def test_bulk_parse_of_multi_chunk_designs_matches_reference():
+    for design in (catalog_get("ro62").design(), doubling_a(catalog_get("bool32").design())):
+        text = serialize_design(design)
+        assert len(text) > 65536  # more than one bulk chunk
+        assert parse_design(text) == reference_parse_design(text) == design
+        # a fault far into the file: the chunks before it are read in bulk
+        lines = text.split("\n")
+        for k, line in ((len(lines) - 3, "0 1 | 1 2"), (7000, "5 4 | 1 0")):
+            broken = "\n".join(lines[:k] + [line] + lines[k + 1:])
+            assert_parses_like_reference(broken)
+
+
+_MUTATION_LINES = [
+    "", "   ", "# note=x", "# loose", "# infinity=1", "0 1 | 2 3", "3 1 | 0 2",
+    "inf 1 | 2 3", "0 1 | 2 inf", "007 1 | 2 3", "+5 1 | 2 3", "1_0 1 | 2 3",
+    "٣ 1 | 2 4", "0 1 | 1 2", "0 2 | 1 2", "0 1 | 2 99", "0 1 2 3", "0\t1 | 2 3",
+]
+_MUTATION_SEPARATORS = ["\n", "\r\n", "\r", "\x0c", "\x1c", "\u2028", "\x85"]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    name=st.sampled_from(["sqs8uniform", "sqs10", "ro20", "ro26"]),
+    edits=st.lists(
+        st.tuples(
+            st.integers(0, 10**6),
+            st.sampled_from(["replace", "insert", "delete", "separator"]),
+            st.sampled_from(_MUTATION_LINES),
+            st.sampled_from(_MUTATION_SEPARATORS),
+        ),
+        max_size=3,
+    ),
+    cut=st.booleans(),
+)
+def test_parse_matches_reference_under_line_mutations(name, edits, cut):
+    lines = serialize_design(catalog_get(name).design()).split("\n")
+    seps = ["\n"] * len(lines)
+    for at, kind, line, sep in edits:
+        i = at % len(lines)
+        if kind == "replace":
+            lines[i] = line
+        elif kind == "insert":
+            lines.insert(i, line)
+            seps.insert(i, "\n")
+        elif kind == "delete" and len(lines) > 1:
+            del lines[i], seps[i]
+        else:
+            seps[i] = sep
+    text = "".join(line + sep for line, sep in zip(lines, seps))
+    if cut:
+        text = text[: len(text) // 2]
+    assert_parses_like_reference(text)
