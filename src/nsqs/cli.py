@@ -189,6 +189,8 @@ def _cmd_table(args) -> int:
 
 def _build_target(args) -> search.SearchTarget:
     t = args.target
+    if args.nd_pairs is not None and t != "uniform":
+        raise NsqsError(f"--nd-pairs applies to --target uniform only, not {t}")
     if t == "uniform":
         if args.mu is None:
             raise NsqsError("--target uniform needs --mu")

@@ -206,6 +206,13 @@ def rotational_expand(spec: RotationalSpec) -> NestedDesign:
     splits, a wrong final block count, or a failed Steiner check all
     raise InconsistentSpecError carrying a witness.
     """
+    return design_from_canonical(spec.v, rotational_images(spec), uses_infinity=True)
+
+
+def rotational_images(spec: RotationalSpec) -> list[NestedBlock]:
+    """The canonical blocks of :func:`rotational_expand`, checked the
+    same way and raising the same errors, but in image order: a caller
+    that only counts pairs skips the sort into a design."""
     spec.validate()
     p = spec.p
     v = spec.v
@@ -233,25 +240,25 @@ def rotational_expand(spec: RotationalSpec) -> NestedDesign:
         _distinct_images(images)
         raise
     expected = expected_block_count(v)
+    # verify_steiner reads the blocks in any order, so the images need
+    # no sort to be checked
     if len(images) == expected:
         # every triple covered once: no two images share a point set, so
         # deduplication would keep every image
-        design = design_from_canonical(v, images, uses_infinity=True)
-        if verify_steiner(design).ok:
-            return design
+        if verify_steiner(NestedDesign(v, tuple(images), uses_infinity=True)).ok:
+            return images
     distinct = _distinct_images(images)
     if len(distinct) != expected:
         raise InconsistentSpecError(
             f"expansion produced {len(distinct)} distinct blocks, expected {expected}"
         )
-    design = design_from_canonical(v, distinct, uses_infinity=True)
-    report = verify_steiner(design)
+    report = verify_steiner(NestedDesign(v, tuple(distinct), uses_infinity=True))
     if not report.ok:
         raise InconsistentSpecError(
             f"expansion is not a quadruple system; witness triple "
             f"{report.witness} covered {report.witness_coverage} times"
         )
-    return design
+    return distinct
 
 
 def _distinct_images(images: list[NestedBlock]) -> list[NestedBlock]:

@@ -23,6 +23,7 @@ import random
 import time
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from math import comb
 from typing import Optional, Sequence
 
@@ -31,14 +32,13 @@ from .analysis import (
     min_nd_pairs,
     min_nd_pairs_raised,
 )
-from .constructions import RotationalSpec, rotational_expand
+from .constructions import RotationalSpec, rotational_images
 from .core import (
     NestedBlock,
     NestedDesign,
     alternative_splits,
     design_from_canonical,
     nested_design,
-    pair_census,
     total_pair_slots,
     verify_steiner,
 )
@@ -170,8 +170,13 @@ def _resolve_target(target: SearchTarget, v: int) -> _Resolved | str:
     if kind in ("quasi-uniform", "band"):
         lo, hi = target.mu_lo, target.mu_hi
         _check_band(f"{kind} target", lo, hi)
+        m = target.nd_pairs
+        if m is not None and m < 0:
+            return f"ND-pair count {m} is negative"
+        if m is not None and m > comb(v, 2):
+            return f"ND-pair count {m} exceeds the number of pairs {comb(v, 2)}"
         # divisibility screens are advisory when the support is free
-        return _Resolved(lo, hi, target.nd_pairs, False)
+        return _Resolved(lo, hi, m, False)
     raise NsqsError(f"unknown target kind {target.kind!r}")
 
 
@@ -209,7 +214,9 @@ def _assign_splits(
     limited by the recursion limit.  Domains are kept incrementally: a
     move updates only the options that watch a cell whose count it
     changed, and tallies of unassigned units by feasible count give the
-    fail-first choice without scoring every unit.
+    fail-first choice without scoring every unit.  A count change that
+    ends at or below its cell's lowest watched threshold flips no option
+    and skips the watch lists altogether.
     """
     n_units = len(contribs) // 3
     complete = nd_cells == n_cells
@@ -223,18 +230,19 @@ def _assign_splits(
     # no unassigned unit can lower the deficit by more than this
     capacity = max((sum(inc for _, inc in con) for con in contribs), default=0)
 
-    # spans[i]: the most unit i can add to each cell it touches;
-    # reach[cell]: the most the unassigned units can still add to it.
-    # No count ever passes its cell's initial reach, so capping mu_hi at
-    # the largest one changes no test and keeps the tables below small.
-    spans: list[tuple[tuple[int, int], ...]] = []
+    # lifts[i]: the cells unit i touches, each repeated as often as the
+    # most unit i can add to it; reach[cell]: the most the unassigned
+    # units can still add to it.  No count ever passes its cell's initial
+    # reach, so capping mu_hi at the largest one changes no test and
+    # keeps the tables below small.
+    lifts: list[tuple[int, ...]] = []
     reach = [0] * n_cells
     for i in range(n_units):
         span: dict[int, int] = {}
         for o in range(3 * i, 3 * i + 3):
             for cl, inc in contribs[o]:
                 span[cl] = max(span.get(cl, 0), inc)
-        spans.append(tuple(span.items()))
+        lifts.append(tuple(cl for cl, inc in span.items() for _ in range(inc)))
         for cl, inc in span.items():
             reach[cl] += inc
     mu_hi = max(0, min(mu_hi, max(reach, default=0)))
@@ -243,10 +251,11 @@ def _assign_splits(
     # so o is feasible iff over[o] == 0 (and the support pin allows it).
     # An option adding inc to a cell fits while the cell's count is at
     # most mu_hi - inc, so watch[cell][t] lists the (option, unit) pairs
-    # with that threshold t: a count crossing t flips exactly those.  For
-    # an unassigned unit i, nfeas[i] counts its options with over == 0
-    # (refreshed when i re-enters), and tally[k] counts the unassigned
-    # units with nfeas == k.
+    # with that threshold t: a count crossing t flips exactly those, and
+    # none is crossed by a count that ends at or below floor[cell], the
+    # lowest threshold with a watcher.  For an unassigned unit i,
+    # nfeas[i] counts its options with over == 0 (refreshed when i
+    # re-enters), and tally[k] counts the unassigned units with nfeas == k.
     watch = [[[] for _ in range(mu_hi)] for _ in range(n_cells)]
     over = [0] * len(contribs)
     for o, con in enumerate(contribs):
@@ -255,13 +264,13 @@ def _assign_splits(
                 over[o] += 1
             else:
                 watch[cl][mu_hi - inc].append((o, o // 3))
+    floor = [next((t for t, w in enumerate(ws) if w), mu_hi) for ws in watch]
 
-    def n_feasible(i: int) -> int:
-        return (not over[3 * i]) + (not over[3 * i + 1]) + (not over[3 * i + 2])
-
-    nfeas = [n_feasible(i) for i in range(n_units)]
+    nfeas = [(not over[o]) + (not over[o + 1]) + (not over[o + 2])
+             for o in range(0, len(contribs), 3)]
     tally = [nfeas.count(k) for k in range(4)]
-    free = [True] * n_units  # i in unassigned, as a cheaper test in add/remove
+    free = [True] * n_units  # i in unassigned, as a cheaper test
+    units = [(o, o + 1, o + 2) for o in range(0, len(contribs), 3)]
     # deficit = sum of gap[count] over cells: how far the live cells sit
     # below mu_lo; empty cells are live only when the support is complete
     gap = [
@@ -270,52 +279,12 @@ def _assign_splits(
     counts = [0] * n_cells
     deficit = gap[0] * n_cells
 
-    def add(o: int) -> int:
-        """Apply option o; returns the change in the deficit."""
-        delta = 0
-        for cl, inc in contribs[o]:
-            c = counts[cl]
-            c2 = c + inc
-            counts[cl] = c2
-            delta += gap[c2] - gap[c]
-            crossed = watch[cl]
-            for t in range(c, c2):
-                for o2, i in crossed[t]:
-                    n = over[o2]
-                    over[o2] = n + 1
-                    if not n and free[i]:  # o2 stopped fitting
-                        k = nfeas[i]
-                        nfeas[i] = k - 1
-                        tally[k] -= 1
-                        tally[k - 1] += 1
-        return delta
-
-    def remove(o: int) -> int:
-        """Undo option o; returns the change in the deficit."""
-        delta = 0
-        for cl, inc in contribs[o]:
-            c2 = counts[cl]
-            c = c2 - inc
-            counts[cl] = c
-            delta += gap[c] - gap[c2]
-            crossed = watch[cl]
-            for t in range(c, c2):
-                for o2, i in crossed[t]:
-                    n = over[o2] - 1
-                    over[o2] = n
-                    if not n and free[i]:  # o2 fits again
-                        k = nfeas[i]
-                        nfeas[i] = k + 1
-                        tally[k] -= 1
-                        tally[k + 1] += 1
-        return delta
-
     def options(i: int, slack: int) -> list[int]:
         """Unit i's feasible options when only ``slack`` more cells may
         open, fewer than ``max_new``."""
         return [
             o
-            for o in range(3 * i, 3 * i + 3)
+            for o in units[i]
             if not over[o] and sum(not counts[cl] for cl, _ in contribs[o]) <= slack
         ]
 
@@ -341,8 +310,7 @@ def _assign_splits(
             status = "budget-exceeded"
             break
         else:
-            slack = nd_cells - n_cells + counts.count(0) if pinned else max_new
-            if slack < max_new:
+            if pinned and (slack := nd_cells - n_cells + counts.count(0)) < max_new:
                 least = 4
                 for u in unassigned:
                     k = len(options(u, slack))
@@ -358,15 +326,23 @@ def _assign_splits(
                     for i in unassigned:
                         if nfeas[i] == least:
                             break
-                    opts = [o for o in range(3 * i, 3 * i + 3) if not over[o]]
+                    if least == 1:  # a forced unit: its one open option
+                        o = 3 * i
+                        while over[o]:
+                            o += 1
+                        opts = (o,)
+                    elif least == 2:
+                        opts = tuple(o for o in units[i] if not over[o])
+                    else:
+                        opts = units[i]
             if least:
                 unassigned.discard(i)
                 free[i] = False
                 n_free -= 1
                 tally[nfeas[i]] -= 1
                 if unliftable:
-                    for cl, inc in spans[i]:
-                        reach[cl] -= inc
+                    for cl in lifts[i]:
+                        reach[cl] -= 1
                 stack.append([i, opts, 0])
             else:
                 no_split += 1
@@ -375,30 +351,61 @@ def _assign_splits(
             frame = stack[-1]
             i, opts, pos = frame
             if pos:
-                deficit += remove(opts[pos - 1])
+                for cl, inc in contribs[opts[pos - 1]]:
+                    c2 = counts[cl]
+                    c = c2 - inc
+                    counts[cl] = c
+                    deficit += gap[c] - gap[c2]
+                    if c2 > floor[cl]:
+                        crossed = watch[cl]
+                        for t in range(c, c2):
+                            for o2, j in crossed[t]:
+                                n = over[o2] - 1
+                                over[o2] = n
+                                if not n and free[j]:  # o2 fits again
+                                    k = nfeas[j]
+                                    nfeas[j] = k + 1
+                                    tally[k] -= 1
+                                    tally[k + 1] += 1
             if pos == len(opts):
                 stack.pop()
                 unassigned.add(i)
                 free[i] = True
                 n_free += 1
-                nfeas[i] = k = n_feasible(i)
+                o = 3 * i
+                nfeas[i] = k = (not over[o]) + (not over[o + 1]) + (not over[o + 2])
                 tally[k] += 1
                 if unliftable:
-                    for cl, inc in spans[i]:
-                        reach[cl] += inc
+                    for cl in lifts[i]:
+                        reach[cl] += 1
                 continue
             frame[2] = pos + 1
             nodes += 1
             o = opts[pos]
             chosen[i] = o
-            deficit += add(o)
+            for cl, inc in contribs[o]:
+                c = counts[cl]
+                c2 = c + inc
+                counts[cl] = c2
+                deficit += gap[c2] - gap[c]
+                if c2 > floor[cl]:
+                    crossed = watch[cl]
+                    for t in range(c, c2):
+                        for o2, j in crossed[t]:
+                            n = over[o2]
+                            over[o2] = n + 1
+                            if not n and free[j]:  # o2 stopped fitting
+                                k = nfeas[j]
+                                nfeas[j] = k - 1
+                                tally[k] -= 1
+                                tally[k - 1] += 1
             if deficit > capacity * n_free:
                 over_capacity += 1
                 continue
             if unliftable:
                 # prune when one of the unit's cells sits below mu_lo out
                 # of reach of the unassigned units
-                for cl, _ in spans[i]:
+                for cl in lifts[i]:
                     c = counts[cl]
                     if c + reach[cl] < mu_lo and (complete or c):
                         unliftable_cell += 1
@@ -535,8 +542,8 @@ def search_rotational(spec: RotationalSpec, search: SearchSpec) -> SearchOutcome
         multipliers=spec.multipliers,
     )
     # the class prediction is exact, but expand once as a post-check
-    census = pair_census(rotational_expand(witness))
-    if census.min_mult != mu or census.max_mult != mu:
+    counts = Counter(chain.from_iterable(rotational_images(witness))).values()
+    if min(counts) != mu or max(counts) != mu:
         raise NsqsError("rotational search produced a non-uniform witness")
     return SearchOutcome(status=status, witness=witness, stats=stats)
 

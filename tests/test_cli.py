@@ -261,6 +261,18 @@ def test_search_nonpositive_mu_is_usage_error(capsys, sqs10_file, mu):
     assert "mu >= 1" in err
 
 
+@pytest.mark.parametrize(
+    "target,mu", [("quasi-uniform", ["--mu", "2"]), ("complete-uniform", []),
+                  ("minimum-uniform", [])]
+)
+def test_search_nd_pairs_off_uniform_is_usage_error(capsys, sqs10_file, target, mu):
+    code, out, err = run(
+        capsys, "search", sqs10_file, "--target", target, *mu, "--nd-pairs", "30"
+    )
+    _assert_usage_error(code, out, err)
+    assert "--nd-pairs applies to --target uniform only" in err
+
+
 def test_search_blockless_design_is_usage_error(capsys, tmp_path):
     path = tmp_path / "empty.nsqs"
     path.write_text("nsqs v=8 blocks=0\n")

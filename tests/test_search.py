@@ -2,6 +2,8 @@
 
 import hashlib
 import sys
+import time
+from typing import Optional
 
 import pytest
 
@@ -29,7 +31,8 @@ from nsqs import (
     uniform,
     verify_steiner,
 )
-from nsqs.search import band
+from nsqs import search
+from nsqs.search import SearchStats, SearchTarget, band
 
 
 def _call_depth():
@@ -124,6 +127,24 @@ def test_band_target_upper_bound_may_exceed_any_count():
     assert out.stats.nodes == 30
 
 
+@pytest.mark.parametrize(
+    "target,reason",
+    [
+        (SearchTarget("quasi-uniform", mu_lo=2, mu_hi=3, nd_pairs=10**6),
+         "ND-pair count 1000000 exceeds the number of pairs 190"),
+        (SearchTarget("quasi-uniform", mu_lo=2, mu_hi=3, nd_pairs=-3),
+         "ND-pair count -3 is negative"),
+        (SearchTarget("band", mu_lo=1, mu_hi=4, nd_pairs=191),
+         "ND-pair count 191 exceeds the number of pairs 190"),
+    ],
+)
+def test_band_target_refuses_support_out_of_range(target, reason):
+    out = search_nesting(_point_sets("ro20"), SearchSpec(target))
+    assert out.status == "refused"
+    assert out.stats.nodes == 0
+    assert out.reason == reason
+
+
 def test_search_budget_exceeded():
     out = search_nesting(_point_sets("sqs10"), SearchSpec(uniform(2), node_budget=3))
     assert out.status == "budget-exceeded"
@@ -177,6 +198,9 @@ BLOCK_PINS = [
      {"no-feasible-split": 212, "pair-unliftable": 55}, None),
     ("ro38", "complete", None, 20_000, "budget-exceeded", 20_000,
      {"no-feasible-split": 1295, "pair-unliftable": 735}, None),
+    # the benchmark's search-blocks op
+    ("ro38", "complete", None, 200_000, "budget-exceeded", 200_000,
+     {"no-feasible-split": 6071, "pair-unliftable": 15039}, None),
 ]
 
 
@@ -368,3 +392,345 @@ def test_local_balance_rejects_empty_or_negative_band(lo, hi):
     # the band target refuses the same bounds with the same condition
     with pytest.raises(NsqsError, match=r"local balance needs 0 <= mu_lo <= mu_hi"):
         local_balance(catalog_get("sqs10").design(), lo, hi)
+
+
+# ---------------------------------------------------------------------------
+# differential check of the split-assignment engine
+
+# The engine as it was before the floor gate and the inlined count
+# updates, kept verbatim as the reference: the engine in search.py must
+# visit the same nodes in the same order.
+
+def reference_assign_splits(
+    contribs: list[tuple[tuple[int, int], ...]],
+    n_cells: int,
+    mu_lo: int,
+    mu_hi: int,
+    nd_cells: Optional[int],
+    unliftable: bool,
+    spec: SearchSpec,
+) -> tuple[str, list[int], SearchStats]:
+    """Depth-first search for one split per unit, every cell ending in
+    [mu_lo, mu_hi] or at zero.
+
+    Unit i has the options 3i, 3i+1 and 3i+2; option o adds
+    ``contribs[o] = ((cell, increment), ...)`` to the cell counts.
+    ``nd_cells`` pins how many cells end up nonzero (None leaves it
+    free; all of them makes every cell live from the start).  With
+    ``unliftable`` a move is also pruned when one of its unit's cells
+    sits below mu_lo and the unassigned units can no longer lift it.
+    Returns the outcome status, the chosen option of every unit (when
+    found) and the stats.
+
+    The search runs on an explicit stack, so the number of units is not
+    limited by the recursion limit.  Domains are kept incrementally: a
+    move updates only the options that watch a cell whose count it
+    changed, and tallies of unassigned units by feasible count give the
+    fail-first choice without scoring every unit.
+    """
+    n_units = len(contribs) // 3
+    complete = nd_cells == n_cells
+    # With the support pinned below all cells, an option is feasible only
+    # if the cells it would open fit in the slack (nd_cells less the
+    # nonzero cells).  That test binds only while the slack is below
+    # max_new, the most cells one option touches; then the options of
+    # each unit are counted afresh at every node instead of tallied.
+    pinned = nd_cells is not None and not complete
+    max_new = max(map(len, contribs), default=0)
+    # no unassigned unit can lower the deficit by more than this
+    capacity = max((sum(inc for _, inc in con) for con in contribs), default=0)
+
+    # spans[i]: the most unit i can add to each cell it touches;
+    # reach[cell]: the most the unassigned units can still add to it.
+    # No count ever passes its cell's initial reach, so capping mu_hi at
+    # the largest one changes no test and keeps the tables below small.
+    spans: list[tuple[tuple[int, int], ...]] = []
+    reach = [0] * n_cells
+    for i in range(n_units):
+        span: dict[int, int] = {}
+        for o in range(3 * i, 3 * i + 3):
+            for cl, inc in contribs[o]:
+                span[cl] = max(span.get(cl, 0), inc)
+        spans.append(tuple(span.items()))
+        for cl, inc in span.items():
+            reach[cl] += inc
+    mu_hi = max(0, min(mu_hi, max(reach, default=0)))
+
+    # Domains.  over[o] counts the cells option o would push past mu_hi,
+    # so o is feasible iff over[o] == 0 (and the support pin allows it).
+    # An option adding inc to a cell fits while the cell's count is at
+    # most mu_hi - inc, so watch[cell][t] lists the (option, unit) pairs
+    # with that threshold t: a count crossing t flips exactly those.  For
+    # an unassigned unit i, nfeas[i] counts its options with over == 0
+    # (refreshed when i re-enters), and tally[k] counts the unassigned
+    # units with nfeas == k.
+    watch = [[[] for _ in range(mu_hi)] for _ in range(n_cells)]
+    over = [0] * len(contribs)
+    for o, con in enumerate(contribs):
+        for cl, inc in con:
+            if inc > mu_hi:
+                over[o] += 1
+            else:
+                watch[cl][mu_hi - inc].append((o, o // 3))
+
+    def n_feasible(i: int) -> int:
+        return (not over[3 * i]) + (not over[3 * i + 1]) + (not over[3 * i + 2])
+
+    nfeas = [n_feasible(i) for i in range(n_units)]
+    tally = [nfeas.count(k) for k in range(4)]
+    free = [True] * n_units  # i in unassigned, as a cheaper test in add/remove
+    # deficit = sum of gap[count] over cells: how far the live cells sit
+    # below mu_lo; empty cells are live only when the support is complete
+    gap = [
+        mu_lo - c if c < mu_lo and (complete or c) else 0 for c in range(mu_hi + 1)
+    ]
+    counts = [0] * n_cells
+    deficit = gap[0] * n_cells
+
+    def add(o: int) -> int:
+        """Apply option o; returns the change in the deficit."""
+        delta = 0
+        for cl, inc in contribs[o]:
+            c = counts[cl]
+            c2 = c + inc
+            counts[cl] = c2
+            delta += gap[c2] - gap[c]
+            crossed = watch[cl]
+            for t in range(c, c2):
+                for o2, i in crossed[t]:
+                    n = over[o2]
+                    over[o2] = n + 1
+                    if not n and free[i]:  # o2 stopped fitting
+                        k = nfeas[i]
+                        nfeas[i] = k - 1
+                        tally[k] -= 1
+                        tally[k - 1] += 1
+        return delta
+
+    def remove(o: int) -> int:
+        """Undo option o; returns the change in the deficit."""
+        delta = 0
+        for cl, inc in contribs[o]:
+            c2 = counts[cl]
+            c = c2 - inc
+            counts[cl] = c
+            delta += gap[c] - gap[c2]
+            crossed = watch[cl]
+            for t in range(c, c2):
+                for o2, i in crossed[t]:
+                    n = over[o2] - 1
+                    over[o2] = n
+                    if not n and free[i]:  # o2 fits again
+                        k = nfeas[i]
+                        nfeas[i] = k + 1
+                        tally[k] -= 1
+                        tally[k + 1] += 1
+        return delta
+
+    def options(i: int, slack: int) -> list[int]:
+        """Unit i's feasible options when only ``slack`` more cells may
+        open, fewer than ``max_new``."""
+        return [
+            o
+            for o in range(3 * i, 3 * i + 3)
+            if not over[o] and sum(not counts[cl] for cl, _ in contribs[o]) <= slack
+        ]
+
+    budget = spec.node_budget
+    time_budget = spec.time_budget
+    nodes = no_split = over_capacity = unliftable_cell = 0
+    start = time.monotonic()
+    chosen = [0] * n_units
+    # fail-first ties go to the first unit in the set's iteration order;
+    # units leave and re-enter it in stack order, so the order and with
+    # it the node order are deterministic
+    unassigned = set(range(n_units))
+    n_free = n_units
+    stack: list[list] = []  # [unit, its feasible options, next position]
+    while True:
+        # a fresh node: a leaf, a budget stop, or a branch on the unit
+        # with the fewest feasible options
+        if not n_free:
+            if deficit == 0 and (nd_cells is None or n_cells - counts.count(0) == nd_cells):
+                status = "found"
+                break
+        elif nodes >= budget or time.monotonic() - start > time_budget:
+            status = "budget-exceeded"
+            break
+        else:
+            slack = nd_cells - n_cells + counts.count(0) if pinned else max_new
+            if slack < max_new:
+                least = 4
+                for u in unassigned:
+                    k = len(options(u, slack))
+                    if k < least:
+                        i, least = u, k
+                        if not k:
+                            break
+                if least:
+                    opts = options(i, slack)
+            else:
+                least = 0 if tally[0] else 1 if tally[1] else 2 if tally[2] else 3
+                if least:
+                    for i in unassigned:
+                        if nfeas[i] == least:
+                            break
+                    opts = [o for o in range(3 * i, 3 * i + 3) if not over[o]]
+            if least:
+                unassigned.discard(i)
+                free[i] = False
+                n_free -= 1
+                tally[nfeas[i]] -= 1
+                if unliftable:
+                    for cl, inc in spans[i]:
+                        reach[cl] -= inc
+                stack.append([i, opts, 0])
+            else:
+                no_split += 1
+        # undo the last option tried and apply the next untried one
+        while stack:
+            frame = stack[-1]
+            i, opts, pos = frame
+            if pos:
+                deficit += remove(opts[pos - 1])
+            if pos == len(opts):
+                stack.pop()
+                unassigned.add(i)
+                free[i] = True
+                n_free += 1
+                nfeas[i] = k = n_feasible(i)
+                tally[k] += 1
+                if unliftable:
+                    for cl, inc in spans[i]:
+                        reach[cl] += inc
+                continue
+            frame[2] = pos + 1
+            nodes += 1
+            o = opts[pos]
+            chosen[i] = o
+            deficit += add(o)
+            if deficit > capacity * n_free:
+                over_capacity += 1
+                continue
+            if unliftable:
+                # prune when one of the unit's cells sits below mu_lo out
+                # of reach of the unassigned units
+                for cl, _ in spans[i]:
+                    c = counts[cl]
+                    if c + reach[cl] < mu_lo and (complete or c):
+                        unliftable_cell += 1
+                        break
+                else:
+                    break
+                continue
+            break
+        else:
+            status = "exhausted"
+            break
+
+    stats = SearchStats(nodes=nodes, elapsed=time.monotonic() - start)
+    for name, n in (
+        ("no-feasible-split", no_split),
+        ("deficit-exceeds-capacity", over_capacity),
+        ("pair-unliftable", unliftable_cell),
+    ):
+        if n:
+            stats.prunes[name] = n
+    return status, chosen, stats
+
+
+def _engine_input(front_end, *args):
+    """The (contribs, n_cells) a front end hands the engine."""
+    seen = []
+    engine = search._assign_splits
+
+    def spy(contribs, n_cells, *rest, **kwargs):
+        seen.append((contribs, n_cells))
+        return engine(contribs, n_cells, *rest, **kwargs)
+
+    search._assign_splits = spy
+    try:
+        front_end(*args)
+    finally:
+        search._assign_splits = engine
+    return seen[0]
+
+
+# (entry, level, seeds): block contribs have one cell per pair and
+# increments of 1; orbit contribs have one cell per difference class and
+# increments up to the number of multipliers
+ENGINE_INPUTS = [
+    ("sqs10", "block", (None, 0, 1, 2, 3, 4, 5)),
+    ("bool4", "block", (None, 0, 1, 2, 3, 4, 5)),
+    ("bool8", "block", (None, 0, 3)),
+    ("ro20", "block", (None, 1, 4)),
+    ("ro38", "block", (None, 2)),
+    ("ro20", "orbit", (None, 0, 1, 2, 3, 4, 5)),
+    ("ro26", "orbit", (None, 0, 1, 2, 3, 4, 5)),
+    ("ro38", "orbit", (None, 0, 1, 2, 3, 4, 5)),
+    ("bool32", "orbit", (None, 0, 1, 2, 3, 4, 5)),
+]
+ENGINE_TARGETS = [
+    complete_uniform(),
+    minimum_uniform(),
+    uniform(2),
+    uniform(3),
+    uniform(5),
+    band(1, 3),
+    quasi_uniform(2),
+    SearchTarget("quasi-uniform", mu_lo=3, mu_hi=4, nd_pairs=120),
+]
+
+
+def _engine_cases(name, level, seed):
+    """(contribs, n_cells, mu_lo, mu_hi, nd_cells) for every target that
+    resolves at the entry's order, with its support pinned and free."""
+    if level == "block":
+        blocks = (
+            [b[0] + b[1] for b in boolean_sqs(4).blocks]
+            if name == "bool4"
+            else _point_sets(name)
+        )
+        v = max(map(max, blocks)) + 1
+        contribs, n_cells = _engine_input(
+            search_nesting, blocks, SearchSpec(band(0, 1), node_budget=0, seed=seed)
+        )
+        p = None
+    else:
+        spec = _stripped_spec(name)
+        v, p = spec.v, spec.p
+        contribs, n_cells = _engine_input(
+            search_rotational, spec,
+            SearchSpec(complete_uniform(), node_budget=0, seed=seed),
+        )
+    for target in ENGINE_TARGETS:
+        res = search._resolve_target(target, v)
+        if isinstance(res, str):
+            continue
+        for nd in dict.fromkeys((res.nd_pairs, None)):
+            if p is not None and nd is not None:
+                if nd % p:
+                    continue  # not a union of difference classes
+                nd = nd // p - 1  # the fixed point's p pairs are not a cell
+            yield contribs, n_cells, res.mu_lo, res.mu_hi, nd
+
+
+@pytest.mark.parametrize(
+    "name,level,seeds", ENGINE_INPUTS, ids=[f"{n}-{lv}" for n, lv, _ in ENGINE_INPUTS]
+)
+def test_engine_matches_reference(name, level, seeds):
+    runs = 0
+    for seed in seeds:
+        for contribs, n_cells, lo, hi, nd in _engine_cases(name, level, seed):
+            for unliftable in (True, False):
+                spec = SearchSpec(complete_uniform(), node_budget=300)
+                got = search._assign_splits(contribs, n_cells, lo, hi, nd, unliftable, spec)
+                want = reference_assign_splits(
+                    contribs, n_cells, lo, hi, nd, unliftable, spec
+                )
+                # chosen at a budget stop pins the node order
+                assert (got[0], got[1], got[2].nodes, got[2].prunes) == (
+                    want[0], want[1], want[2].nodes, want[2].prunes
+                ), (seed, lo, hi, nd, unliftable)
+                runs += 1
+    assert runs
