@@ -23,7 +23,7 @@ import random
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, compress
 from math import comb
 from typing import Optional, Sequence
 
@@ -88,6 +88,13 @@ class SearchSpec:
     node_budget: int = 10**8
     time_budget: float = 300.0
     seed: Optional[int] = None
+
+    def __post_init__(self) -> None:
+        # written as not >= so that a NaN budget is refused too
+        if not self.node_budget >= 0:
+            raise NsqsError(f"node budget must be >= 0, got {self.node_budget}")
+        if not self.time_budget >= 0:
+            raise NsqsError(f"time budget must be >= 0, got {self.time_budget}")
 
 
 @dataclass
@@ -211,12 +218,15 @@ def _assign_splits(
     found) and the stats.
 
     The search runs on an explicit stack, so the number of units is not
-    limited by the recursion limit.  Domains are kept incrementally: a
-    move updates only the options that watch a cell whose count it
-    changed, and tallies of unassigned units by feasible count give the
-    fail-first choice without scoring every unit.  A count change that
-    ends at or below its cell's lowest watched threshold flips no option
-    and skips the watch lists altogether.
+    limited by the recursion limit.  It branches fail-first: on the free
+    unit with the fewest feasible options, ties going to the lowest unit
+    index, so the node order depends on nothing but the input.  Domains
+    are kept incrementally: a move updates only the options of free units
+    that watch a cell whose count it changed, and buckets of free units by
+    feasible count give the fail-first choice without scoring every unit.
+    A count change that ends at or below its cell's lowest watched
+    threshold flips no option and skips the watch lists altogether.
+    ``stats.nodes`` never exceeds ``spec.node_budget``.
     """
     n_units = len(contribs) // 3
     complete = nd_cells == n_cells
@@ -224,7 +234,8 @@ def _assign_splits(
     # if the cells it would open fit in the slack (nd_cells less the
     # nonzero cells).  That test binds only while the slack is below
     # max_new, the most cells one option touches; then the options of
-    # each unit are counted afresh at every node instead of tallied.
+    # each free unit are counted afresh at every node, in ascending unit
+    # order, instead of read from the buckets.
     pinned = nd_cells is not None and not complete
     max_new = max(map(len, contribs), default=0)
     # no unassigned unit can lower the deficit by more than this
@@ -253,9 +264,17 @@ def _assign_splits(
     # most mu_hi - inc, so watch[cell][t] lists the (option, unit) pairs
     # with that threshold t: a count crossing t flips exactly those, and
     # none is crossed by a count that ends at or below floor[cell], the
-    # lowest threshold with a watcher.  For an unassigned unit i,
-    # nfeas[i] counts its options with over == 0 (refreshed when i
-    # re-enters), and tally[k] counts the unassigned units with nfeas == k.
+    # lowest threshold with a watcher.
+    #
+    # The walks update over only for free units; an assigned unit's
+    # entries freeze when it is branched on.  That is exact: units leave
+    # and re-enter in stack order, so a unit is free both when an option
+    # is applied and when it is undone, or assigned both times, and the
+    # skipped updates would have cancelled.  When the unit is popped, the
+    # counts are back to their values at its branch, so its frozen
+    # entries are correct again.  nfeas[i] counts a free unit's options
+    # with over == 0 (recomputed when it is popped), and bucket[k] is the
+    # set of free units with nfeas == k.
     watch = [[[] for _ in range(mu_hi)] for _ in range(n_cells)]
     over = [0] * len(contribs)
     for o, con in enumerate(contribs):
@@ -268,8 +287,10 @@ def _assign_splits(
 
     nfeas = [(not over[o]) + (not over[o + 1]) + (not over[o + 2])
              for o in range(0, len(contribs), 3)]
-    tally = [nfeas.count(k) for k in range(4)]
-    free = [True] * n_units  # i in unassigned, as a cheaper test
+    bucket: list[set[int]] = [set() for _ in range(4)]
+    for i, k in enumerate(nfeas):
+        bucket[k].add(i)
+    free = [True] * n_units  # not on the stack
     units = [(o, o + 1, o + 2) for o in range(0, len(contribs), 3)]
     # deficit = sum of gap[count] over cells: how far the live cells sit
     # below mu_lo; empty cells are live only when the support is complete
@@ -293,15 +314,12 @@ def _assign_splits(
     nodes = no_split = over_capacity = unliftable_cell = 0
     start = time.monotonic()
     chosen = [0] * n_units
-    # fail-first ties go to the first unit in the set's iteration order;
-    # units leave and re-enter it in stack order, so the order and with
-    # it the node order are deterministic
-    unassigned = set(range(n_units))
     n_free = n_units
     stack: list[list] = []  # [unit, its feasible options, next position]
-    while True:
-        # a fresh node: a leaf, a budget stop, or a branch on the unit
-        # with the fewest feasible options
+    status = None
+    while status is None:
+        # a fresh node: a leaf, a budget stop, or a branch on the lowest
+        # unit among those with the fewest feasible options
         if not n_free:
             if deficit == 0 and (nd_cells is None or n_cells - counts.count(0) == nd_cells):
                 status = "found"
@@ -312,7 +330,7 @@ def _assign_splits(
         else:
             if pinned and (slack := nd_cells - n_cells + counts.count(0)) < max_new:
                 least = 4
-                for u in unassigned:
+                for u in compress(range(n_units), free):
                     k = len(options(u, slack))
                     if k < least:
                         i, least = u, k
@@ -321,11 +339,9 @@ def _assign_splits(
                 if least:
                     opts = options(i, slack)
             else:
-                least = 0 if tally[0] else 1 if tally[1] else 2 if tally[2] else 3
+                least = 0 if bucket[0] else 1 if bucket[1] else 2 if bucket[2] else 3
                 if least:
-                    for i in unassigned:
-                        if nfeas[i] == least:
-                            break
+                    i = min(bucket[least])
                     if least == 1:  # a forced unit: its one open option
                         o = 3 * i
                         while over[o]:
@@ -336,10 +352,9 @@ def _assign_splits(
                     else:
                         opts = units[i]
             if least:
-                unassigned.discard(i)
+                bucket[nfeas[i]].remove(i)
                 free[i] = False
                 n_free -= 1
-                tally[nfeas[i]] -= 1
                 if unliftable:
                     for cl in lifts[i]:
                         reach[cl] -= 1
@@ -360,25 +375,28 @@ def _assign_splits(
                         crossed = watch[cl]
                         for t in range(c, c2):
                             for o2, j in crossed[t]:
-                                n = over[o2] - 1
-                                over[o2] = n
-                                if not n and free[j]:  # o2 fits again
-                                    k = nfeas[j]
-                                    nfeas[j] = k + 1
-                                    tally[k] -= 1
-                                    tally[k + 1] += 1
+                                if free[j]:
+                                    n = over[o2] - 1
+                                    over[o2] = n
+                                    if not n:  # o2 fits again
+                                        k = nfeas[j]
+                                        nfeas[j] = k + 1
+                                        bucket[k].remove(j)
+                                        bucket[k + 1].add(j)
             if pos == len(opts):
                 stack.pop()
-                unassigned.add(i)
                 free[i] = True
                 n_free += 1
                 o = 3 * i
                 nfeas[i] = k = (not over[o]) + (not over[o + 1]) + (not over[o + 2])
-                tally[k] += 1
+                bucket[k].add(i)
                 if unliftable:
                     for cl in lifts[i]:
                         reach[cl] += 1
                 continue
+            if nodes >= budget:  # siblings count against the budget too
+                status = "budget-exceeded"
+                break
             frame[2] = pos + 1
             nodes += 1
             o = opts[pos]
@@ -392,13 +410,14 @@ def _assign_splits(
                     crossed = watch[cl]
                     for t in range(c, c2):
                         for o2, j in crossed[t]:
-                            n = over[o2]
-                            over[o2] = n + 1
-                            if not n and free[j]:  # o2 stopped fitting
-                                k = nfeas[j]
-                                nfeas[j] = k - 1
-                                tally[k] -= 1
-                                tally[k - 1] += 1
+                            if free[j]:
+                                n = over[o2]
+                                over[o2] = n + 1
+                                if not n:  # o2 stopped fitting
+                                    k = nfeas[j]
+                                    nfeas[j] = k - 1
+                                    bucket[k].remove(j)
+                                    bucket[k - 1].add(j)
             if deficit > capacity * n_free:
                 over_capacity += 1
                 continue
@@ -416,7 +435,6 @@ def _assign_splits(
             break
         else:
             status = "exhausted"
-            break
 
     stats = SearchStats(nodes=nodes, elapsed=time.monotonic() - start)
     for name, n in (

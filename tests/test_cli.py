@@ -273,6 +273,14 @@ def test_search_nd_pairs_off_uniform_is_usage_error(capsys, sqs10_file, target, 
     assert "--nd-pairs applies to --target uniform only" in err
 
 
+def test_search_negative_budget_is_usage_error(capsys, sqs10_file):
+    code, out, err = run(
+        capsys, "search", sqs10_file, "--target", "uniform", "--mu", "2", "--budget", "-1"
+    )
+    _assert_usage_error(code, out, err)
+    assert err == "error: node budget must be >= 0, got -1\n"
+
+
 def test_search_blockless_design_is_usage_error(capsys, tmp_path):
     path = tmp_path / "empty.nsqs"
     path.write_text("nsqs v=8 blocks=0\n")

@@ -151,6 +151,20 @@ def test_search_budget_exceeded():
     assert out.stats.nodes == 3
 
 
+@pytest.mark.parametrize(
+    "budgets,what",
+    [
+        ({"node_budget": -1}, "node budget"),
+        ({"node_budget": float("nan")}, "node budget"),
+        ({"time_budget": -0.5}, "time budget"),
+        ({"time_budget": float("nan")}, "time budget"),
+    ],
+)
+def test_search_spec_refuses_negative_or_nan_budget(budgets, what):
+    with pytest.raises(NsqsError, match=f"{what} must be >= 0"):
+        SearchSpec(uniform(2), **budgets)
+
+
 def test_search_rejects_non_steiner_input():
     blocks = _point_sets("sqs10")[:-1]
     with pytest.raises(PreconditionError):
@@ -159,48 +173,50 @@ def test_search_rejects_non_steiner_input():
 
 # Block-level searches: (design, target, seed, node budget, status, nodes,
 # prunes, sha256 prefix of the serialized witness).  Recorded from the
-# recursive engine (ro38 under a raised recursion limit).  bool4 is
+# engine that breaks fail-first ties by the lowest unit index.  bool4 is
 # boolean_sqs(4); its quasi_uniform(2) case runs the deficit prune.
+# BLOCK_TARGETS maps a target name to the target and the classify kind
+# of its witnesses; band(2, 4) admits several kinds, and its one pinned
+# witness is irregular.
 BLOCK_TARGETS = {
-    "uniform2": uniform(2),
-    "minimum": minimum_uniform(),
-    "band24": band(2, 4),
-    "complete": complete_uniform(),
-    "quasi2": quasi_uniform(2),
+    "uniform2": (uniform(2), "uniform"),
+    "minimum": (minimum_uniform(), "minimum-uniform"),
+    "band24": (band(2, 4), "irregular"),
+    "complete": (complete_uniform(), "complete-uniform"),
+    "quasi2": (quasi_uniform(2), "quasi-uniform"),
 }
 BLOCK_PINS = [
-    ("sqs10", "uniform2", None, 5000, "found", 618,
-     {"no-feasible-split": 112, "pair-unliftable": 119}, "b6c1ad90bab08a25"),
-    ("sqs10", "uniform2", 0, 5000, "found", 344,
-     {"no-feasible-split": 41, "pair-unliftable": 80}, "d5b6714e0c3a6347"),
-    ("sqs10", "uniform2", 1, 5000, "found", 210,
-     {"no-feasible-split": 30, "pair-unliftable": 49}, "e756e62f307c8529"),
-    ("sqs10", "uniform2", 2, 5000, "found", 144,
-     {"no-feasible-split": 24, "pair-unliftable": 25}, "4dac5a142030a698"),
-    ("sqs10", "uniform2", 3, 5000, "found", 759,
-     {"no-feasible-split": 116, "pair-unliftable": 157}, "fbd65f81ddead81b"),
-    ("sqs10", "uniform2", 7, 5000, "found", 191,
-     {"no-feasible-split": 21, "pair-unliftable": 48}, "8ff6d1297c65527c"),
-    ("bool4", "minimum", None, 100_000, "found", 1017,
-     {"no-feasible-split": 13, "pair-unliftable": 471}, "368488029e5365a0"),
-    ("bool4", "minimum", 1, 100_000, "found", 18213,
-     {"no-feasible-split": 293, "pair-unliftable": 10949}, "f2889962df9f5557"),
-    ("bool4", "minimum", 5, 100_000, "found", 44142,
-     {"no-feasible-split": 2019, "pair-unliftable": 24107}, "18abdc9fc0de1df4"),
-    ("bool4", "minimum", 2, 100_000, "budget-exceeded", 100_002,
-     {"no-feasible-split": 6, "pair-unliftable": 66392}, None),
-    ("bool4", "band24", 1, 10**8, "found", 972,
-     {"deficit-exceeds-capacity": 110, "pair-unliftable": 403}, "e4a5280aca0683ff"),
+    ("sqs10", "uniform2", None, 5000, "found", 381,
+     {"no-feasible-split": 60, "pair-unliftable": 85}, "b6c1ad90bab08a25"),
+    ("sqs10", "uniform2", 0, 5000, "found", 389,
+     {"no-feasible-split": 39, "pair-unliftable": 100}, "d5b6714e0c3a6347"),
+    ("sqs10", "uniform2", 1, 5000, "found", 224,
+     {"no-feasible-split": 34, "pair-unliftable": 49}, "e756e62f307c8529"),
+    ("sqs10", "uniform2", 2, 5000, "found", 183,
+     {"no-feasible-split": 31, "pair-unliftable": 29}, "4dac5a142030a698"),
+    ("sqs10", "uniform2", 3, 5000, "found", 697,
+     {"no-feasible-split": 119, "pair-unliftable": 125}, "fbd65f81ddead81b"),
+    ("sqs10", "uniform2", 7, 5000, "found", 197,
+     {"no-feasible-split": 22, "pair-unliftable": 60}, "8ff6d1297c65527c"),
+    ("bool4", "minimum", None, 100_000, "found", 997,
+     {"no-feasible-split": 20, "pair-unliftable": 452}, "5acdefcb23004b70"),
+    ("bool4", "minimum", 1, 100_000, "found", 18368,
+     {"no-feasible-split": 304, "pair-unliftable": 11024}, "f2889962df9f5557"),
+    ("bool4", "minimum", 5, 100_000, "found", 23964,
+     {"no-feasible-split": 221, "pair-unliftable": 15028}, "7a45506c498d2d35"),
+    ("bool4", "minimum", 2, 100_000, "budget-exceeded", 100_000,
+     {"pair-unliftable": 66587}, None),
+    ("bool4", "band24", 1, 10**8, "found", 1025,
+     {"deficit-exceeds-capacity": 117, "pair-unliftable": 430}, "e4a5280aca0683ff"),
     ("bool4", "quasi2", None, 5000, "budget-exceeded", 5000,
-     {"deficit-exceeds-capacity": 632, "no-feasible-split": 2, "pair-unliftable": 1425},
-     None),
+     {"deficit-exceeds-capacity": 424, "pair-unliftable": 2026}, None),
     ("ro20", "complete", None, 5000, "budget-exceeded", 5000,
-     {"no-feasible-split": 212, "pair-unliftable": 55}, None),
+     {"no-feasible-split": 193, "pair-unliftable": 73}, None),
     ("ro38", "complete", None, 20_000, "budget-exceeded", 20_000,
-     {"no-feasible-split": 1295, "pair-unliftable": 735}, None),
+     {"no-feasible-split": 1814, "pair-unliftable": 339}, None),
     # the benchmark's search-blocks op
     ("ro38", "complete", None, 200_000, "budget-exceeded", 200_000,
-     {"no-feasible-split": 6071, "pair-unliftable": 15039}, None),
+     {"no-feasible-split": 17419, "pair-unliftable": 1786}, None),
 ]
 
 
@@ -215,8 +231,8 @@ def test_search_nesting_pinned(
         if name == "bool4"
         else _point_sets(name)
     )
-    spec = SearchSpec(BLOCK_TARGETS[target], node_budget=budget, seed=seed)
-    out = search_nesting(blocks, spec)
+    goal, kind = BLOCK_TARGETS[target]
+    out = search_nesting(blocks, SearchSpec(goal, node_budget=budget, seed=seed))
     assert out.status == status
     assert out.stats.nodes == nodes
     assert dict(out.stats.prunes) == prunes
@@ -224,6 +240,8 @@ def test_search_nesting_pinned(
         assert out.witness is None
     else:
         assert _witness_digest(serialize_design(out.witness)) == witness
+        assert verify_steiner(out.witness).ok
+        assert classify(out.witness).kind == kind
 
 
 def test_search_nesting_has_no_depth_limit():
@@ -237,7 +255,7 @@ def test_search_nesting_has_no_depth_limit():
         sys.setrecursionlimit(limit)
     assert out.status == "budget-exceeded"
     assert out.stats.nodes == 3000
-    assert dict(out.stats.prunes) == {"no-feasible-split": 225, "pair-unliftable": 56}
+    assert dict(out.stats.prunes) == {"no-feasible-split": 224, "pair-unliftable": 54}
 
 
 def test_rotational_search_recovers_ro20():
@@ -260,14 +278,14 @@ def test_rotational_search_recovers_ro62():
 # forced to multiplicity 4.
 ROTATIONAL_PINS = [
     ("ro20", "complete", None, None, "found", 23, {"no-feasible-split": 2}, "69987953d34d1148"),
-    ("ro20", "complete", 2, None, "found", 107, {"no-feasible-split": 27}, "ec23a8847d543b60"),
-    ("ro20", "complete", 3, None, "found", 51, {"no-feasible-split": 10}, "df73a79d9cc05eb9"),
+    ("ro20", "complete", 2, None, "found", 102, {"no-feasible-split": 24}, "ec23a8847d543b60"),
+    ("ro20", "complete", 3, None, "found", 60, {"no-feasible-split": 11}, "df73a79d9cc05eb9"),
     ("ro26", "complete", None, None, "found", 26, {}, "585f82856e0f5c71"),
     ("ro26", "complete", 3, None, "found", 64, {"no-feasible-split": 7}, "ec2d02f286f03f77"),
     ("ro26", "uniform5", 4, 400, "refused", 0, {}, None),
     ("bool32", "complete", 1, None, "found", 8, {}, "3c2c2e00d3492e0f"),
-    ("ro38", "complete", 1, 3000, "budget-exceeded", 3000, {"no-feasible-split": 718}, None),
-    ("ro38", "complete", 5, 3000, "found", 709, {"no-feasible-split": 158}, "7f957f082de87e85"),
+    ("ro38", "complete", 1, 3000, "budget-exceeded", 3000, {"no-feasible-split": 640}, None),
+    ("ro38", "complete", 5, 3000, "found", 438, {"no-feasible-split": 87}, "7f957f082de87e85"),
 ]
 
 
@@ -290,6 +308,9 @@ def test_rotational_search_pinned(
         assert out.witness is None
     else:
         assert _witness_digest(serialize_base_spec(out.witness)) == witness
+        design = rotational_expand(out.witness)
+        assert verify_steiner(design).ok
+        assert classify(design).kind == "complete-uniform"
 
 
 def test_rotational_search_has_no_depth_limit():
@@ -302,7 +323,7 @@ def test_rotational_search_has_no_depth_limit():
     finally:
         sys.setrecursionlimit(limit)
     assert out.status == "found"
-    assert out.stats.nodes == 709
+    assert out.stats.nodes == 438
 
 
 def test_rotational_search_refuses_bad_order():
@@ -397,9 +418,12 @@ def test_local_balance_rejects_empty_or_negative_band(lo, hi):
 # ---------------------------------------------------------------------------
 # differential check of the split-assignment engine
 
-# The engine as it was before the floor gate and the inlined count
-# updates, kept verbatim as the reference: the engine in search.py must
-# visit the same nodes in the same order.
+# The engine as it was before the floor gate, the inlined count updates
+# and the buckets, kept as the reference: it scans the whole unassigned
+# set for the lowest unit with the fewest feasible options, and its watch
+# walks update every unit.  It differs from that engine only in the tie
+# rule and in checking the node budget before each option.  The engine
+# in search.py must visit the same nodes in the same order.
 
 def reference_assign_splits(
     contribs: list[tuple[tuple[int, int], ...]],
@@ -547,7 +571,8 @@ def reference_assign_splits(
     unassigned = set(range(n_units))
     n_free = n_units
     stack: list[list] = []  # [unit, its feasible options, next position]
-    while True:
+    status = None
+    while status is None:
         # a fresh node: a leaf, a budget stop, or a branch on the unit
         # with the fewest feasible options
         if not n_free:
@@ -561,7 +586,7 @@ def reference_assign_splits(
             slack = nd_cells - n_cells + counts.count(0) if pinned else max_new
             if slack < max_new:
                 least = 4
-                for u in unassigned:
+                for u in sorted(unassigned):
                     k = len(options(u, slack))
                     if k < least:
                         i, least = u, k
@@ -572,9 +597,7 @@ def reference_assign_splits(
             else:
                 least = 0 if tally[0] else 1 if tally[1] else 2 if tally[2] else 3
                 if least:
-                    for i in unassigned:
-                        if nfeas[i] == least:
-                            break
+                    i = min(u for u in unassigned if nfeas[u] == least)
                     opts = [o for o in range(3 * i, 3 * i + 3) if not over[o]]
             if least:
                 unassigned.discard(i)
@@ -604,6 +627,9 @@ def reference_assign_splits(
                     for cl, inc in spans[i]:
                         reach[cl] += inc
                 continue
+            if nodes >= budget:
+                status = "budget-exceeded"
+                break
             frame[2] = pos + 1
             nodes += 1
             o = opts[pos]
@@ -626,7 +652,6 @@ def reference_assign_splits(
             break
         else:
             status = "exhausted"
-            break
 
     stats = SearchStats(nodes=nodes, elapsed=time.monotonic() - start)
     for name, n in (
@@ -728,6 +753,7 @@ def test_engine_matches_reference(name, level, seeds):
                 want = reference_assign_splits(
                     contribs, n_cells, lo, hi, nd, unliftable, spec
                 )
+                assert got[2].nodes <= 300
                 # chosen at a budget stop pins the node order
                 assert (got[0], got[1], got[2].nodes, got[2].prunes) == (
                     want[0], want[1], want[2].nodes, want[2].prunes
