@@ -222,8 +222,9 @@ def _assign_splits(
     unit with the fewest feasible options, ties going to the lowest unit
     index, so the node order depends on nothing but the input.  Domains
     are kept incrementally: a move updates only the options of free units
-    that watch a cell whose count it changed, and buckets of free units by
-    feasible count give the fail-first choice without scoring every unit.
+    that watch a cell whose count it changed, and C-level scans of a
+    bytearray of feasible counts give the fail-first choice without
+    scoring every unit.
     A count change that ends at or below its cell's lowest watched
     threshold flips no option and skips the watch lists altogether.
     ``stats.nodes`` never exceeds ``spec.node_budget``.
@@ -235,7 +236,7 @@ def _assign_splits(
     # nonzero cells).  That test binds only while the slack is below
     # max_new, the most cells one option touches; then the options of
     # each free unit are counted afresh at every node, in ascending unit
-    # order, instead of read from the buckets.
+    # order, instead of read from nfeas.
     pinned = nd_cells is not None and not complete
     max_new = max(map(len, contribs), default=0)
     # no unassigned unit can lower the deficit by more than this
@@ -273,8 +274,10 @@ def _assign_splits(
     # skipped updates would have cancelled.  When the unit is popped, the
     # counts are back to their values at its branch, so its frozen
     # entries are correct again.  nfeas[i] counts a free unit's options
-    # with over == 0 (recomputed when it is popped), and bucket[k] is the
-    # set of free units with nfeas == k.
+    # with over == 0 (recomputed when it is popped); a unit on the stack
+    # holds 4, above any count.  So ``0 in nfeas`` is a dead end, and
+    # otherwise the first of nfeas.find(1), find(2), find(3) to hit is the
+    # lowest unit among the fewest feasible options.
     watch = [[[] for _ in range(mu_hi)] for _ in range(n_cells)]
     over = [0] * len(contribs)
     for o, con in enumerate(contribs):
@@ -285,11 +288,8 @@ def _assign_splits(
                 watch[cl][mu_hi - inc].append((o, o // 3))
     floor = [next((t for t, w in enumerate(ws) if w), mu_hi) for ws in watch]
 
-    nfeas = [(not over[o]) + (not over[o + 1]) + (not over[o + 2])
-             for o in range(0, len(contribs), 3)]
-    bucket: list[set[int]] = [set() for _ in range(4)]
-    for i, k in enumerate(nfeas):
-        bucket[k].add(i)
+    nfeas = bytearray((not over[o]) + (not over[o + 1]) + (not over[o + 2])
+                      for o in range(0, len(contribs), 3))
     free = [True] * n_units  # not on the stack
     units = [(o, o + 1, o + 2) for o in range(0, len(contribs), 3)]
     # deficit = sum of gap[count] over cells: how far the live cells sit
@@ -339,20 +339,22 @@ def _assign_splits(
                 if least:
                     opts = options(i, slack)
             else:
-                least = 0 if bucket[0] else 1 if bucket[1] else 2 if bucket[2] else 3
+                least = 0 if 0 in nfeas else 1
                 if least:
-                    i = min(bucket[least])
-                    if least == 1:  # a forced unit: its one open option
+                    i = nfeas.find(1)
+                    if i >= 0:  # a forced unit: its one open option
                         o = 3 * i
                         while over[o]:
                             o += 1
                         opts = (o,)
-                    elif least == 2:
+                    elif (i := nfeas.find(2)) >= 0:
+                        least = 2
                         opts = tuple(o for o in units[i] if not over[o])
                     else:
+                        least, i = 3, nfeas.find(3)
                         opts = units[i]
             if least:
-                bucket[nfeas[i]].remove(i)
+                nfeas[i] = 4
                 free[i] = False
                 n_free -= 1
                 if unliftable:
@@ -379,17 +381,13 @@ def _assign_splits(
                                     n = over[o2] - 1
                                     over[o2] = n
                                     if not n:  # o2 fits again
-                                        k = nfeas[j]
-                                        nfeas[j] = k + 1
-                                        bucket[k].remove(j)
-                                        bucket[k + 1].add(j)
+                                        nfeas[j] += 1
             if pos == len(opts):
                 stack.pop()
                 free[i] = True
                 n_free += 1
                 o = 3 * i
-                nfeas[i] = k = (not over[o]) + (not over[o + 1]) + (not over[o + 2])
-                bucket[k].add(i)
+                nfeas[i] = (not over[o]) + (not over[o + 1]) + (not over[o + 2])
                 if unliftable:
                     for cl in lifts[i]:
                         reach[cl] += 1
@@ -414,10 +412,7 @@ def _assign_splits(
                                 n = over[o2]
                                 over[o2] = n + 1
                                 if not n:  # o2 stopped fitting
-                                    k = nfeas[j]
-                                    nfeas[j] = k - 1
-                                    bucket[k].remove(j)
-                                    bucket[k - 1].add(j)
+                                    nfeas[j] -= 1
             if deficit > capacity * n_free:
                 over_capacity += 1
                 continue

@@ -434,3 +434,57 @@ def test_cli_fuzz_exits_cleanly(tmp_path_factory, data):
         assert "Traceback" not in err
         if code == 2:
             assert err.startswith("error: ") and err.count("\n") == 1, (argv[0], err)
+
+
+_SEARCH_TARGETS = (
+    ["--target", "uniform", "--mu", "2"],
+    ["--target", "complete-uniform"],
+    ["--target", "minimum-uniform"],
+    ["--target", "quasi-uniform", "--mu", "1"],
+)
+# small inputs that the search accepts, so that edits of them reach it
+_SEARCH_SEEDS = (
+    serialize_design(catalog_get("sqs8uniform").design()),
+    serialize_design(catalog_get("sqs10").design()),
+    serialize_base_spec(catalog_get("ro20").payload),
+)
+
+
+@st.composite
+def _search_files(draw):
+    """A fuzz file, or a small design or base spec with a few of its
+    block lines resplit (it stays an SQS), dropped or replaced."""
+    if draw(st.booleans()):
+        return draw(_fuzz_files())
+    lines = draw(st.sampled_from(_SEARCH_SEEDS)).splitlines()
+    for _ in range(draw(st.integers(0, 3))):
+        k = draw(st.integers(1, len(lines) - 1))
+        edit = draw(st.sampled_from(["resplit", "resplit", "drop", "replace"]))
+        words = lines[k].split()
+        if edit == "resplit" and len(words) == 5:
+            a, b, _, c, d = words
+            lines[k] = draw(st.sampled_from([f"{a} {c} | {b} {d}", f"{a} {d} | {b} {c}"]))
+        elif edit == "drop" and len(lines) > 2:
+            del lines[k]
+        else:
+            lines[k] = draw(_FUZZ_LINES)
+    return ("\n".join(lines) + "\n").encode()
+
+
+@settings(
+    max_examples=100,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(data=_search_files())
+def test_cli_search_fuzz_exits_cleanly(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("fuzz") / "input.nsqs"
+    path.write_bytes(data)
+    for target in _SEARCH_TARGETS:
+        argv = ["search", str(path), *target, "--budget", "50"]
+        code, _, err = _run_quietly(argv)
+        assert code in (0, 1, 2), (target, data)
+        assert "Traceback" not in err
+        if code == 2:
+            assert err.startswith("error: ") and err.count("\n") == 1, (target, err)

@@ -1,6 +1,8 @@
 """Nesting search: refusal, backtracking, rotational, local balance."""
 
+import functools
 import hashlib
+import random
 import sys
 import time
 from typing import Optional
@@ -419,9 +421,9 @@ def test_local_balance_rejects_empty_or_negative_band(lo, hi):
 # differential check of the split-assignment engine
 
 # The engine as it was before the floor gate, the inlined count updates
-# and the buckets, kept as the reference: it scans the whole unassigned
-# set for the lowest unit with the fewest feasible options, and its watch
-# walks update every unit.  It differs from that engine only in the tie
+# and the per-count fail-first pick, kept as the reference: it scans the
+# whole unassigned set for the lowest unit with the fewest feasible
+# options, and its watch walks update every unit.  It differs from that engine only in the tie
 # rule and in checking the node budget before each option.  The engine
 # in search.py must visit the same nodes in the same order.
 
@@ -740,23 +742,58 @@ def _engine_cases(name, level, seed):
             yield contribs, n_cells, res.mu_lo, res.mu_hi, nd
 
 
-@pytest.mark.parametrize(
-    "name,level,seeds", ENGINE_INPUTS, ids=[f"{n}-{lv}" for n, lv, _ in ENGINE_INPUTS]
-)
-def test_engine_matches_reference(name, level, seeds):
-    runs = 0
+def _sweep_cases(name, level, seeds):
+    """Every target of one entry, under each seed, at 300 nodes."""
     for seed in seeds:
-        for contribs, n_cells, lo, hi, nd in _engine_cases(name, level, seed):
-            for unliftable in (True, False):
-                spec = SearchSpec(complete_uniform(), node_budget=300)
-                got = search._assign_splits(contribs, n_cells, lo, hi, nd, unliftable, spec)
-                want = reference_assign_splits(
-                    contribs, n_cells, lo, hi, nd, unliftable, spec
-                )
-                assert got[2].nodes <= 300
-                # chosen at a budget stop pins the node order
-                assert (got[0], got[1], got[2].nodes, got[2].prunes) == (
-                    want[0], want[1], want[2].nodes, want[2].prunes
-                ), (seed, lo, hi, nd, unliftable)
-                runs += 1
+        for case in _engine_cases(name, level, seed):
+            yield case + (300, seed)
+
+
+def _ro38_complete_cases():
+    """The unseeded ro38 complete-uniform block search, deep enough to
+    branch on units with two and with three feasible options."""
+    contribs, n_cells = _engine_input(
+        search_nesting, _point_sets("ro38"), SearchSpec(band(0, 1), node_budget=0)
+    )
+    res = search._resolve_target(complete_uniform(), 38)
+    yield contribs, n_cells, res.mu_lo, res.mu_hi, res.nd_pairs, 4000, None
+
+
+def _synthetic_cases():
+    """256 units whose options touch no cell, then a random core of 64
+    units over 40 cells, so that the fail-first picks at every feasible
+    count land on unit indices past one byte."""
+    rng = random.Random(2)
+    contribs = [()] * (3 * 256)
+    for _ in range(3 * 64):
+        con = {}
+        while len(con) < 3:
+            con[int(rng.random() * 40)] = 1 + (rng.random() < 0.3)
+        contribs.append(tuple(sorted(con.items())))
+    for nd in (None, 36):
+        yield contribs, 40, 2, 5, nd, 4000, None
+
+
+ENGINE_SWEEP = {
+    f"{n}-{lv}": functools.partial(_sweep_cases, n, lv, seeds)
+    for n, lv, seeds in ENGINE_INPUTS
+}
+ENGINE_SWEEP["ro38-block-complete"] = _ro38_complete_cases
+ENGINE_SWEEP["synthetic-320"] = _synthetic_cases
+
+
+@pytest.mark.parametrize("case", ENGINE_SWEEP)
+def test_engine_matches_reference(case):
+    runs = 0
+    for contribs, n_cells, lo, hi, nd, budget, seed in ENGINE_SWEEP[case]():
+        for unliftable in (True, False):
+            spec = SearchSpec(complete_uniform(), node_budget=budget)
+            got = search._assign_splits(contribs, n_cells, lo, hi, nd, unliftable, spec)
+            want = reference_assign_splits(contribs, n_cells, lo, hi, nd, unliftable, spec)
+            assert got[2].nodes <= budget
+            # chosen at a budget stop pins the node order
+            assert (got[0], got[1], got[2].nodes, got[2].prunes) == (
+                want[0], want[1], want[2].nodes, want[2].prunes
+            ), (seed, lo, hi, nd, unliftable)
+            runs += 1
     assert runs
