@@ -24,19 +24,16 @@ from .analysis import (
 )
 from .catalog import CatalogEntry, catalog_get, catalog_names
 from .constructions import (
-    BlockClass,
     OneFactorization,
     RotationalSpec,
-    block_classes,
     boolean_blocks,
     boolean_rotational_design,
     boolean_sqs,
     boolean_to_rotational,
     doubling_a,
     doubling_b,
-    nest_from_class_reps,
-    negation_preserves_blocks,
     one_factorization,
+    orbit_spec,
     rotational_expand,
     rotational_spec,
 )

@@ -29,7 +29,7 @@ BOOL32_POLY = 0b100101  # x^5 + x^2 + 1
 @dataclass(frozen=True)
 class CatalogEntry:
     name: str
-    kind: str  # flat-design | rotational-spec | boolean-class-spec
+    kind: str  # flat-design | rotational-spec
     payload: Union[NestedDesign, RotationalSpec]
     expected: dict = field(default_factory=dict, compare=False)
 
@@ -175,9 +175,10 @@ _RO62_BASE = [
 
 _RO62_MULTIPLIERS = (1, 9, 20, 34, 58)
 
-# Base splits for the eight block classes of the rotational Boolean
-# SQS(32) built on x^5 + x^2 + 1; expanding them under shift and
-# doubling nests the whole system with every pair at multiplicity 5.
+# Base splits for the eight orbits of the rotational Boolean SQS(32)
+# built on x^5 + x^2 + 1 under all shifts and the multiplier group
+# {1, 2, 4, 8, 16} (Frobenius doubling in exponent coordinates);
+# expanding them nests the whole system with every pair at multiplicity 5.
 BOOL32_BASE_SPLITS = [
     ((0, 1), (2, 11)),
     ((0, 1), (3, 27)),
@@ -260,11 +261,9 @@ def _build_entries() -> dict[str, CatalogEntry]:
             "kind": "complete-uniform", "mu": 10,
         },
     )
-    # As a rotational spec, shift + doubling closure is the same orbit
-    # set as the multiplier group {1, 2, 4, 8, 16} with all shifts.
     entries["bool32"] = CatalogEntry(
         name="bool32",
-        kind="boolean-class-spec",
+        kind="rotational-spec",
         payload=rotational_spec(31, BOOL32_BASE_SPLITS, (1, 2, 4, 8, 16)),
         expected={
             "v": 32, "blocks": 1240, "nd_pairs": 496,

@@ -10,11 +10,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 from . import analysis, catalog, constructions, fileio, search
-from .core import nested_design, pair_census, verify_steiner
+from .core import pair_census, relabel, verify_steiner
 from .errors import NsqsError, ParseError
+from .gf2n import Gf2nField
 
 
 def _read(path: str) -> str:
@@ -55,30 +56,18 @@ def _mu_text(lo: int, hi: int) -> str:
 
 def _cmd_construct(args) -> int:
     if args.what == "boolean":
-        if args.nest == "none":
-            blocks = constructions.boolean_blocks(args.n)
-            design = nested_design(
-                1 << args.n,
-                [((b[0], b[1]), (b[2], b[3])) for b in blocks],
-            )
-        else:
+        if args.nest != "search":
             design = constructions.boolean_sqs(args.n, poly=args.poly)
-            if args.nest == "search":
-                target = (
-                    search.complete_uniform()
-                    if ((1 << args.n) - 2) % 6 == 0
-                    else search.quasi_uniform(1)
+        else:
+            out = _search_boolean(args.n, args.poly)
+            if out.status != "found":
+                print(
+                    f"search {out.status}"
+                    + (f": {out.reason}" if out.reason else ""),
+                    file=sys.stderr,
                 )
-                blocks = [b[0] + b[1] for b in design.blocks]
-                out = search.search_nesting(blocks, search.SearchSpec(target))
-                if out.status != "found":
-                    print(
-                        f"search {out.status}"
-                        + (f": {out.reason}" if out.reason else ""),
-                        file=sys.stderr,
-                    )
-                    return 1
-                design = out.witness
+                return 1
+            design = out.witness
     else:
         design = _load_design(args.input)
         if args.what == "doubling-a":
@@ -87,6 +76,37 @@ def _cmd_construct(args) -> int:
             design = constructions.doubling_b(design)
     sys.stdout.write(fileio.serialize_design(design))
     return 0
+
+
+def _search_boolean(n: int, poly) -> search.SearchOutcome:
+    """A uniform nesting of the Boolean SQS(2^n) over GF(2)^n.  For odd
+    n >= 5 it is chosen orbit by orbit under shift and Frobenius
+    doubling: in exponent coordinates, Z_p with multipliers {2^k mod p}."""
+    if n < 5 or n % 2 == 0:
+        design = constructions.boolean_sqs(n, poly=poly)
+        target = (
+            search.complete_uniform()
+            if ((1 << n) - 2) % 6 == 0
+            else search.quasi_uniform(1)
+        )
+        blocks = [b[0] + b[1] for b in design.blocks]
+        return search.search_nesting(blocks, search.SearchSpec(target))
+    field = Gf2nField(n, poly)
+    spec = constructions.orbit_spec(
+        constructions.boolean_rotational_design(n, poly),
+        {pow(2, k, field.order) for k in range(n)},
+    )
+    out = search.search_rotational(
+        spec, search.SearchSpec(search.complete_uniform())
+    )
+    if out.status != "found":
+        return out
+    # exponent i back to the field element alpha^i, the fixed point to 0
+    to_rot = constructions.boolean_to_rotational(field)
+    design = relabel(
+        constructions.rotational_expand(out.witness), sorted(to_rot, key=to_rot.get)
+    )
+    return replace(out, witness=replace(design, uses_infinity=False))
 
 
 def _cmd_expand(args) -> int:

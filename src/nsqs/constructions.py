@@ -1,9 +1,10 @@
 """Generative machinery for nested quadruple systems.
 
 Covers one-factorizations of K_v, Boolean systems over GF(2)^n and their
-rotational form, orbit expansion of rotational base blocks, block classes
-under shift and exponent doubling, and the two doubling constructions
-that lift a nested system of order v to one of order 2v.
+rotational form, orbit expansion of rotational base blocks and its
+inverse (``orbit_spec``: the base blocks of a design invariant under a
+shift and multiplier group), and the two doubling constructions that
+lift a nested system of order v to one of order 2v.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from .core import (
     NestedBlock,
     NestedDesign,
     Pair,
-    alternative_splits,
     block_points,
     canonical_block,
     canonical_pair,
@@ -28,7 +28,6 @@ from .core import (
 from .errors import (
     InconsistentSpecError,
     InvalidOrderError,
-    InvalidSplitError,
     NsqsError,
     PreconditionError,
 )
@@ -182,21 +181,6 @@ def rotational_spec(
     return spec
 
 
-def _rot_map(x: int, mult: int, shift: int, p: int) -> int:
-    """x -> mult*x + shift mod p with the infinity point (index p) fixed."""
-    if x == p:
-        return p
-    return (mult * x + shift) % p
-
-
-def map_block(block: NestedBlock, mult: int, shift: int, p: int) -> NestedBlock:
-    (a, b), (c, d) = block
-    return canonical_block(
-        (_rot_map(a, mult, shift, p), _rot_map(b, mult, shift, p)),
-        (_rot_map(c, mult, shift, p), _rot_map(d, mult, shift, p)),
-    )
-
-
 def rotational_expand(spec: RotationalSpec) -> NestedDesign:
     """Apply every multiplier and shift to every base block.
 
@@ -278,110 +262,44 @@ def _distinct_images(images: list[NestedBlock]) -> list[NestedBlock]:
     return list(seen.values())
 
 
-# ---------------------------------------------------------------------------
-# block classes (shift + exponent doubling)
+def orbit_spec(design: NestedDesign, multipliers) -> RotationalSpec:
+    """The rotational spec of a design over Z_p + {inf}, p = v - 1, that
+    is invariant under every map x -> m*x + s (m in ``multipliers``, s in
+    Z_p, the point p fixed).
 
-@dataclass(frozen=True)
-class BlockClass:
-    """Orbit of a block under shift (+1) and doubling (*2), inf fixed."""
-
-    p: int
-    representative: tuple[int, int, int, int]
-    orbit: frozenset[frozenset[int]]
-
-    @property
-    def size(self) -> int:
-        return len(self.orbit)
-
-
-def block_classes(n: int, poly: int | None = None) -> list[BlockClass]:
-    """Partition the rotational Boolean SQS(2^n) block set into classes."""
-    if n % 2 == 0:
-        raise InvalidOrderError(f"block classes are defined for odd n, got {n}")
-    design = boolean_rotational_design(n, poly)
-    p = (1 << n) - 1
-    remaining = {frozenset(b[0] + b[1]) for b in design.blocks}
-    classes = []
-    while remaining:
-        start = min(remaining, key=sorted)
-        orbit = {start}
-        queue = [start]
-        while queue:
-            blk = queue.pop()
-            for img in (
-                frozenset(_rot_map(x, 1, 1, p) for x in blk),
-                frozenset(_rot_map(x, 2, 0, p) for x in blk),
-            ):
-                if img not in orbit:
-                    orbit.add(img)
-                    queue.append(img)
-        rep = tuple(sorted(min(orbit, key=sorted)))
-        classes.append(BlockClass(p=p, representative=rep, orbit=frozenset(orbit)))
-        remaining -= orbit
-    classes.sort(key=lambda c: c.representative)
-    return classes
-
-
-def nest_from_class_reps(
-    classes: list[BlockClass], splits: list[NestedBlock]
-) -> NestedDesign:
-    """Propagate one chosen split per class to its whole orbit.
-
-    The split of the image block {2x,...} / {x+1,...} is the image of the
-    chosen split.  A block whose stabilizer moves the split is reported
-    as InconsistentSpecError: that class admits no orbit-consistent
-    nesting with this choice.
+    Each orbit's base block is its first block in design order, with the
+    design's split.  An image that is not a block of the design, or an
+    orbit shorter than p * |multipliers| (which rotational_expand cannot
+    express), raises InconsistentSpecError.
     """
-    if len(classes) != len(splits):
-        raise InvalidSplitError("need exactly one split per class")
-    p = classes[0].p
-    v = p + 1
-    seeds = []
-    for cls, split in zip(classes, splits):
-        split = canonical_block(*split)
-        # any orbit member works as the seed: propagation reaches the
-        # whole class from wherever the chosen split sits
-        if block_points(split) not in cls.orbit:
-            raise InvalidSplitError(
-                f"split {split} does not cover a block of the class of "
-                f"{cls.representative}"
+    p = design.v - 1
+    group = rotational_spec(p, (), multipliers).multipliers
+    blocks = {block_points(nb) for nb in design.blocks}
+    covered: set[frozenset[int]] = set()
+    base = []
+    for nb in design.blocks:
+        pts = block_points(nb)
+        if pts in covered:
+            continue
+        orbit = {
+            frozenset(x if x == p else (m * x + s) % p for x in pts)
+            for m in group
+            for s in range(p)
+        }
+        if not orbit <= blocks:
+            foreign = min(orbit - blocks, key=sorted)
+            raise InconsistentSpecError(
+                f"design is not invariant: block {sorted(pts)} maps to "
+                f"{sorted(foreign)}, which is not a block"
             )
-        seeds.append((cls, split))
-    assigned: dict[frozenset[int], NestedBlock] = {}
-    for cls, split in seeds:
-        queue = [split]
-        local: dict[frozenset[int], NestedBlock] = {block_points(split): split}
-        while queue:
-            nb = queue.pop()
-            for img in (map_block(nb, 1, 1, p), map_block(nb, 2, 0, p)):
-                pts = block_points(img)
-                prev = local.get(pts)
-                if prev is None:
-                    local[pts] = img
-                    queue.append(img)
-                elif prev != img:
-                    raise InconsistentSpecError(
-                        f"class of {cls.representative}: block {sorted(pts)} "
-                        f"requires both splits {prev} and {img}"
-                    )
-        assigned.update(local)
-    if len(assigned) != expected_block_count(v):
-        raise InconsistentSpecError(
-            f"classes cover {len(assigned)} blocks, expected {expected_block_count(v)}"
-        )
-    return nested_design(v, assigned.values(), uses_infinity=True)
-
-
-def negation_preserves_blocks(n: int, poly: int | None = None) -> bool:
-    """Whether negating all finite exponents maps the block set to itself."""
-    design = boolean_rotational_design(n, poly)
-    p = (1 << n) - 1
-    blocks = {frozenset(b[0] + b[1]) for b in design.blocks}
-    for blk in blocks:
-        neg = frozenset(p if x == p else (-x) % p for x in blk)
-        if neg not in blocks:
-            return False
-    return True
+        if len(orbit) != p * len(group):
+            raise InconsistentSpecError(
+                f"orbit of block {sorted(pts)} holds {len(orbit)} blocks, "
+                f"expected {p * len(group)}"
+            )
+        covered |= orbit
+        base.append(nb)
+    return RotationalSpec(p=p, base_blocks=tuple(base), multipliers=group)
 
 
 # ---------------------------------------------------------------------------

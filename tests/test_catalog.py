@@ -62,7 +62,7 @@ def test_ro62_multipliers():
 
 def test_bool32_entry_shape():
     entry = catalog_get("bool32")
-    assert entry.kind == "boolean-class-spec"
+    assert entry.kind == "rotational-spec"
     assert entry.expected["poly"] == BOOL32_POLY == 0b100101
     assert len(entry.payload.base_blocks) == 8
     assert sorted(entry.payload.multipliers) == [1, 2, 4, 8, 16]
@@ -78,5 +78,5 @@ def test_entry_kinds():
         "ro26": "rotational-spec",
         "ro38": "rotational-spec",
         "ro62": "rotational-spec",
-        "bool32": "boolean-class-spec",
+        "bool32": "rotational-spec",
     }

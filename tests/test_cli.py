@@ -1,5 +1,6 @@
 """Command-line surface: subcommands, exit codes, JSON output."""
 
+import hashlib
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
@@ -7,7 +8,14 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from nsqs import catalog_get, serialize_base_spec, serialize_design
+from nsqs import (
+    block_points,
+    boolean_blocks,
+    catalog_get,
+    parse_design,
+    serialize_base_spec,
+    serialize_design,
+)
 from nsqs.cli import main
 
 
@@ -116,6 +124,73 @@ def test_construct_boolean_needs_n(capsys):
     code, _, err = run(capsys, "construct", "boolean")
     assert code == 2
     assert "--n" in err
+
+
+@pytest.mark.parametrize("nest", ["none", "catalog", "search"])
+@pytest.mark.parametrize("n", [-1, 0, 1])
+def test_construct_boolean_rejects_small_n(capsys, nest, n):
+    code, out, err = run(capsys, "construct", "boolean", "--n", str(n), "--nest", nest)
+    assert (code, out) == (2, "")
+    assert err == f"error: boolean system needs n >= 2, got {n}\n"
+
+
+@pytest.mark.parametrize("nest", ["none", "catalog", "search"])
+def test_construct_boolean_rejects_non_primitive_poly(capsys, nest):
+    # x^3 + x^2 + x + 1 = (x + 1)^3
+    code, out, err = run(
+        capsys, "construct", "boolean", "--n", "3", "--poly", "0b1111", "--nest", nest
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: modulus 0b1111 is not primitive for n=3\n"
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_construct_boolean_none_is_catalog(capsys, n):
+    _, none, _ = run(capsys, "construct", "boolean", "--n", str(n), "--nest", "none")
+    _, default, _ = run(capsys, "construct", "boolean", "--n", str(n))
+    assert none == default
+
+
+# sha256 of the witness of the flat block search, which n < 5 still take
+BOOLEAN_FLAT_SEARCH_SHA256 = {
+    2: "e2b777186ca6f62d77ad646fcc1e01c8bc9fdbb9d3ea71a9f171092518c52b4b",
+    3: "6fa7f5c2c593fe6a996aff212225a847d91a439f6b0a1b7d942d01b0a7c10f65",
+}
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_construct_boolean_flat_search_pinned(capsys, n):
+    code, out, _ = run(
+        capsys, "construct", "boolean", "--n", str(n), "--nest", "search"
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == BOOLEAN_FLAT_SEARCH_SHA256[n]
+
+
+@pytest.mark.parametrize(
+    "n,first_line",
+    [(5, "complete-uniform M=496 mu=5"), (7, "complete-uniform M=8128 mu=21")],
+)
+def test_construct_boolean_orbit_search(capsys, tmp_path, n, first_line):
+    code, out, _ = run(
+        capsys, "construct", "boolean", "--n", str(n), "--nest", "search"
+    )
+    assert code == 0
+    path = tmp_path / "witness.nsqs"
+    path.write_text(out)
+    assert run(capsys, "verify", str(path))[:2] == (
+        0, f"ok v={1 << n} blocks={len(boolean_blocks(n))}\n"
+    )
+    code, text, _ = run(capsys, "classify", str(path))
+    assert code == 0
+    assert text.splitlines()[0] == first_line
+    # the same block set over the same GF(2)^n labels as --nest none
+    _, flat, _ = run(capsys, "construct", "boolean", "--n", str(n), "--nest", "none")
+    witness, plain = parse_design(out), parse_design(flat)
+    assert not witness.uses_infinity
+    assert {block_points(b) for b in witness.blocks} == {
+        block_points(b) for b in plain.blocks
+    }
 
 
 def test_construct_doubling_a(capsys, tmp_path):

@@ -14,7 +14,6 @@ from nsqs import (
     PreconditionError,
     RotationalSpec,
     alternative_splits,
-    block_classes,
     block_points,
     boolean_blocks,
     boolean_rotational_design,
@@ -25,16 +24,18 @@ from nsqs import (
     doubling_a,
     doubling_b,
     expected_block_count,
-    nest_from_class_reps,
-    negation_preserves_blocks,
     nested_design,
     one_factorization,
+    orbit_spec,
     pair_census,
     rotational_expand,
     rotational_spec,
     serialize_design,
     verify_steiner,
 )
+from nsqs.catalog import BOOL32_POLY
+
+BOOL32_MULTIPLIERS = (1, 2, 4, 8, 16)
 
 
 @pytest.mark.parametrize("v", [4, 6, 8, 10, 16, 20])
@@ -224,64 +225,112 @@ def test_rotational_spec_rejects_point_out_of_range():
         rotational_spec(7, [((0, 1), (2, 9))])
 
 
-def test_block_classes_n3():
-    classes = block_classes(3)
-    assert [c.size for c in classes] == [7, 7]
-    assert classes[0].representative == (0, 1, 2, 5)
-    assert classes[1].representative == (0, 1, 3, 7)
-    covered = set()
-    for c in classes:
-        covered |= set(c.orbit)
-    assert len(covered) == 14
+# ---------------------------------------------------------------------------
+# orbit specs: the Boolean SQS under shift and Frobenius doubling
 
 
-def test_block_classes_n5():
-    classes = block_classes(5)
-    assert len(classes) == 8
-    assert all(c.size == 155 for c in classes)
+def _orbit(pts, p, multipliers):
+    return {
+        frozenset(x if x == p else (m * x + s) % p for x in pts)
+        for m in multipliers
+        for s in range(p)
+    }
 
 
-def test_block_classes_rejects_even_n():
-    with pytest.raises(InvalidOrderError):
-        block_classes(4)
+def test_orbit_spec_boolean_n3_orbits():
+    design = boolean_rotational_design(3)
+    spec = orbit_spec(design, {1})
+    assert [block_points(b) for b in spec.base_blocks] == [
+        frozenset({0, 1, 2, 5}), frozenset({0, 1, 3, 7}),
+    ]
+    # the default splits are not orbit-consistent; the point sets are
+    assert {block_points(b) for b in rotational_expand(spec).blocks} == {
+        block_points(b) for b in design.blocks
+    }
 
 
-def test_nest_from_class_reps_equals_catalog_bool32():
-    classes = block_classes(5)
-    fixture = catalog_get("bool32")
-    splits = list(fixture.payload.base_blocks)
-    # align each catalog base split with its class
-    ordered = []
-    for cls in classes:
-        match = [s for s in splits if block_points(s) in cls.orbit]
-        assert len(match) == 1
-        ordered.append(match[0])
-    design = nest_from_class_reps(classes, ordered)
-    assert design == fixture.design()
+def test_orbit_spec_refuses_boolean_n3():
+    # doubling fixes both orbits of 7: 7 blocks per orbit, not 7 * 3
+    with pytest.raises(InconsistentSpecError) as info:
+        orbit_spec(boolean_rotational_design(3), {1, 2, 4})
+    assert str(info.value) == (
+        "orbit of block [0, 1, 2, 5] holds 7 blocks, expected 21"
+    )
 
 
-def test_nest_from_class_reps_rejects_foreign_split():
-    classes = block_classes(3)
-    good = alternative_splits(classes[0].representative)[0]
-    with pytest.raises(InvalidSplitError):
-        nest_from_class_reps(classes, [good, good])
+def test_orbit_spec_refuses_boolean_even_n():
+    with pytest.raises(InconsistentSpecError, match="holds 15 blocks, expected 60"):
+        orbit_spec(boolean_rotational_design(4), {1, 2, 4, 8})
 
 
 def test_no_consistent_class_nesting_for_n3():
-    """Both classes at n=3 have order-3 stabilizers that move every
-    split, so no orbit-consistent nesting exists at all.  Seeding from a
-    representative is enough: propagation visits the whole orbit either
-    way, so every seed hits the same stabilizer conflict."""
-    classes = block_classes(3)
-    for s0 in alternative_splits(classes[0].representative):
-        for s1 in alternative_splits(classes[1].representative):
-            with pytest.raises(InconsistentSpecError):
-                nest_from_class_reps(classes, [s0, s1])
+    """Both orbits at n=3 have order-3 stabilizers under {1, 2, 4} that
+    move every split, so no orbit-consistent nesting exists at all."""
+    for s0 in alternative_splits((0, 1, 2, 5)):
+        for s1 in alternative_splits((0, 1, 3, 7)):
+            with pytest.raises(InconsistentSpecError, match="conflicting splits"):
+                rotational_expand(rotational_spec(7, [s0, s1], (1, 2, 4)))
+
+
+def test_orbit_spec_boolean_n5():
+    spec = orbit_spec(boolean_rotational_design(5), BOOL32_MULTIPLIERS)
+    assert len(spec.base_blocks) == 8
+    orbits = [_orbit(block_points(b), 31, BOOL32_MULTIPLIERS) for b in spec.base_blocks]
+    assert [len(o) for o in orbits] == [155] * 8
+    assert len(set().union(*orbits)) == 1240
+
+
+def _bool32_orbit_spec():
+    return orbit_spec(
+        boolean_rotational_design(5, BOOL32_POLY), BOOL32_MULTIPLIERS
+    )
+
+
+def test_orbit_splits_expand_to_catalog_bool32():
+    spec = _bool32_orbit_spec()
+    splits = catalog_get("bool32").payload.base_blocks
+    # align each catalog base split with its orbit
+    ordered = []
+    for base in spec.base_blocks:
+        orbit = _orbit(block_points(base), 31, BOOL32_MULTIPLIERS)
+        match = [s for s in splits if block_points(s) in orbit]
+        assert len(match) == 1
+        ordered.append(match[0])
+    design = rotational_expand(rotational_spec(31, ordered, BOOL32_MULTIPLIERS))
+    assert design == catalog_get("bool32").design()
+
+
+def test_orbit_spec_rejects_foreign_split():
+    base = list(_bool32_orbit_spec().base_blocks)
+    # a second split from the first orbit in place of the second orbit's
+    base[1] = alternative_splits(block_points(base[0]))[1]
+    with pytest.raises(InconsistentSpecError, match="conflicting splits"):
+        rotational_expand(rotational_spec(31, base, BOOL32_MULTIPLIERS))
 
 
 def test_negation_does_not_preserve_blocks():
-    assert negation_preserves_blocks(3) is False
-    assert negation_preserves_blocks(5) is False
+    for n in (3, 5):
+        p = (1 << n) - 1
+        with pytest.raises(InconsistentSpecError, match="not invariant"):
+            orbit_spec(boolean_rotational_design(n), {1, p - 1})
+
+
+@pytest.mark.parametrize(
+    "name", ["ro20", "ro26", "ro38", "ro62", "bool32", "sqs8uniform"]
+)
+def test_orbit_spec_round_trip(name):
+    entry = catalog_get(name)
+    design = entry.design()
+    multipliers = getattr(entry.payload, "multipliers", {1})
+    spec = orbit_spec(design, multipliers)
+    assert spec.multipliers == frozenset(multipliers)
+    assert rotational_expand(spec) == design
+
+
+@pytest.mark.parametrize("name", ["sqs10", "bool8"])
+def test_orbit_spec_refuses_non_invariant(name):
+    with pytest.raises(InconsistentSpecError, match="not invariant"):
+        orbit_spec(catalog_get(name).design(), {1})
 
 
 # ---------------------------------------------------------------------------
