@@ -13,7 +13,14 @@ from dataclasses import dataclass
 from math import comb
 from typing import Optional
 
-from .core import NestedDesign, Pair, PairCensus, pair_census, total_pair_slots
+from .core import (
+    NestedBlock,
+    NestedDesign,
+    Pair,
+    PairCensus,
+    pair_census,
+    total_pair_slots,
+)
 from .errors import InvalidModulusError, InvalidOrderError, NsqsError
 from .constructions import RotationalSpec
 
@@ -230,17 +237,48 @@ class FeasibilityRow:
     exclusions: tuple[Exclusion, ...]
 
 
+def uniform_obstruction(v: int, mu: int, m: Optional[int] = None) -> Optional[str]:
+    """Why no uniform nesting of order v has multiplicity mu and m
+    ND-pairs (m = None leaves the count free), or None if every counting
+    and divisibility condition holds.  A mu that is None or below 1
+    raises NsqsError."""
+    if mu is None or mu < 1:
+        raise NsqsError("uniform target needs mu >= 1")
+    total = total_pair_slots(v)
+    if total % mu:
+        return f"multiplicity {mu} does not divide the total pair count {total}"
+    if m is None:
+        m = total // mu
+    if m * mu != total:
+        return (
+            f"{m} ND-pairs at multiplicity {mu} gives {m * mu} pair slots, "
+            f"but the total is {total}"
+        )
+    if m < min_nd_pairs_raised(v):
+        if v % 12 in (2, 10) and m >= min_nd_pairs(v):
+            return (
+                f"ND-pair count {m} is below the v^2/4 lower bound "
+                f"{v * v // 4} for v = 2, 10 (mod 12)"
+            )
+        return f"ND-pair count {m} is below the lower bound {min_nd_pairs(v)}"
+    if m > comb(v, 2):
+        return f"ND-pair count {m} exceeds the number of pairs {comb(v, 2)}"
+    if ((v - 1) * (v - 2) // 6) % mu:
+        return (
+            f"multiplicity {mu} does not divide the per-point block "
+            f"count {(v - 1) * (v - 2) // 6}"
+        )
+    if (2 * m) % v:
+        return f"v={v} does not divide twice the ND-pair count {m}"
+    if mu > (v - 2) // 2:
+        return f"multiplicity {mu} exceeds the maximum {(v - 2) // 2}"
+    return None
+
+
 def _survives(v: int, m: int) -> Optional[int]:
     """Multiplicity of a surviving candidate with m ND-pairs, else None."""
-    total = total_pair_slots(v)
-    if total % m:
-        return None
-    mu = total // m
-    if ((v - 1) * (v - 2) // 6) % mu:
-        return None
-    if (2 * m) % v:
-        return None
-    if m < min_nd_pairs_raised(v):
+    mu, rest = divmod(total_pair_slots(v), m)
+    if rest or uniform_obstruction(v, mu, m) is not None:
         return None
     return mu
 
@@ -354,25 +392,23 @@ class DifferenceCensus:
         return counts
 
 
-def difference_class(d: int, p: int) -> int:
-    d %= p
-    return min(d, p - d)
+def split_classes(split: NestedBlock, p: int, multipliers) -> list[int]:
+    """The difference class min(d, p - d), d = m * (b - a) mod p, of each
+    finite pair (a, b) of a split over Z_p + {inf} under each multiplier
+    m, pair by pair."""
+    diffs = [m * (b - a) % p for a, b in split if p not in (a, b) for m in multipliers]
+    return [min(d, p - d) for d in diffs]
 
 
 def difference_census(spec: RotationalSpec) -> DifferenceCensus:
     spec.validate()
     p = spec.p
-    inf_count = 0
     class_counts: dict[int, int] = {}
     for block in spec.base_blocks:
-        for pair in block:
-            if p in pair:
-                inf_count += len(spec.multipliers)
-            else:
-                d = pair[1] - pair[0]
-                for mult in spec.multipliers:
-                    key = difference_class(mult * d, p)
-                    class_counts[key] = class_counts.get(key, 0) + 1
+        for key in split_classes(block, p, spec.multipliers):
+            class_counts[key] = class_counts.get(key, 0) + 1
+    inf_pairs = sum(p in pair for block in spec.base_blocks for pair in block)
+    inf_count = len(spec.multipliers) * inf_pairs
     return DifferenceCensus(p=p, inf_count=inf_count, class_counts=class_counts)
 
 

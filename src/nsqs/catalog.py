@@ -29,9 +29,14 @@ BOOL32_POLY = 0b100101  # x^5 + x^2 + 1
 @dataclass(frozen=True)
 class CatalogEntry:
     name: str
-    kind: str  # flat-design | rotational-spec
     payload: Union[NestedDesign, RotationalSpec]
     expected: dict = field(default_factory=dict, compare=False)
+
+    @property
+    def kind(self) -> str:
+        if isinstance(self.payload, RotationalSpec):
+            return "rotational-spec"
+        return "flat-design"
 
     def design(self) -> NestedDesign:
         """The full nested design (expanding rotational payloads)."""
@@ -196,7 +201,6 @@ def _build_entries() -> dict[str, CatalogEntry]:
 
     entries["bool8"] = CatalogEntry(
         name="bool8",
-        kind="flat-design",
         payload=nested_design(8, _BOOL8_BLOCKS),
         expected={
             "v": 8, "blocks": 14, "nd_pairs": 12,
@@ -205,7 +209,6 @@ def _build_entries() -> dict[str, CatalogEntry]:
     )
     entries["sqs8uniform"] = CatalogEntry(
         name="sqs8uniform",
-        kind="flat-design",
         payload=nested_design(8, _SQS8_UNIFORM_BLOCKS, uses_infinity=True),
         expected={
             "v": 8, "blocks": 14, "nd_pairs": 28,
@@ -218,7 +221,6 @@ def _build_entries() -> dict[str, CatalogEntry]:
     ]
     entries["sqs10"] = CatalogEntry(
         name="sqs10",
-        kind="flat-design",
         payload=nested_design(10, sqs10_blocks),
         expected={
             "v": 10, "blocks": 30, "nd_pairs": 30,
@@ -227,7 +229,6 @@ def _build_entries() -> dict[str, CatalogEntry]:
     )
     entries["ro20"] = CatalogEntry(
         name="ro20",
-        kind="rotational-spec",
         payload=rotational_spec(19, _RO20_BASE),
         expected={
             "v": 20, "blocks": 285, "nd_pairs": 190,
@@ -236,7 +237,6 @@ def _build_entries() -> dict[str, CatalogEntry]:
     )
     entries["ro26"] = CatalogEntry(
         name="ro26",
-        kind="rotational-spec",
         payload=rotational_spec(25, _RO26_BASE),
         expected={
             "v": 26, "blocks": 650, "nd_pairs": 325,
@@ -245,7 +245,6 @@ def _build_entries() -> dict[str, CatalogEntry]:
     )
     entries["ro38"] = CatalogEntry(
         name="ro38",
-        kind="rotational-spec",
         payload=rotational_spec(37, _RO38_BASE),
         expected={
             "v": 38, "blocks": 2109, "nd_pairs": 703,
@@ -254,7 +253,6 @@ def _build_entries() -> dict[str, CatalogEntry]:
     )
     entries["ro62"] = CatalogEntry(
         name="ro62",
-        kind="rotational-spec",
         payload=rotational_spec(61, _RO62_BASE, _RO62_MULTIPLIERS),
         expected={
             "v": 62, "blocks": 9455, "nd_pairs": 1891,
@@ -263,7 +261,6 @@ def _build_entries() -> dict[str, CatalogEntry]:
     )
     entries["bool32"] = CatalogEntry(
         name="bool32",
-        kind="rotational-spec",
         payload=rotational_spec(31, BOOL32_BASE_SPLITS, (1, 2, 4, 8, 16)),
         expected={
             "v": 32, "blocks": 1240, "nd_pairs": 496,

@@ -200,16 +200,20 @@ def rotational_images(spec: RotationalSpec) -> list[NestedBlock]:
     spec.validate()
     p = spec.p
     v = spec.v
-    # rot[x]: the image of point x under each of the p shifts, in order
-    rot = [list(range(x, p)) + list(range(x)) for x in range(p)]
-    rot.append([p] * p)
+    cycle = list(range(p)) * 2
+    fixed = [p] * p
+
+    def shifts(x: int) -> list[int]:
+        """The images of point x under each of the p shifts, in order."""
+        return fixed if x == p else cycle[x:x + p]
+
     multipliers = sorted(spec.multipliers)
     images: list[NestedBlock] = []
     try:
         for (a, b), (c, d) in spec.base_blocks:
             for m in multipliers:
                 ra, rb, rc, rd = (
-                    rot[pt if pt == p else m * pt % p] for pt in (a, b, c, d)
+                    shifts(pt if pt == p else m * pt % p) for pt in (a, b, c, d)
                 )
                 # the shift-0 image raises for a degenerate base block
                 canonical_block((ra[0], rb[0]), (rc[0], rd[0]))

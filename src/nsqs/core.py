@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -105,9 +105,6 @@ class NestedDesign:
     def block_count(self) -> int:
         return len(self.blocks)
 
-    def point_sets(self) -> list[frozenset[int]]:
-        return [block_points(b) for b in self.blocks]
-
 
 def nested_design(
     v: int,
@@ -186,19 +183,6 @@ class VerificationReport:
     violations: int = 0
 
 
-def _triple_cells(blocks: Iterable[NestedBlock], v: int) -> Iterator[int]:
-    """The four triples of every block, each triple a < b < c as the cell
-    a*v*v + b*v + c.  Cells order like the triples they encode."""
-    vv = v * v
-    for p1, p2 in blocks:
-        a, b, c, d = sorted(p1 + p2)
-        ab = a * vv + b * v
-        yield ab + c
-        yield ab + d
-        yield a * vv + c * v + d
-        yield b * vv + c * v + d
-
-
 def _triples(v: int) -> Iterator[tuple[int, int, int]]:
     """The triples a < b < c of 0..v-1 in lexicographic order, lazily:
     ``itertools.combinations(range(v), 3)`` would copy the range."""
@@ -213,55 +197,49 @@ def verify_steiner(design: NestedDesign) -> VerificationReport:
     v = design.v
     blocks = design.blocks
     n_cells = v * v * v
-    if n_cells <= 64 * len(blocks) + (1 << 20):
-        # one byte per cell; covers after the first land in ``extra``
-        marks = bytearray(n_cells)
-        extra = []
-        vv = v * v
-        for (a, b), (c, d) in blocks:
-            # in canonical shape a is the least point, and where b falls
-            # among c < d sorts the rest
-            if a < b and c < d and a < c:
-                if b > c:
-                    if b < d:
-                        b, c = c, b
-                    else:
-                        b, c, d = c, d, b
-            else:
-                a, b, c, d = sorted((a, b, c, d))
-            # the four triples abc, abd, acd and bcd, unrolled
-            ab = a * vv + b * v
-            cd = c * v + d
-            t = ab + c
-            if marks[t]:
-                extra.append(t)
-            else:
-                marks[t] = 1
-            t = ab + d
-            if marks[t]:
-                extra.append(t)
-            else:
-                marks[t] = 1
-            t = a * vv + cd
-            if marks[t]:
-                extra.append(t)
-            else:
-                marks[t] = 1
-            t = b * vv + cd
-            if marks[t]:
-                extra.append(t)
-            else:
-                marks[t] = 1
-        over = {t: 1 + n for t, n in Counter(extra).items()}
-        distinct = 4 * len(blocks) - len(extra)
-        covered = marks.__getitem__
-    else:
-        # far fewer blocks than cells (a huge v in a file header, say):
-        # memory stays proportional to the blocks
-        cover = Counter(_triple_cells(blocks, v))
-        over = {t: n for t, n in cover.items() if n > 1}
-        distinct = len(cover)
-        covered = cover.__contains__
+    # one mark per cell, a byte unless there are far fewer blocks than
+    # cells (a huge v in a file header, say): then a dict, so memory stays
+    # proportional to the blocks; covers after the first land in ``extra``
+    small = n_cells <= 64 * len(blocks) + (1 << 20)
+    marks = bytearray(n_cells) if small else defaultdict(int)
+    extra = []
+    vv = v * v
+    for (a, b), (c, d) in blocks:
+        # in canonical shape a is the least point, and where b falls
+        # among c < d sorts the rest
+        if a < b and c < d and a < c:
+            if b > c:
+                if b < d:
+                    b, c = c, b
+                else:
+                    b, c, d = c, d, b
+        else:
+            a, b, c, d = sorted((a, b, c, d))
+        # the four triples abc, abd, acd and bcd, unrolled
+        ab = a * vv + b * v
+        cd = c * v + d
+        t = ab + c
+        if marks[t]:
+            extra.append(t)
+        else:
+            marks[t] = 1
+        t = ab + d
+        if marks[t]:
+            extra.append(t)
+        else:
+            marks[t] = 1
+        t = a * vv + cd
+        if marks[t]:
+            extra.append(t)
+        else:
+            marks[t] = 1
+        t = b * vv + cd
+        if marks[t]:
+            extra.append(t)
+        else:
+            marks[t] = 1
+    over = {t: 1 + n for t, n in Counter(extra).items()}
+    distinct = 4 * len(blocks) - len(extra)
 
     n_triples = v * (v - 1) * (v - 2) // 6
     missing = n_triples - distinct
@@ -277,7 +255,7 @@ def verify_steiner(design: NestedDesign) -> VerificationReport:
         witness = next(
             (a, b, c)
             for a, b, c in itertools.islice(_triples(v), 4 * len(blocks) + 1)
-            if not covered((a * v + b) * v + c)
+            if not marks[(a * v + b) * v + c]
         )
     ok = violations == 0 and len(blocks) == expected_block_count(v)
     return VerificationReport(

@@ -25,12 +25,13 @@ from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain, compress
 from math import comb
-from typing import Optional, Sequence
+from typing import Optional
 
 from .analysis import (
-    difference_class,
+    difference_census,
     min_nd_pairs,
-    min_nd_pairs_raised,
+    split_classes,
+    uniform_obstruction,
 )
 from .constructions import RotationalSpec, rotational_images
 from .core import (
@@ -124,7 +125,6 @@ class _Resolved:
 def _resolve_target(target: SearchTarget, v: int) -> _Resolved | str:
     """Pin the target's band and support size at order v, or return a
     refusal reason string if a necessary condition already fails."""
-    total = total_pair_slots(v)
     kind = target.kind
     if kind == "complete-uniform":
         if (v - 2) % 6:
@@ -142,38 +142,10 @@ def _resolve_target(target: SearchTarget, v: int) -> _Resolved | str:
         return _Resolved((v - 1) // 3, (v - 1) // 3, min_nd_pairs(v), True)
     if kind == "uniform":
         mu = target.mu
-        if mu is None or mu < 1:
-            raise NsqsError("uniform target needs mu >= 1")
-        if total % mu:
-            return f"multiplicity {mu} does not divide the total pair count {total}"
-        m = target.nd_pairs if target.nd_pairs is not None else total // mu
-        if m * mu != total:
-            return (
-                f"{m} ND-pairs at multiplicity {mu} gives {m * mu} pair slots, "
-                f"but the total is {total}"
-            )
-        if m < min_nd_pairs_raised(v):
-            if v % 12 in (2, 10) and m >= min_nd_pairs(v):
-                return (
-                    f"ND-pair count {m} is below the v^2/4 lower bound "
-                    f"{v * v // 4} for v = 2, 10 (mod 12)"
-                )
-            return (
-                f"ND-pair count {m} is below the lower bound "
-                f"{min_nd_pairs(v)}"
-            )
-        if m > comb(v, 2):
-            return f"ND-pair count {m} exceeds the number of pairs {comb(v, 2)}"
-        if ((v - 1) * (v - 2) // 6) % mu:
-            return (
-                f"multiplicity {mu} does not divide the per-point block "
-                f"count {(v - 1) * (v - 2) // 6}"
-            )
-        if (2 * m) % v:
-            return f"v={v} does not divide twice the ND-pair count {m}"
-        if mu > (v - 2) // 2:
-            return f"multiplicity {mu} exceeds the maximum {(v - 2) // 2}"
-        return _Resolved(mu, mu, m, True)
+        reason = uniform_obstruction(v, mu, target.nd_pairs)
+        if reason:
+            return reason
+        return _Resolved(mu, mu, total_pair_slots(v) // mu, True)
     if kind in ("quasi-uniform", "band"):
         lo, hi = target.mu_lo, target.mu_hi
         _check_band(f"{kind} target", lo, hi)
@@ -490,11 +462,9 @@ def search_rotational(spec: RotationalSpec, search: SearchSpec) -> SearchOutcome
     predictions of the expanded census.  The p pairs through the fixed
     point are not a cell: their multiplicity is forced.
     """
-    spec.validate()
+    census = difference_census(spec)  # validates the spec
     p = spec.p
-    v = spec.v
-    n_mult = len(spec.multipliers)
-    res = _resolve_target(search.target, v)
+    res = _resolve_target(search.target, spec.v)
     if isinstance(res, str):
         return SearchOutcome(status="refused", reason=res)
     if not res.exact:
@@ -503,13 +473,12 @@ def search_rotational(spec: RotationalSpec, search: SearchSpec) -> SearchOutcome
 
     # every split of an inf block pairs inf with someone, so the inf-pair
     # multiplicity is forced before any choice is made
-    inf_final = n_mult * sum(1 for b in spec.base_blocks if p in b[0] + b[1])
-    if inf_final != mu:
+    if census.inf_count != mu:
         return SearchOutcome(
             status="refused",
             reason=(
                 f"pairs through the fixed point are forced to multiplicity "
-                f"{inf_final}, target needs {mu}"
+                f"{census.inf_count}, target needs {mu}"
             ),
         )
     if res.nd_pairs % p:
@@ -524,21 +493,15 @@ def search_rotational(spec: RotationalSpec, search: SearchSpec) -> SearchOutcome
     # option 3*i + k is split k of base block i (in seeded order)
     rng = random.Random(search.seed)
     splits: list[NestedBlock] = []
-    contribs = []
     for blk in spec.base_blocks:
         opts = alternative_splits(blk)
         if search.seed is not None:
             rng.shuffle(opts)
-        for opt in opts:
-            contrib: Counter = Counter()
-            for pr in opt:
-                if p in pr:
-                    continue
-                d = pr[1] - pr[0]
-                for m in spec.multipliers:
-                    contrib[difference_class(m * d, p) - 1] += 1
-            splits.append(opt)
-            contribs.append(tuple(contrib.items()))
+        splits += opts
+    contribs = [
+        tuple(Counter(d - 1 for d in split_classes(opt, p, spec.multipliers)).items())
+        for opt in splits
+    ]
 
     # the nonzero classes are the ND-pairs less the fixed point's p; the
     # unliftable prune stays off at orbit level, since it would change

@@ -1,7 +1,9 @@
 """Bounds, classification, feasibility table, difference censuses, cosets."""
 
 import random
+import re
 import time
+from collections import Counter
 from math import comb
 
 import pytest
@@ -38,8 +40,12 @@ from nsqs.analysis import (
     Exclusion,
     FeasibilityRow,
     _survives,
+    split_classes,
+    uniform_obstruction,
 )
 from nsqs.cli import main
+from nsqs.errors import NsqsError
+from nsqs.search import _resolve_target, uniform
 
 
 def test_admissible():
@@ -240,6 +246,119 @@ def test_feasibility_rows_at_scale(capsys):
 
 
 # ---------------------------------------------------------------------------
+# the uniform screen, against the two copies it replaced
+
+def reference_survives(v, m):
+    """The table's screen as it stood before it shared the search's."""
+    total = total_pair_slots(v)
+    if total % m:
+        return None
+    mu = total // m
+    if ((v - 1) * (v - 2) // 6) % mu:
+        return None
+    if (2 * m) % v:
+        return None
+    if m < min_nd_pairs_raised(v):
+        return None
+    return mu
+
+
+def reference_uniform_branch(v, mu, nd_pairs):
+    """The search's uniform screen as it stood: a refusal reason, or the
+    pinned (mu, ND-pair count)."""
+    total = total_pair_slots(v)
+    if mu is None or mu < 1:
+        raise NsqsError("uniform target needs mu >= 1")
+    if total % mu:
+        return f"multiplicity {mu} does not divide the total pair count {total}"
+    m = nd_pairs if nd_pairs is not None else total // mu
+    if m * mu != total:
+        return (
+            f"{m} ND-pairs at multiplicity {mu} gives {m * mu} pair slots, "
+            f"but the total is {total}"
+        )
+    if m < min_nd_pairs_raised(v):
+        if v % 12 in (2, 10) and m >= min_nd_pairs(v):
+            return (
+                f"ND-pair count {m} is below the v^2/4 lower bound "
+                f"{v * v // 4} for v = 2, 10 (mod 12)"
+            )
+        return (
+            f"ND-pair count {m} is below the lower bound "
+            f"{min_nd_pairs(v)}"
+        )
+    if m > comb(v, 2):
+        return f"ND-pair count {m} exceeds the number of pairs {comb(v, 2)}"
+    if ((v - 1) * (v - 2) // 6) % mu:
+        return (
+            f"multiplicity {mu} does not divide the per-point block "
+            f"count {(v - 1) * (v - 2) // 6}"
+        )
+    if (2 * m) % v:
+        return f"v={v} does not divide twice the ND-pair count {m}"
+    if mu > (v - 2) // 2:
+        return f"multiplicity {mu} exceeds the maximum {(v - 2) // 2}"
+    return (mu, m)
+
+
+def _divisors(n):
+    small = [d for d in range(1, int(n**0.5) + 1) if n % d == 0]
+    return sorted({*small, *(n // d for d in small)})
+
+
+def _screen_cases():
+    """(v, mu, pinned ND-pair count or None) for every admissible v <= 256
+    and every v <= 40: every divisor m of the total at mu = total / m,
+    every mu in 1..v with the count free, and the counts 0 and
+    C(v, 2) + 1.  The rotational search screens any order p + 1 before
+    anything checks its spec, and only inadmissible orders trip the last
+    two checks: twice the count at v = 6, say, and the maximum at v <= 3."""
+    for v in range(1, 257):
+        if v > 40 and not admissible(v):
+            continue
+        total = total_pair_slots(v)
+        for m in _divisors(total) if total else ():
+            yield v, total // m, m
+        for mu in range(1, v + 1):
+            yield v, mu, None
+            yield v, mu, 0
+            yield v, mu, comb(v, 2) + 1
+
+
+def test_uniform_obstruction_matches_reference():
+    verdicts = Counter()
+    for v, mu, m in _screen_cases():
+        expected = reference_uniform_branch(v, mu, m)
+        reason = uniform_obstruction(v, mu, m)
+        resolved = _resolve_target(uniform(mu, m), v)
+        if isinstance(expected, str):
+            assert reason == resolved == expected, (v, mu, m)
+        else:
+            assert reason is None, (v, mu, m)
+            assert (resolved.mu_lo, resolved.nd_pairs) == expected, (v, mu, m)
+        verdicts[re.sub(r"-?\d+", "N", reason or "pass")] += 1
+    # a pass and each of the eight reasons occur, so no check goes untested
+    assert len(verdicts) == 9, sorted(verdicts)
+
+
+def test_survives_matches_reference():
+    """The table's screen is the search's: equal to the old one on every
+    divisor m <= C(v, 2), and None above it, which the old screen never
+    checked and the table never asks."""
+    pairs = 0
+    for v in range(4, 257):
+        if not admissible(v):
+            continue
+        for m in _divisors(total_pair_slots(v)):
+            if m <= comb(v, 2):
+                assert _survives(v, m) == reference_survives(v, m), (v, m)
+                pairs += 1
+            else:
+                assert _survives(v, m) is None, (v, m)
+    assert pairs == 2901
+
+
+# ---------------------------------------------------------------------------
 # difference censuses
 
 @pytest.mark.parametrize("name", ["ro20", "ro26", "ro38", "ro62", "bool32"])
@@ -248,6 +367,13 @@ def test_difference_census_equals_expansion_census(name):
     predicted = difference_census(spec).predicted_pair_counts()
     actual = pair_census(rotational_expand(spec)).counts
     assert predicted == dict(actual)
+
+
+def test_split_classes_pair_by_pair():
+    # pairs through the fixed point have no class
+    assert split_classes(((0, 1), (3, 19)), 19, (1,)) == [1]
+    # (0, 5): 5 -> class 2, 10 = 3 -> 3; (1, 3): 2 -> 2, 4 -> 3
+    assert split_classes(((0, 5), (1, 3)), 7, (1, 2)) == [2, 3, 2, 3]
 
 
 def test_difference_census_inf_count_forced():

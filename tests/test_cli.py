@@ -429,6 +429,19 @@ def test_census_and_classify_of_huge_v_warn(capsys, tmp_path, command, first_lin
     assert "Traceback" not in err
 
 
+def test_expand_huge_base_header_refused_by_count(capsys, tmp_path):
+    # the shifts of one base block take memory linear in p, so a huge p
+    # ends in the block-count refusal rather than a MemoryError
+    path = tmp_path / "huge.nsqs"
+    path.write_text("nsqs-base p=100003 multipliers=1\n0 1 | 2 3\n")
+    code, out, err = run(capsys, "expand", "--base", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: expansion produced 100003 distinct blocks, expected 41670416775001\n"
+    )
+
+
 # ---------------------------------------------------------------------------
 # fuzz: any file gives exit 0, 1 or 2, and no exception escapes main
 
@@ -458,10 +471,11 @@ _FUZZ_HEADERS = st.one_of(
         ),
         st.integers(0, 12),
     ),
-    # expansion costs grow with p squared, so base headers stay small
+    # expansion costs grow linearly with p, so base headers reach a few
+    # thousand; the small p stay likely, since their points are in range
     st.builds(
         "nsqs-base p={} multipliers={}".format,
-        st.integers(0, 40),
+        st.one_of(st.integers(0, 40), st.integers(0, 5000)),
         st.sampled_from(["1", "1,2", "1,3,9", "0"]),
     ),
     st.text(max_size=24),

@@ -230,7 +230,14 @@ def _verify_cases():
     yield "sparse", nested_design(
         128, [((0, 1), (2, 3)), ((0, 1), (2, 4)), ((5, 9), (6, 127))]
     )
+    # a huge v keeps the marks in a dict: a repeated block (coverage 2), a
+    # block in a non-canonical shape, and over-covered and missing triples
     yield "huge-v", nested_design(10**5, [((3, 4), (5, 99_999))])
+    yield "huge-v-repeated", nested_design(10**5, [((3, 4), (5, 99_999))] * 2)
+    yield "huge-v-high-to-low", NestedDesign(10**5, (((99_999, 5), (4, 3)),))
+    yield "huge-v-over-and-missing", nested_design(
+        10**5, [((3, 4), (5, 6)), ((3, 4), (5, 7)), ((3, 4), (6, 7)), ((0, 9), (1, 8))]
+    )
     yield "empty", nested_design(0, [])
     # canonical in shape but with a repeated point: b == c, then b == d
     yield "degenerate", NestedDesign(8, (((0, 1), (1, 2)), ((0, 3), (2, 3))))
