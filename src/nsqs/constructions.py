@@ -9,7 +9,9 @@ lift a nested system of order v to one of order 2v.
 
 from __future__ import annotations
 
+import bisect
 import itertools
+import operator
 from dataclasses import dataclass
 
 from .core import (
@@ -21,7 +23,6 @@ from .core import (
     canonical_pair,
     design_from_canonical,
     expected_block_count,
-    nested_design,
     pair_census,
     verify_steiner,
 )
@@ -79,18 +80,41 @@ def one_factorization(v: int) -> OneFactorization:
 # ---------------------------------------------------------------------------
 # Boolean systems
 
-def boolean_blocks(n: int) -> list[tuple[int, int, int, int]]:
-    """All 4-subsets of GF(2)^n (as ints) with zero XOR, each listed once."""
+def _pair_table(n: int) -> list:
+    """The pair (x, y), 0 <= x < y < n, at index x * n + y, and None
+    elsewhere: one tuple per pair, for the blocks of a design to share."""
+    table: list = [None] * (n * n)
+    for x in range(n):
+        table[x * n + x + 1:(x + 1) * n] = zip(itertools.repeat(x), range(x + 1, n))
+    return table
+
+
+def _boolean_split_blocks(n: int) -> list[NestedBlock]:
+    """The blocks (x, y, z, w) of :func:`boolean_blocks`, in the same
+    order, each split as ((x, y), (z, w)) over one shared tuple per pair.
+
+    x < y < z < w, so each block is canonical and the list is sorted.
+    """
     size = 1 << n
-    blocks = []
-    for x in range(size):
-        for y in range(x + 1, size):
-            xy = x ^ y
-            for z in range(y + 1, size):
-                w = xy ^ z
-                if w > z:
-                    blocks.append((x, y, z, w))
+    pairs = list(filter(None, _pair_table(size)))  # in order (x, y)
+    # the pairs (z, w) with z ^ w == k, in order of z, for each k
+    by_xor: list[list[Pair]] = [[] for _ in range(size)]
+    for pair in pairs:
+        by_xor[pair[0] ^ pair[1]].append(pair)
+    blocks: list[NestedBlock] = []
+    for pair in pairs:
+        x, y = pair
+        # w = x ^ y ^ z, so (z, w) runs over the pairs with xor x ^ y,
+        # from the first with z > y
+        row = by_xor[x ^ y]
+        blocks += zip(itertools.repeat(pair), row[bisect.bisect(row, (y, size)):])
     return blocks
+
+
+def boolean_blocks(n: int) -> list[tuple[int, int, int, int]]:
+    """All 4-subsets of GF(2)^n (as ints) with zero XOR, each listed once,
+    as (x, y, z, w) with x < y < z < w, in lexicographic order."""
+    return [p + q for p, q in _boolean_split_blocks(n)]
 
 
 def boolean_sqs(n: int, poly: int | None = None) -> NestedDesign:
@@ -104,8 +128,7 @@ def boolean_sqs(n: int, poly: int | None = None) -> NestedDesign:
         raise InvalidOrderError(f"boolean system needs n >= 2, got {n}")
     if poly is not None:
         Gf2nField(n, poly)
-    blocks = [canonical_block((x, y), (z, w)) for x, y, z, w in boolean_blocks(n)]
-    return nested_design(1 << n, blocks)
+    return NestedDesign(1 << n, tuple(_boolean_split_blocks(n)))
 
 
 def boolean_to_rotational(field: Gf2nField) -> dict[int, int]:
@@ -123,11 +146,14 @@ def boolean_rotational_design(n: int, poly: int | None = None) -> NestedDesign:
     """Boolean SQS(2^n) in exponent coordinates, default splits."""
     field = Gf2nField(n, poly)
     to_rot = boolean_to_rotational(field)
+    size = 1 << n
+    rot = [to_rot[x] for x in range(size)]
+    table = _pair_table(size)
     blocks = []
-    for x, y, z, w in boolean_blocks(n):
-        pts = sorted(to_rot[t] for t in (x, y, z, w))
-        blocks.append(canonical_block((pts[0], pts[1]), (pts[2], pts[3])))
-    return nested_design(1 << n, blocks, uses_infinity=True)
+    for (x, y), (z, w) in _boolean_split_blocks(n):
+        a, b, c, d = sorted((rot[x], rot[y], rot[z], rot[w]))
+        blocks.append((table[a * size + b], table[c * size + d]))
+    return design_from_canonical(size, blocks, uses_infinity=True)
 
 
 # ---------------------------------------------------------------------------
@@ -200,29 +226,47 @@ def rotational_images(spec: RotationalSpec) -> list[NestedBlock]:
     spec.validate()
     p = spec.p
     v = spec.v
-    cycle = list(range(p)) * 2
-    fixed = [p] * p
+    rows: dict[int, list[Pair]] = {}
 
-    def shifts(x: int) -> list[int]:
-        """The images of point x under each of the p shifts, in order."""
-        return fixed if x == p else cycle[x:x + p]
+    def row(d: int) -> list[Pair]:
+        """The pairs {s, s + d} (d in 1..p-1), or {s, p} (d = p), for s
+        in Z_p, built on first use: one tuple per pair, and d and p - d
+        share theirs.  (For an even p the class p/2 holds each pair
+        twice; such a p never expands to a design, as p + 1 is odd.)"""
+        r = rows.get(d)
+        if r is None:
+            if d == p:
+                r = [(s, p) for s in range(p)]
+            elif 2 * d > p:
+                # {s, s + d} = {s + d, s + d + (p - d)}
+                r = row(p - d)
+                r = r[d:] + r[:d]
+            else:
+                r = [(s, s + d) for s in range(p - d)]
+                r += [(s + d - p, s) for s in range(p - d, p)]
+            rows[d] = r
+        return r
+
+    def shifts(x: int, y: int) -> list[Pair]:
+        """The images of the pair {x, y} under each of the p shifts, in order."""
+        if x == p:
+            x, y = y, x
+        r = row(p if y == p else (y - x) % p)
+        return r[x:] + r[:x]
 
     multipliers = sorted(spec.multipliers)
     images: list[NestedBlock] = []
     try:
         for (a, b), (c, d) in spec.base_blocks:
             for m in multipliers:
-                ra, rb, rc, rd = (
-                    shifts(pt if pt == p else m * pt % p) for pt in (a, b, c, d)
-                )
+                w, x, y, z = (pt if pt == p else m * pt % p for pt in (a, b, c, d))
                 # the shift-0 image raises for a degenerate base block
-                canonical_block((ra[0], rb[0]), (rc[0], rd[0]))
-                for w, x, y, z in zip(ra, rb, rc, rd):
-                    if w > x:
-                        w, x = x, w
-                    if y > z:
-                        y, z = z, y
-                    images.append(((w, x), (y, z)) if w < y else ((y, z), (w, x)))
+                canonical_block((w, x), (y, z))
+                # disjoint pairs order by their least points
+                images += [
+                    (e, f) if e < f else (f, e)
+                    for e, f in zip(shifts(w, x), shifts(y, z))
+                ]
     except NsqsError:
         # image by image, a conflict among the earlier images raised first
         _distinct_images(images)
@@ -330,18 +374,45 @@ def doubling_a(
         )
     factorization.validate()
 
-    # every block below is built canonical: shifting all four points of
-    # a canonical block by v keeps it canonical, and a Type II block's
-    # side-0 pair precedes its side-1 pair
-    blocks = list(design.blocks)
-    blocks += [
-        ((a + v, b + v), (c + v, d + v)) for (a, b), (c, d) in design.blocks
-    ]
+    # one shared tuple per pair: each pair within a side is an edge of
+    # exactly one factor.  At index x * v + y, ``low`` holds the side-0
+    # pair (x, y), ``high`` its side-1 copy, and ``partners`` the side-1
+    # copies of the edges of its factor, in order: the second pairs of
+    # its Type II blocks.
+    low: list = [None] * (v * v)
+    high: list = [None] * (v * v)
+    partners: list = [None] * (v * v)
     for factor in factorization.factors:
         # validate() admits an edge written either way round
-        edges = [(x, y) if x < y else (y, x) for x, y in factor]
-        shifted = [(z + v, w + v) for z, w in edges]
-        blocks += [(e, f) for e in edges for f in shifted]
+        edges = sorted((x, y) if x < y else (y, x) for x, y in factor)
+        shifted = [(x + v, y + v) for x, y in edges]
+        for e, f in zip(edges, shifted):
+            i = e[0] * v + e[1]
+            low[i], high[i], partners[i] = e, f, shifted
+    # Type I: each distinct input pair is looked up once; shifting all
+    # four points of a canonical block by v keeps it canonical
+    firsts = list(map(operator.itemgetter(0), design.blocks))
+    seconds = list(map(operator.itemgetter(1), design.blocks))
+    to_low, to_high = {}, {}
+    for pair in set(firsts + seconds):
+        x, y = pair
+        i = x * v + y if x < y else y * v + x
+        to_low[pair] = low[i]
+        to_high[pair] = high[i]
+    side0 = list(zip(map(to_low.__getitem__, firsts), map(to_low.__getitem__, seconds)))
+    side1 = zip(map(to_high.__getitem__, firsts), map(to_high.__getitem__, seconds))
+    # in sorted order for a sorted input: by first pair (x, y), the side-0
+    # copies, then the Type II blocks; last the side-1 copies
+    blocks: list[NestedBlock] = []
+    j = 0
+    for i, e in enumerate(low):
+        if e is not None:
+            while j < len(side0) and side0[j][0] is e:
+                blocks.append(side0[j])
+                j += 1
+            blocks += zip(itertools.repeat(e), partners[i])
+    blocks += side0[j:]
+    blocks += side1
     return design_from_canonical(2 * v, blocks)
 
 
@@ -365,20 +436,32 @@ def doubling_b(design: NestedDesign) -> NestedDesign:
                     f"pair ({a}, {b}) is not"
                 )
 
-    # the side of each point, times v, for the even-parity patterns
-    offsets = [
-        (i * v, j * v, k * v, (i + j + k) % 2 * v)
-        for i, j, k in itertools.product((0, 1), repeat=3)
-    ]
-    blocks = []
-    for (x, y), (z, w) in design.blocks:
-        for dx, dy, dz, dw in offsets:
-            s, t, u, r = x + dx, y + dy, z + dz, w + dw
-            p = (s, t) if s < t else (t, s)
-            q = (u, r) if u < r else (r, u)
-            blocks.append((p, q) if p < q else (q, p))
-    # x < y, so both of these pairs and their order are canonical
-    blocks += [
-        ((x, x + v), (y, y + v)) for x in range(v) for y in range(x + 1, v)
-    ]
+    n = 2 * v
+    table = _pair_table(n)
+    # the four lifts {(x, i), (y, j)} of each distinct input pair (x, y),
+    # at index 2i + j: one shared tuple per pair
+    firsts = list(map(operator.itemgetter(0), design.blocks))
+    seconds = list(map(operator.itemgetter(1), design.blocks))
+    lifts = {}
+    for pair in set(firsts + seconds):
+        x, y = pair
+        lifts[pair] = tuple(
+            table[s * n + t] if s < t else table[t * n + s]
+            for s, t in ((x, y), (x, y + v), (x + v, y), (x + v, y + v))
+        )
+    first_lifts = list(map(lifts.__getitem__, firsts))
+    second_lifts = list(map(lifts.__getitem__, seconds))
+    # Type I: the even-parity side patterns (i, j, k, i ^ j ^ k);
+    # disjoint pairs order by their least points
+    blocks: list[NestedBlock] = []
+    for i, j, k in itertools.product((0, 1), repeat=3):
+        blocks += [
+            (e, f) if e < f else (f, e)
+            for e, f in zip(
+                map(operator.itemgetter(2 * i + j), first_lifts),
+                map(operator.itemgetter(2 * k + (i ^ j ^ k)), second_lifts),
+            )
+        ]
+    # Type II: x < y, so both pairs and their order are canonical
+    blocks += itertools.combinations([table[x * n + x + v] for x in range(v)], 2)
     return design_from_canonical(2 * v, blocks)

@@ -346,12 +346,38 @@ def find_block(design: NestedDesign, points: Iterable[int]) -> int:
 
 def relabel(design: NestedDesign, perm: Sequence[int]) -> NestedDesign:
     """Apply a point bijection consistently to every block and split."""
-    if sorted(perm) != list(range(design.v)):
+    v = design.v
+    if sorted(perm) != list(range(v)):
         raise InvalidBlockError("perm is not a bijection on the point set")
+    blocks = list(design.blocks)
+    if _all_canonical(blocks):
+        firsts = list(map(operator.itemgetter(0), blocks))
+        seconds = list(map(operator.itemgetter(1), blocks))
+        # each distinct pair is mapped once, to one new tuple; perm is a
+        # bijection, so distinct pairs of 0..v-1 keep distinct images
+        image = {}
+        for pair in set(firsts + seconds):
+            a, b = pair
+            x, y = perm[a], perm[b]
+            if a < 0:  # perm[a] is perm[v + a]
+                break
+            image[pair] = (x, y) if x < y else (y, x)
+        else:
+            # the pairs of a canonical block are disjoint, and so are
+            # their images, which order by their least points
+            relabeled = [
+                (p, q) if p < q else (q, p)
+                for p, q in zip(
+                    map(image.__getitem__, firsts), map(image.__getitem__, seconds)
+                )
+            ]
+            return design_from_canonical(v, relabeled, design.uses_infinity)
+    # block by block, as before, for a block that is not canonical or a
+    # negative point: the same errors, or the same design
     blocks = [
         canonical_block(
             (perm[p1[0]], perm[p1[1]]), (perm[p2[0]], perm[p2[1]])
         )
-        for p1, p2 in design.blocks
+        for p1, p2 in blocks
     ]
-    return nested_design(design.v, blocks, design.uses_infinity)
+    return nested_design(v, blocks, design.uses_infinity)

@@ -1,12 +1,17 @@
 """One-factorizations, Boolean and rotational constructions, doubling."""
 
 import hashlib
+import itertools
+import math
+import random
 
 import pytest
 
 from nsqs import (
     Gf2nField,
     InconsistentSpecError,
+    NestedDesign,
+    NsqsError,
     InvalidOrderError,
     InvalidPairError,
     InvalidSplitError,
@@ -19,6 +24,7 @@ from nsqs import (
     boolean_rotational_design,
     boolean_sqs,
     boolean_to_rotational,
+    canonical_block,
     catalog_get,
     classify,
     doubling_a,
@@ -28,12 +34,16 @@ from nsqs import (
     one_factorization,
     orbit_spec,
     pair_census,
+    parse_design,
+    relabel,
     rotational_expand,
     rotational_spec,
     serialize_design,
     verify_steiner,
 )
 from nsqs.catalog import BOOL32_POLY
+from nsqs.constructions import _distinct_images, rotational_images
+from nsqs.core import design_from_canonical
 
 BOOL32_MULTIPLIERS = (1, 2, 4, 8, 16)
 
@@ -402,3 +412,292 @@ def test_doubling_a_rejects_non_steiner():
     broken = nested_design(8, d8.blocks[:-1])
     with pytest.raises(PreconditionError):
         doubling_a(broken)
+
+
+# ---------------------------------------------------------------------------
+# shared pair tuples: the builders against the versions that gave every
+# block its own two pair tuples
+
+
+def reference_boolean_sqs(n):
+    """boolean_sqs as it was, one canonical_block per block."""
+    if n < 2:
+        raise InvalidOrderError(f"boolean system needs n >= 2, got {n}")
+    size = 1 << n
+    blocks = []
+    for x in range(size):
+        for y in range(x + 1, size):
+            for z in range(y + 1, size):
+                w = x ^ y ^ z
+                if w > z:
+                    blocks.append(canonical_block((x, y), (z, w)))
+    return nested_design(size, blocks)
+
+
+def reference_rotational_images(spec):
+    """rotational_images as it was: each image built from four shifted
+    points, its pairs new tuples."""
+    spec.validate()
+    p = spec.p
+    v = spec.v
+    cycle = list(range(p)) * 2
+    fixed = [p] * p
+
+    def shifts(x):
+        return fixed if x == p else cycle[x:x + p]
+
+    multipliers = sorted(spec.multipliers)
+    images = []
+    try:
+        for (a, b), (c, d) in spec.base_blocks:
+            for m in multipliers:
+                ra, rb, rc, rd = (
+                    shifts(pt if pt == p else m * pt % p) for pt in (a, b, c, d)
+                )
+                canonical_block((ra[0], rb[0]), (rc[0], rd[0]))
+                for w, x, y, z in zip(ra, rb, rc, rd):
+                    if w > x:
+                        w, x = x, w
+                    if y > z:
+                        y, z = z, y
+                    images.append(((w, x), (y, z)) if w < y else ((y, z), (w, x)))
+    except NsqsError:
+        _distinct_images(images)
+        raise
+    expected = expected_block_count(v)
+    if len(images) == expected:
+        if verify_steiner(NestedDesign(v, tuple(images), uses_infinity=True)).ok:
+            return images
+    distinct = _distinct_images(images)
+    if len(distinct) != expected:
+        raise InconsistentSpecError(
+            f"expansion produced {len(distinct)} distinct blocks, expected {expected}"
+        )
+    report = verify_steiner(NestedDesign(v, tuple(distinct), uses_infinity=True))
+    if not report.ok:
+        raise InconsistentSpecError(
+            f"expansion is not a quadruple system; witness triple "
+            f"{report.witness} covered {report.witness_coverage} times"
+        )
+    return distinct
+
+
+def reference_doubling_a(design, factorization=None):
+    """doubling_a as it was: side-1 copies and Type II blocks sorted after."""
+    v = design.v
+    if not verify_steiner(design).ok:
+        raise PreconditionError("doubling-a input is not a Steiner quadruple system")
+    if factorization is None:
+        factorization = one_factorization(v)
+    if factorization.v != v:
+        raise PreconditionError(
+            f"factorization is over {factorization.v} points, design over {v}"
+        )
+    factorization.validate()
+    blocks = list(design.blocks)
+    blocks += [((a + v, b + v), (c + v, d + v)) for (a, b), (c, d) in design.blocks]
+    for factor in factorization.factors:
+        edges = [(x, y) if x < y else (y, x) for x, y in factor]
+        shifted = [(z + v, w + v) for z, w in edges]
+        blocks += [(e, f) for e in edges for f in shifted]
+    return design_from_canonical(2 * v, blocks)
+
+
+def reference_doubling_b(design):
+    """doubling_b as it was: eight images per block, pair by pair."""
+    v = design.v
+    if not verify_steiner(design).ok:
+        raise PreconditionError("doubling-b input is not a Steiner quadruple system")
+    census = pair_census(design)
+    for a in range(v):
+        for b in range(a + 1, v):
+            if (a, b) not in census.counts:
+                raise PreconditionError(
+                    f"doubling-b needs all pairs to be ND-pairs; "
+                    f"pair ({a}, {b}) is not"
+                )
+    offsets = [
+        (i * v, j * v, k * v, (i + j + k) % 2 * v)
+        for i, j, k in itertools.product((0, 1), repeat=3)
+    ]
+    blocks = []
+    for (x, y), (z, w) in design.blocks:
+        for dx, dy, dz, dw in offsets:
+            s, t, u, r = x + dx, y + dy, z + dz, w + dw
+            p = (s, t) if s < t else (t, s)
+            q = (u, r) if u < r else (r, u)
+            blocks.append((p, q) if p < q else (q, p))
+    blocks += [((x, x + v), (y, y + v)) for x in range(v) for y in range(x + 1, v)]
+    return design_from_canonical(2 * v, blocks)
+
+
+def _outcome(fn, *args):
+    """fn's result, or the type and text of what it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # noqa: BLE001 - compared with the reference
+        return type(exc), str(exc)
+
+
+def _one_tuple_per_pair(design):
+    return len({id(p) for b in design.blocks for p in b}) == len(
+        pair_census(design).counts
+    )
+
+
+ROTATIONAL_NAMES = ["bool32", "ro20", "ro26", "ro38", "ro62"]
+
+
+def _chain_a():
+    d32 = rotational_expand(catalog_get("bool32").payload)
+    d64 = doubling_a(d32)
+    return [d64, doubling_a(d64)]
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_boolean_sqs_matches_reference(n):
+    assert boolean_sqs(n) == reference_boolean_sqs(n)
+    assert boolean_blocks(n) == [p + q for p, q in reference_boolean_sqs(n).blocks]
+
+
+def test_boolean_rotational_design_one_tuple_per_pair():
+    design = boolean_rotational_design(5)
+    assert _one_tuple_per_pair(design)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_boolean_sqs_one_tuple_per_pair(n):
+    assert _one_tuple_per_pair(boolean_sqs(n))
+
+
+@pytest.mark.parametrize("name", ROTATIONAL_NAMES)
+def test_rotational_expand_one_tuple_per_pair(name):
+    assert _one_tuple_per_pair(rotational_expand(catalog_get(name).payload))
+
+
+def test_doublings_one_tuple_per_pair():
+    designs = _chain_a()
+    designs += [doubling_b(catalog_get(name).design()) for name in ("ro20", "ro62")]
+    assert [d.v for d in designs] == [64, 128, 40, 124]
+    for design in designs:
+        assert _one_tuple_per_pair(design)
+
+
+def test_relabel_and_parse_one_tuple_per_pair():
+    design = catalog_get("ro38").design()
+    perm = list(range(design.v))
+    random.Random(5).shuffle(perm)
+    assert _one_tuple_per_pair(relabel(design, perm))
+    # a design whose blocks each held their own pair tuples
+    own = nested_design(
+        design.v, [((a, b), (c, d)) for (a, b), (c, d) in design.blocks]
+    )
+    assert not _one_tuple_per_pair(own)
+    assert _one_tuple_per_pair(relabel(own, perm))
+    assert _one_tuple_per_pair(parse_design(serialize_design(own)))
+
+
+def _subgroups(p, max_order):
+    """The cyclic groups of units mod p of order at most max_order."""
+    groups = set()
+    for g in range(1, p):
+        group = frozenset(pow(g, k, p) for k in range(p))
+        if math.gcd(g, p) == 1 and len(group) <= max_order:
+            groups.add(group)
+    return sorted(groups, key=sorted)
+
+
+def _differential_specs():
+    """Specs for the image differential: catalog, pinned error and
+    short-orbit specs, shuffled catalog base blocks under small
+    multiplier groups, and random specs over odd and even p."""
+    specs = [(name, catalog_get(name).payload) for name in ROTATIONAL_NAMES]
+    specs += [(i, _ro20_variant(b)) for i, b, _, _ in EXPANSION_ERRORS]
+    specs += [
+        ("repeated", _ro20_variant(_RO20_BASE + [_RO20_BASE[0]])),
+        ("noncanonical", _ro20_variant([((19, 1), (8, 0))] + _RO20_BASE[1:])),
+        ("short-orbit", RotationalSpec(13, (((1, 12), (2, 11)),), frozenset({1, 12}))),
+    ]
+    rng = random.Random(13)
+    for name in ROTATIONAL_NAMES:
+        spec = catalog_get(name).payload
+        for group in _subgroups(spec.p, 6):
+            base = list(spec.base_blocks)
+            rng.shuffle(base)
+            shuffled = RotationalSpec(spec.p, tuple(base), group)
+            specs.append((f"{name}-shuffled-{sorted(group)}", shuffled))
+    for k in range(60):
+        p = rng.randrange(4, 31)
+        units = [m for m in range(1, p) if math.gcd(m, p) == 1]
+        gen = rng.choice(units)
+        group = frozenset(pow(gen, e, p) for e in range(p))
+        base = []
+        for _ in range(rng.randrange(1, 6)):
+            a, b, c, d = rng.sample(range(p + 1), 4)
+            base.append(((a, b), (c, d)))
+        specs.append((f"random-{k}-p{p}", RotationalSpec(p, tuple(base), group)))
+    return specs
+
+
+@pytest.mark.parametrize(
+    "spec", [pytest.param(s, id=str(i)) for i, s in _differential_specs()]
+)
+def test_rotational_images_match_reference(spec):
+    got = _outcome(rotational_images, spec)
+    assert got == _outcome(reference_rotational_images, spec)
+    if isinstance(got, list):
+        design = design_from_canonical(spec.v, got, uses_infinity=True)
+        assert design == rotational_expand(spec)
+        assert _one_tuple_per_pair(design)
+
+
+def _doubling_input(name):
+    """A doubling input used above, one whose blocks are not in sorted
+    order, one that is not a Steiner system, or an empty design."""
+    if name == "bool32.a":
+        return _chain_a()[0]
+    if name == "ro20-shuffled":
+        shuffled = list(catalog_get("ro20").design().blocks)
+        random.Random(3).shuffle(shuffled)
+        return NestedDesign(20, tuple(shuffled))
+    if name == "sqs8-less-one":
+        return nested_design(8, catalog_get("sqs8uniform").design().blocks[:-1])
+    if name.startswith("empty-"):
+        return NestedDesign(int(name[6:]), ())
+    return catalog_get(name).design()
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["sqs8uniform", "sqs10", "ro20", "ro62", "bool32.a", "ro20-shuffled",
+     "sqs8-less-one", "empty-2", "empty-1"],
+)
+def test_doublings_match_reference(name):
+    design = _doubling_input(name)
+    for build, reference in ((doubling_a, reference_doubling_a),
+                             (doubling_b, reference_doubling_b)):
+        got = _outcome(build, design)
+        assert got == _outcome(reference, design)
+        if isinstance(got, NestedDesign):
+            assert _one_tuple_per_pair(got)
+
+
+def test_doubling_a_reversed_edges_match_reference():
+    for name in ("sqs8uniform", "sqs10", "ro20"):
+        design = catalog_get(name).design()
+        reversed_edges = OneFactorization(
+            v=design.v,
+            factors=tuple(
+                frozenset((hi, lo) for lo, hi in factor)
+                for factor in one_factorization(design.v).factors
+            ),
+        )
+        got = doubling_a(design, reversed_edges)
+        assert got == reference_doubling_a(design, reversed_edges)
+        assert _one_tuple_per_pair(got)
+    wrong = one_factorization(10)
+    design = catalog_get("sqs8uniform").design()
+    assert _outcome(doubling_a, design, wrong) == _outcome(
+        reference_doubling_a, design, wrong
+    )
+

@@ -343,6 +343,71 @@ def test_relabel_random_perms_preserve_histogram(rnd):
     assert pair_census(d2).histogram() == pair_census(d).histogram()
 
 
+def reference_relabel(design, perm):
+    """relabel as it was: one canonical_block per block."""
+    if sorted(perm) != list(range(design.v)):
+        raise InvalidBlockError("perm is not a bijection on the point set")
+    blocks = [
+        canonical_block((perm[p1[0]], perm[p1[1]]), (perm[p2[0]], perm[p2[1]]))
+        for p1, p2 in design.blocks
+    ]
+    return nested_design(design.v, blocks, design.uses_infinity)
+
+
+def _relabel_outcome(fn, design, perm):
+    """fn's relabeled design, or the type and text of what it raised."""
+    try:
+        return fn(design, perm)
+    except Exception as exc:  # noqa: BLE001 - compared with the reference
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("as_tuple", [False, True])
+@pytest.mark.parametrize("name", catalog_names())
+def test_relabel_matches_reference(name, as_tuple):
+    design = catalog_get(name).design()
+    perm = list(range(design.v))
+    random.Random(name).shuffle(perm)
+    if as_tuple:
+        perm = tuple(perm)
+    got = relabel(design, perm)
+    assert got == reference_relabel(design, perm)
+    assert len({id(p) for b in got.blocks for p in b}) == len(pair_census(got).counts)
+
+
+@pytest.mark.parametrize(
+    "first",
+    [
+        ((1, 0), (2, 3)),  # a pair high to low
+        ((2, 3), (0, 1)),  # pairs out of order
+        ((0, 1), (1, 2)),  # pairs that share a point
+        ((0, 0), (2, 3)),  # a degenerate pair
+        ((-1, 2), (3, 7)),  # a negative point, which perm reads as 7
+        ((-2, 2), (3, 4)),
+        ((0, 1), (2, 8)),  # a point past v - 1
+        ((0, 1, 2), (3, 4)),  # three points in a pair
+        ([0, 1], [2, 3]),  # pairs as lists
+    ],
+)
+def test_relabel_malformed_block_matches_reference(first):
+    sqs8 = catalog_get("sqs8uniform").design()
+    design = NestedDesign(8, (first,) + sqs8.blocks[1:])
+    perm = [3, 0, 7, 5, 1, 6, 2, 4]
+    assert _relabel_outcome(relabel, design, perm) == _relabel_outcome(
+        reference_relabel, design, perm
+    )
+
+
+@pytest.mark.parametrize(
+    "v,perm",
+    [(8, [0, 1, 2, 3, 4, 5, 6, 6]), (8, list(range(9))), (4, [3, 2, 1, 0])],
+)
+def test_relabel_perm_matches_reference(v, perm):
+    design = catalog_get("sqs8uniform").design() if v == 8 else NestedDesign(4, ())
+    assert _relabel_outcome(relabel, design, perm) == _relabel_outcome(
+        reference_relabel, design, perm
+    )
+
 # ---------------------------------------------------------------------------
 # nested_design keeps canonical blocks: the same design as canonicalizing
 
