@@ -424,10 +424,16 @@ class CosetSet:
         raise NsqsError(f"{x} has no coset mod {self.modulus}")
 
 
+# every residue is held at once: 2^20 - 1 takes about 0.5 s and 90 MB
+_COSETS_MAX_MODULUS = 1 << 20
+
+
 def cyclotomic_cosets(m: int) -> CosetSet:
     """Partition of Z_m \\ {0} into orbits under doubling."""
     if m < 3 or m % 2 == 0:
         raise InvalidModulusError(f"need an odd modulus >= 3, got {m}")
+    if m > _COSETS_MAX_MODULUS:
+        raise InvalidModulusError(f"need a modulus <= {_COSETS_MAX_MODULUS}, got {m}")
     seen: set[int] = set()
     cosets = []
     for x in range(1, m):

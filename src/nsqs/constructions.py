@@ -117,6 +117,10 @@ def boolean_blocks(n: int) -> list[tuple[int, int, int, int]]:
     return [p + q for p, q in _boolean_split_blocks(n)]
 
 
+# n = 8 gives 690 880 blocks; n = 9 would hold 5.6 M in memory
+_BOOLEAN_MAX_N = 8
+
+
 def boolean_sqs(n: int, poly: int | None = None) -> NestedDesign:
     """Boolean SQS(2^n) with default (lexicographically first) splits.
 
@@ -126,6 +130,8 @@ def boolean_sqs(n: int, poly: int | None = None) -> NestedDesign:
     """
     if n < 2:
         raise InvalidOrderError(f"boolean system needs n >= 2, got {n}")
+    if n > _BOOLEAN_MAX_N:
+        raise InvalidOrderError(f"boolean system needs n <= {_BOOLEAN_MAX_N}, got {n}")
     if poly is not None:
         Gf2nField(n, poly)
     return NestedDesign(1 << n, tuple(_boolean_split_blocks(n)))

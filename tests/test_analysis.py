@@ -404,6 +404,12 @@ def test_cyclotomic_cosets_rejects_even():
         cyclotomic_cosets(8)
 
 
+@pytest.mark.parametrize("m", [(1 << 20) + 1, 10**18 + 1])
+def test_cyclotomic_cosets_refuses_huge_modulus(m):
+    with pytest.raises(InvalidModulusError, match=f"got {m}"):
+        cyclotomic_cosets(m)
+
+
 def test_quasi_uniform_collapse_check():
     assert quasi_uniform_collapse_check(10, 30)  # 30 | 60 -> must be uniform
     assert not quasi_uniform_collapse_check(16, 71)  # 71 does not divide 280

@@ -135,6 +135,14 @@ def test_construct_boolean_rejects_small_n(capsys, nest, n):
 
 
 @pytest.mark.parametrize("nest", ["none", "catalog", "search"])
+def test_construct_boolean_refuses_large_n(capsys, nest):
+    # refused before anything of size 2^n is allocated
+    code, out, err = run(capsys, "construct", "boolean", "--n", "40", "--nest", nest)
+    assert (code, out) == (2, "")
+    assert err == "error: boolean system needs n <= 8, got 40\n"
+
+
+@pytest.mark.parametrize("nest", ["none", "catalog", "search"])
 def test_construct_boolean_rejects_non_primitive_poly(capsys, nest):
     # x^3 + x^2 + x + 1 = (x + 1)^3
     code, out, err = run(
@@ -272,6 +280,12 @@ def test_cosets(capsys):
     code, out, _ = run(capsys, "cosets", "--mod", "7")
     assert code == 0
     assert out == "{1, 2, 4}\n{3, 6, 5}\n"
+
+
+def test_cosets_refuses_huge_modulus(capsys):
+    code, out, err = run(capsys, "cosets", "--mod", "1000000000000000001")
+    assert (code, out) == (2, "")
+    assert err == "error: need a modulus <= 1048576, got 1000000000000000001\n"
 
 
 def test_usage_error_exit_code():

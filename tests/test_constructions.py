@@ -65,6 +65,12 @@ def test_one_factorization_rejects_odd():
         one_factorization(7)
 
 
+@pytest.mark.parametrize("n", [9, 40])
+def test_boolean_sqs_refuses_large_n(n):
+    with pytest.raises(InvalidOrderError, match=f"needs n <= 8, got {n}"):
+        boolean_sqs(n)
+
+
 @pytest.mark.parametrize(
     "n,count", [(2, 1), (3, 14), (4, 140), (5, 1240)]
 )

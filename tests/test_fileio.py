@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nsqs import (
+    NsqsError,
     ParseError,
     catalog_get,
     catalog_names,
@@ -17,6 +18,7 @@ from nsqs import (
     serialize_base_spec,
     serialize_design,
 )
+from nsqs.constructions import rotational_spec
 from nsqs.core import design_from_canonical
 
 
@@ -164,9 +166,10 @@ def test_uses_infinity_from_metadata_alone():
 
 
 # ---------------------------------------------------------------------------
-# The bulk parse against the line-by-line parser it shortcuts
+# The parser against the line-by-line reader it replaced
 
 _REF_HEADER = re.compile(r"^nsqs v=(\d+) blocks=(\d+)$")
+_REF_BASE_HEADER = re.compile(r"^nsqs-base p=(\d+) multipliers=(\d+(?:,\d+)*)$")
 _REF_LINE = re.compile(r"^(\S+) (\S+) \| (\S+) (\S+)$")
 
 
@@ -182,20 +185,17 @@ def _ref_point(token, inf_index, lineno):
     return x
 
 
-def reference_parse_design(text, strict_count=True):
-    """The parser as it was before the bulk pass: every line read alone."""
+def _ref_header(text, header):
     lines = text.splitlines()
     if not lines:
         raise ParseError("empty input")
-    m = _REF_HEADER.match(lines[0].strip())
+    m = header.match(lines[0].strip())
     if not m:
         raise ParseError(f"line 1: bad header {lines[0]!r}")
-    v, count = int(m.group(1)), int(m.group(2))
-    body = lines[1:]
-    if not strict_count:
-        count = sum(
-            1 for line in body if line.strip() and not line.lstrip().startswith("#")
-        )
+    return m, lines[1:]
+
+
+def _ref_blocks(body, inf_index):
     blocks, saw_inf, metadata = [], False, {}
     for lineno, line in enumerate(body, 2):
         m = _REF_LINE.match(line)
@@ -212,15 +212,37 @@ def reference_parse_design(text, strict_count=True):
             raise ParseError(f"line {lineno}: malformed block line {line!r}")
         tokens = m.groups()
         saw_inf = saw_inf or "inf" in tokens
-        a, b, c, d = (_ref_point(t, v - 1, lineno) for t in tokens)
+        a, b, c, d = (_ref_point(t, inf_index, lineno) for t in tokens)
         if len({a, b, c, d}) < 4:
             raise ParseError(f"line {lineno}: repeated point in block {line!r}")
         p, q = (min(a, b), max(a, b)), (min(c, d), max(c, d))
         blocks.append((p, q) if p < q else (q, p))
+    return blocks, saw_inf, metadata
+
+
+def reference_parse_design(text, strict_count=True):
+    """The parser as it was before pair texts were shared: every line
+    read alone, token by token."""
+    m, body = _ref_header(text, _REF_HEADER)
+    v, count = int(m.group(1)), int(m.group(2))
+    if not strict_count:
+        count = sum(
+            1 for line in body if line.strip() and not line.lstrip().startswith("#")
+        )
+    blocks, saw_inf, metadata = _ref_blocks(body, v - 1)
     if len(blocks) != count:
         raise ParseError(f"header announced {count} blocks, file contains {len(blocks)}")
     uses_infinity = saw_inf or metadata.get("infinity") == "1"
     return design_from_canonical(v, blocks, uses_infinity=uses_infinity)
+
+
+def reference_parse_base_spec(text):
+    """parse_base_spec over the same line-by-line reader."""
+    m, body = _ref_header(text, _REF_BASE_HEADER)
+    p = int(m.group(1))
+    multipliers = tuple(int(t) for t in m.group(2).split(","))
+    blocks, _, _ = _ref_blocks(body, p)
+    return rotational_spec(p, blocks, multipliers)
 
 
 def _outcome(parse, text, strict_count):
@@ -316,16 +338,79 @@ def test_parse_matches_line_by_line_reference(name):
     assert_parses_like_reference(PARSER_DIFFERENTIAL_CASES[name])
 
 
-def test_bulk_parse_of_multi_chunk_designs_matches_reference():
+def test_parse_of_multi_chunk_designs_matches_reference():
     for design in (catalog_get("ro62").design(), doubling_a(catalog_get("bool32").design())):
         text = serialize_design(design)
-        assert len(text) > 65536  # more than one bulk chunk
+        assert len(text) > 65536  # split into lines more than one chunk at a time
         assert parse_design(text) == reference_parse_design(text) == design
-        # a fault far into the file: the chunks before it are read in bulk
+        # a fault far into the file, after thousands of shared pair texts
         lines = text.split("\n")
         for k, line in ((len(lines) - 3, "0 1 | 1 2"), (7000, "5 4 | 1 0")):
             broken = "\n".join(lines[:k] + [line] + lines[k + 1:])
             assert_parses_like_reference(broken)
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"])
+def test_crlf_and_cr_files_parse_like_lf(newline):
+    design = doubling_a(catalog_get("bool32").design())
+    text = serialize_design(design)
+    parsed = parse_design(text.replace("\n", newline))
+    assert parsed == parse_design(text) == design
+    pairs = [p for blk in parsed.blocks for p in blk]
+    assert len({id(p) for p in pairs}) == len(set(pairs))  # one tuple per pair
+
+
+def _base_outcome(parse, text):
+    try:
+        return ("spec", parse(text))
+    except NsqsError as exc:
+        return ("error", type(exc), str(exc))
+
+
+_RO20_BASE = serialize_base_spec(catalog_get("ro20").payload)
+_RO62_BASE = serialize_base_spec(catalog_get("ro62").payload)
+
+BASE_DIFFERENTIAL_CASES = {
+    **{
+        f"catalog {name}": serialize_base_spec(catalog_get(name).payload)
+        for name in ("ro20", "ro26", "ro38", "ro62", "bool32")
+    },
+    "crlf": _RO62_BASE.replace("\n", "\r\n"),
+    "cr": _RO62_BASE.replace("\n", "\r"),
+    "inf spelled out": _RO20_BASE.replace("inf", "19"),
+    "inf mixed": _RO20_BASE.replace("inf", "19", 1),
+    "out of range": _swap_line(_RO20_BASE, 2, "0 1 | 2 20"),
+    "p written out": _swap_line(_RO20_BASE, 2, "0 1 | 2 19"),
+    "base block twice": _swap_line(
+        _RO20_BASE, 2, _RO20_BASE.split("\n")[2] + "\n" + _RO20_BASE.split("\n")[2]
+    ),
+    "negative": _swap_line(_RO20_BASE, 2, "-1 1 | 2 3"),
+    "repeated point": _swap_line(_RO20_BASE, 2, "0 1 | 1 2"),
+    "repeated inf": _swap_line(_RO20_BASE, 2, "inf 19 | 1 2"),
+    "pairs out of order": _swap_line(_RO20_BASE, 2, "9 0 | inf 1"),
+    "leading zeros": _swap_line(_RO20_BASE, 2, "00 1 | 2 3"),
+    "blank and comment lines": _swap_line(
+        _RO20_BASE, 2, "\n   \n# note=x\n" + _RO20_BASE.split("\n")[2]
+    ),
+    "bad comment": _swap_line(_RO20_BASE, 2, "# loose"),
+    "malformed line": _swap_line(_RO20_BASE, 2, "0 1 2 3"),
+    "design header": "nsqs v=4 blocks=1\n0 1 | 2 3\n",
+    "no multipliers": _RO20_BASE.replace(" multipliers=1", "", 1),
+    "multipliers not a group": _RO20_BASE.replace("=1\n", "=1,19\n", 1),
+    "header trailing space": _RO20_BASE.replace("\n", " \n", 1),
+    "header only": "nsqs-base p=19 multipliers=1\n",
+    "empty": "",
+    "newline only": "\n",
+    "no trailing newline": _RO62_BASE.rstrip("\n"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BASE_DIFFERENTIAL_CASES))
+def test_parse_base_spec_matches_line_by_line_reference(name):
+    text = BASE_DIFFERENTIAL_CASES[name]
+    assert _base_outcome(parse_base_spec, text) == _base_outcome(
+        reference_parse_base_spec, text
+    )
 
 
 _MUTATION_LINES = [
