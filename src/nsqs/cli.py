@@ -91,10 +91,12 @@ def _search_boolean(n: int, poly) -> search.SearchOutcome:
         )
         blocks = [b[0] + b[1] for b in design.blocks]
         return search.search_nesting(blocks, search.SearchSpec(target))
-    field = Gf2nField(n, poly)
+    # the design refuses an n past boolean_sqs's bound before any field
+    # table is built
+    p = (1 << n) - 1
     spec = constructions.orbit_spec(
         constructions.boolean_rotational_design(n, poly),
-        {pow(2, k, field.order) for k in range(n)},
+        {pow(2, k, p) for k in range(n)},
     )
     out = search.search_rotational(
         spec, search.SearchSpec(search.complete_uniform())
@@ -102,7 +104,7 @@ def _search_boolean(n: int, poly) -> search.SearchOutcome:
     if out.status != "found":
         return out
     # exponent i back to the field element alpha^i, the fixed point to 0
-    to_rot = constructions.boolean_to_rotational(field)
+    to_rot = constructions.boolean_to_rotational(Gf2nField(n, poly))
     design = relabel(
         constructions.rotational_expand(out.witness), sorted(to_rot, key=to_rot.get)
     )

@@ -121,6 +121,15 @@ def boolean_blocks(n: int) -> list[tuple[int, int, int, int]]:
 _BOOLEAN_MAX_N = 8
 
 
+def _check_boolean_order(n: int) -> None:
+    """Raise InvalidOrderError unless 2 <= n <= _BOOLEAN_MAX_N, before
+    any field table or block is built."""
+    if n < 2:
+        raise InvalidOrderError(f"boolean system needs n >= 2, got {n}")
+    if n > _BOOLEAN_MAX_N:
+        raise InvalidOrderError(f"boolean system needs n <= {_BOOLEAN_MAX_N}, got {n}")
+
+
 def boolean_sqs(n: int, poly: int | None = None) -> NestedDesign:
     """Boolean SQS(2^n) with default (lexicographically first) splits.
 
@@ -128,10 +137,7 @@ def boolean_sqs(n: int, poly: int | None = None) -> NestedDesign:
     validates it (non-primitive moduli are rejected), matching the
     rotational-form functions that do need it.
     """
-    if n < 2:
-        raise InvalidOrderError(f"boolean system needs n >= 2, got {n}")
-    if n > _BOOLEAN_MAX_N:
-        raise InvalidOrderError(f"boolean system needs n <= {_BOOLEAN_MAX_N}, got {n}")
+    _check_boolean_order(n)
     if poly is not None:
         Gf2nField(n, poly)
     return NestedDesign(1 << n, tuple(_boolean_split_blocks(n)))
@@ -150,6 +156,7 @@ def boolean_to_rotational(field: Gf2nField) -> dict[int, int]:
 
 def boolean_rotational_design(n: int, poly: int | None = None) -> NestedDesign:
     """Boolean SQS(2^n) in exponent coordinates, default splits."""
+    _check_boolean_order(n)
     field = Gf2nField(n, poly)
     to_rot = boolean_to_rotational(field)
     size = 1 << n
@@ -229,9 +236,15 @@ def rotational_images(spec: RotationalSpec) -> list[NestedBlock]:
     """The canonical blocks of :func:`rotational_expand`, checked the
     same way and raising the same errors, but in image order: a caller
     that only counts pairs skips the sort into a design."""
+    return _checked_images(spec.v, _expand_images(spec))
+
+
+def _expand_images(spec: RotationalSpec) -> list[NestedBlock]:
+    """Every image of every base block, in image order (base block, then
+    ``sorted(multipliers)``, then shift), unchecked but for a degenerate
+    base block, which raises after any conflict among earlier images."""
     spec.validate()
     p = spec.p
-    v = spec.v
     rows: dict[int, list[Pair]] = {}
 
     def row(d: int) -> list[Pair]:
@@ -277,6 +290,13 @@ def rotational_images(spec: RotationalSpec) -> list[NestedBlock]:
         # image by image, a conflict among the earlier images raised first
         _distinct_images(images)
         raise
+    return images
+
+
+def _checked_images(v: int, images: list[NestedBlock]) -> list[NestedBlock]:
+    """The images themselves when they are the blocks of an SQS(v);
+    otherwise deduplicated, or an InconsistentSpecError for a conflict,
+    a wrong block count or a failed Steiner check, in that order."""
     expected = expected_block_count(v)
     # verify_steiner reads the blocks in any order, so the images need
     # no sort to be checked

@@ -33,12 +33,13 @@ from .analysis import (
     split_classes,
     uniform_obstruction,
 )
-from .constructions import RotationalSpec, rotational_images
+from .constructions import RotationalSpec, _checked_images, _expand_images
 from .core import (
     NestedBlock,
     NestedDesign,
     alternative_splits,
     design_from_canonical,
+    expected_block_count,
     nested_design,
     total_pair_slots,
     verify_steiner,
@@ -215,18 +216,20 @@ def _assign_splits(
     capacity = max((sum(inc for _, inc in con) for con in contribs), default=0)
 
     # lifts[i]: the cells unit i touches, each repeated as often as the
-    # most unit i can add to it; reach[cell]: the most the unassigned
-    # units can still add to it.  No count ever passes its cell's initial
-    # reach, so capping mu_hi at the largest one changes no test and
-    # keeps the tables below small.
+    # most unit i can add to it (built for the unliftable prune only);
+    # reach[cell]: the most the unassigned units can still add to it.  No
+    # count ever passes its cell's initial reach, so capping mu_hi at the
+    # largest one changes no test and keeps the tables below small.
     lifts: list[tuple[int, ...]] = []
     reach = [0] * n_cells
     for i in range(n_units):
         span: dict[int, int] = {}
         for o in range(3 * i, 3 * i + 3):
             for cl, inc in contribs[o]:
-                span[cl] = max(span.get(cl, 0), inc)
-        lifts.append(tuple(cl for cl, inc in span.items() for _ in range(inc)))
+                if inc > span.get(cl, 0):
+                    span[cl] = inc
+        if unliftable:
+            lifts.append(tuple(cl for cl, inc in span.items() for _ in range(inc)))
         for cl, inc in span.items():
             reach[cl] += inc
     mu_hi = max(0, min(mu_hi, max(reach, default=0)))
@@ -453,6 +456,43 @@ def search_nesting(blocks, spec: SearchSpec) -> SearchOutcome:
     return SearchOutcome(status=status, witness=witness, stats=stats)
 
 
+@dataclass
+class _SpecClasses:
+    """What :func:`search_rotational` works out once per spec: the
+    fixed-point multiplicity of the validated difference census, each
+    base block's three splits with their class contributions (built on
+    first need), and whether a witness's images passed the Steiner check
+    with no image repeated."""
+
+    inf_count: int
+    splits: Optional[list[list[NestedBlock]]] = None
+    contribs: Optional[list[list[tuple[tuple[int, int], ...]]]] = None
+    steiner_ok: bool = False
+
+
+# the specs seen last, oldest first, keyed on their values; each entry
+# holds O(base blocks), never an expanded design
+_SPEC_CACHE_SIZE = 16
+_spec_cache: dict[tuple, _SpecClasses] = {}
+
+
+def _spec_classes(spec: RotationalSpec) -> _SpecClasses:
+    """The cache entry of a spec equal in p, base blocks and multipliers,
+    made (and the spec validated) on first sight.  A spec whose blocks
+    cannot be hashed gets a fresh entry that is not kept."""
+    key = (spec.p, tuple(spec.base_blocks), frozenset(spec.multipliers))
+    try:
+        entry = _spec_cache.get(key)
+    except TypeError:
+        return _SpecClasses(difference_census(spec).inf_count)
+    if entry is None:
+        entry = _SpecClasses(difference_census(spec).inf_count)
+        if len(_spec_cache) >= _SPEC_CACHE_SIZE:
+            del _spec_cache[next(iter(_spec_cache))]
+        _spec_cache[key] = entry
+    return entry
+
+
 def search_rotational(spec: RotationalSpec, search: SearchSpec) -> SearchOutcome:
     """Choose base-block splits only; the cells are the difference classes.
 
@@ -461,8 +501,17 @@ def search_rotational(spec: RotationalSpec, search: SearchSpec) -> SearchOutcome
     uniformly over every pair of the class, so per-class counts are exact
     predictions of the expanded census.  The p pairs through the fixed
     point are not a cell: their multiplicity is forced.
+
+    Seeded restarts on one spec repeat only the per-call work: the
+    target, the seeded order of each block's splits, the engine and the
+    expansion of the witness.  The difference census, the splits and
+    their class contributions are worked out once per spec (equal p,
+    base blocks and multipliers), and kept for the last few specs.  The
+    first witness of a spec gets the full Steiner check of its
+    expansion; later witnesses have the same block point sets, so they
+    skip it, but every witness still has its expanded pairs counted.
     """
-    census = difference_census(spec)  # validates the spec
+    entry = _spec_classes(spec)  # validates the spec
     p = spec.p
     res = _resolve_target(search.target, spec.v)
     if isinstance(res, str):
@@ -473,12 +522,12 @@ def search_rotational(spec: RotationalSpec, search: SearchSpec) -> SearchOutcome
 
     # every split of an inf block pairs inf with someone, so the inf-pair
     # multiplicity is forced before any choice is made
-    if census.inf_count != mu:
+    if entry.inf_count != mu:
         return SearchOutcome(
             status="refused",
             reason=(
                 f"pairs through the fixed point are forced to multiplicity "
-                f"{census.inf_count}, target needs {mu}"
+                f"{entry.inf_count}, target needs {mu}"
             ),
         )
     if res.nd_pairs % p:
@@ -490,18 +539,28 @@ def search_rotational(spec: RotationalSpec, search: SearchSpec) -> SearchOutcome
             ),
         )
 
-    # option 3*i + k is split k of base block i (in seeded order)
+    if entry.splits is None:
+        block_splits = [alternative_splits(blk) for blk in spec.base_blocks]
+        entry.contribs = [
+            [
+                tuple(Counter(d - 1 for d in split_classes(opt, p, spec.multipliers)).items())
+                for opt in opts
+            ]
+            for opts in block_splits
+        ]
+        entry.splits = block_splits
+    # option 3*i + k is split k of base block i in seeded order: a seed
+    # shuffles each block's index triple, which takes the same rng calls
+    # as shuffling its splits
     rng = random.Random(search.seed)
     splits: list[NestedBlock] = []
-    for blk in spec.base_blocks:
-        opts = alternative_splits(blk)
+    contribs: list[tuple[tuple[int, int], ...]] = []
+    for opts, cons in zip(entry.splits, entry.contribs):
+        order = [0, 1, 2]
         if search.seed is not None:
-            rng.shuffle(opts)
-        splits += opts
-    contribs = [
-        tuple(Counter(d - 1 for d in split_classes(opt, p, spec.multipliers)).items())
-        for opt in splits
-    ]
+            rng.shuffle(order)
+        splits += [opts[k] for k in order]
+        contribs += [cons[k] for k in order]
 
     # the nonzero classes are the ND-pairs less the fixed point's p.  The
     # unliftable prune stays off at orbit level: searches with it find the
@@ -518,8 +577,17 @@ def search_rotational(spec: RotationalSpec, search: SearchSpec) -> SearchOutcome
         base_blocks=tuple(splits[o] for o in chosen),
         multipliers=spec.multipliers,
     )
-    # the class prediction is exact, but expand once as a post-check
-    counts = Counter(chain.from_iterable(rotational_images(witness))).values()
+    # the class prediction is exact, but expand once as a post-check.
+    # Whether the images form an SQS depends on p, the multipliers and
+    # the base blocks' point sets, not on their splits, so once a witness
+    # of this spec passed with no image repeated, later ones skip the
+    # Steiner check; a spec that failed it or repeats an image keeps it
+    images = _expand_images(witness)
+    if not entry.steiner_ok:
+        whole = len(images) == expected_block_count(spec.v)
+        images = _checked_images(spec.v, images)
+        entry.steiner_ok = whole
+    counts = Counter(chain.from_iterable(images)).values()
     if min(counts) != mu or max(counts) != mu:
         raise NsqsError("rotational search produced a non-uniform witness")
     return SearchOutcome(status=status, witness=witness, stats=stats)

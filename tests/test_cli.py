@@ -143,6 +143,18 @@ def test_construct_boolean_refuses_large_n(capsys, nest):
 
 
 @pytest.mark.parametrize("nest", ["none", "catalog", "search"])
+@pytest.mark.parametrize("n,poly", [(9, "0x211"), (40, "0x10000000003")])
+def test_construct_boolean_refuses_large_n_with_poly(capsys, nest, n, poly):
+    # a --poly of degree n gets an odd n past the default polynomials to
+    # the orbit search; it is refused before any field table or block
+    code, out, err = run(
+        capsys, "construct", "boolean", "--n", str(n), "--poly", poly, "--nest", nest
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: boolean system needs n <= 8, got {n}\n"
+
+
+@pytest.mark.parametrize("nest", ["none", "catalog", "search"])
 def test_construct_boolean_rejects_non_primitive_poly(capsys, nest):
     # x^3 + x^2 + x + 1 = (x + 1)^3
     code, out, err = run(

@@ -5,13 +5,16 @@ import hashlib
 import random
 import sys
 import time
+from collections import Counter
 from typing import Optional
 
 import pytest
 
 from nsqs import (
+    InconsistentSpecError,
     NsqsError,
     PreconditionError,
+    RotationalSpec,
     SearchSpec,
     alternative_splits,
     block_points,
@@ -33,7 +36,8 @@ from nsqs import (
     uniform,
     verify_steiner,
 )
-from nsqs import search
+from nsqs import constructions, search
+from nsqs.analysis import split_classes
 from nsqs.search import SearchStats, SearchTarget, band
 
 
@@ -346,6 +350,91 @@ def test_rotational_search_refuses_support_off_the_classes():
     assert out.status == "refused"
     assert out.stats.nodes == 0
     assert "260 ND-pairs" in out.reason
+
+
+def _rotational_result(spec, search_spec):
+    out = search_rotational(spec, search_spec)
+    digest = out.witness and _witness_digest(serialize_base_spec(out.witness))
+    return out.status, out.stats.nodes, dict(out.stats.prunes), digest
+
+
+@pytest.mark.parametrize(
+    "name,target,seed,budget,status,nodes,prunes,witness",
+    [row for row in ROTATIONAL_PINS if row[2] is not None],
+)
+def test_rotational_search_warm_cache_matches_cold(
+    name, target, seed, budget, status, nodes, prunes, witness
+):
+    # a spec's split classes and Steiner verdict are kept across calls
+    search._spec_cache.clear()
+    spec = SearchSpec(
+        complete_uniform() if target == "complete" else uniform(5),
+        node_budget=budget or 10**8,
+        seed=seed,
+    )
+    stripped = _stripped_spec(name)
+    cold = _rotational_result(stripped, spec)
+    assert cold == (status, nodes, prunes, witness)
+    assert _rotational_result(stripped, spec) == cold
+    assert _rotational_result(_stripped_spec(name), spec) == cold
+    # a list of base blocks and a set of multipliers make the spec
+    # unhashable, but its values still find the same entry
+    loose = RotationalSpec(
+        p=stripped.p,
+        base_blocks=list(stripped.base_blocks),
+        multipliers=set(stripped.multipliers),
+    )
+    assert _rotational_result(loose, spec) == cold
+    assert len(search._spec_cache) == 1
+
+
+def _negated_first_block(spec):
+    """The spec with base block 0 replaced by its image under x -> -x,
+    the fixed point kept: the same difference classes, other triples."""
+    p = spec.p
+    (a, b), (c, d) = spec.base_blocks[0]
+    neg = [x if x == p else -x % p for x in (a, b, c, d)]
+    return rotational_spec(
+        p, [(neg[:2], neg[2:])] + list(spec.base_blocks[1:]), spec.multipliers
+    )
+
+
+def test_rotational_search_post_check_catches_a_bad_spec_when_warm():
+    search._spec_cache.clear()
+    bad = _negated_first_block(_stripped_spec("ro20"))
+    spec = SearchSpec(complete_uniform(), seed=1)
+    message = (
+        r"^expansion is not a quadruple system; "
+        r"witness triple \(0, 1, 12\) covered 2 times$"
+    )
+    with pytest.raises(InconsistentSpecError, match=message):
+        search_rotational(bad, spec)  # first call
+    with pytest.raises(InconsistentSpecError, match=message):
+        search_rotational(bad, spec)  # repeat call
+    assert search_rotational(_stripped_spec("ro20"), spec).status == "found"
+    assert search_rotational(_stripped_spec("ro20"), spec).status == "found"
+    with pytest.raises(InconsistentSpecError, match=message):
+        search_rotational(bad, spec)  # after the good spec passed
+
+
+def test_rotational_search_checks_steiner_once_per_spec(monkeypatch):
+    search._spec_cache.clear()
+    calls = []
+    verify = constructions.verify_steiner
+
+    def spy(design):
+        calls.append(design.v)
+        return verify(design)
+
+    monkeypatch.setattr(constructions, "verify_steiner", spy)
+    ro20, ro26 = _stripped_spec("ro20"), _stripped_spec("ro26")
+    for seed in (None, 1, 2, 3):
+        assert search_rotational(ro20, SearchSpec(complete_uniform(), seed=seed)).witness
+    assert search_rotational(ro26, SearchSpec(complete_uniform())).witness
+    assert calls == [20, 26]
+    # rotational_expand keeps its full check
+    rotational_expand(ro20)
+    assert calls == [20, 26, 20]
 
 
 # local_balance runs: (design, mu_lo, mu_hi, max_moves, status, moves,
@@ -683,6 +772,23 @@ def _engine_input(front_end, *args):
     return seen[0]
 
 
+def reference_orbit_input(spec, seed):
+    """The (contribs, n_cells) that search_rotational handed the engine
+    when it built every split's classes afresh on each call."""
+    rng = random.Random(seed)
+    splits = []
+    for blk in spec.base_blocks:
+        opts = alternative_splits(blk)
+        if seed is not None:
+            rng.shuffle(opts)
+        splits += opts
+    contribs = [
+        tuple(Counter(d - 1 for d in split_classes(opt, spec.p, spec.multipliers)).items())
+        for opt in splits
+    ]
+    return contribs, spec.p // 2
+
+
 # (entry, level, seeds): block contribs have one cell per pair and
 # increments of 1; orbit contribs have one cell per difference class and
 # increments up to the number of multipliers
@@ -707,6 +813,22 @@ ENGINE_TARGETS = [
     quasi_uniform(2),
     SearchTarget("quasi-uniform", mu_lo=3, mu_hi=4, nd_pairs=120),
 ]
+
+
+@pytest.mark.parametrize(
+    "name,seeds", [(n, seeds) for n, lv, seeds in ENGINE_INPUTS if lv == "orbit"]
+)
+def test_orbit_engine_input_matches_reference(name, seeds):
+    search._spec_cache.clear()
+    spec = _stripped_spec(name)
+    for seed in seeds:
+        want = reference_orbit_input(spec, seed)
+        for _ in range(2):  # the spec's first call, then a cached one
+            got = _engine_input(
+                search_rotational, spec,
+                SearchSpec(complete_uniform(), node_budget=0, seed=seed),
+            )
+            assert got == want, seed
 
 
 def _engine_cases(name, level, seed):
