@@ -12,7 +12,9 @@ from __future__ import annotations
 import bisect
 import itertools
 import operator
+from collections import Counter
 from dataclasses import dataclass
+from typing import Iterator
 
 from .core import (
     NestedBlock,
@@ -239,10 +241,12 @@ def rotational_images(spec: RotationalSpec) -> list[NestedBlock]:
     return _checked_images(spec.v, _expand_images(spec))
 
 
-def _expand_images(spec: RotationalSpec) -> list[NestedBlock]:
-    """Every image of every base block, in image order (base block, then
-    ``sorted(multipliers)``, then shift), unchecked but for a degenerate
-    base block, which raises after any conflict among earlier images."""
+def _image_rows(spec: RotationalSpec) -> Iterator[tuple[list[Pair], int, list[Pair], int]]:
+    """Validate the spec, then yield ``(row, x, row2, x2)`` for each base
+    block and then each of ``sorted(multipliers)``, in image order: the
+    images of its first pair under the shifts 0..p-1, in order, are
+    ``row[x:] + row[:x]``, and likewise of its second pair.  A degenerate
+    base block raises at its shift-0 image, before it is yielded."""
     spec.validate()
     p = spec.p
     rows: dict[int, list[Pair]] = {}
@@ -266,31 +270,47 @@ def _expand_images(spec: RotationalSpec) -> list[NestedBlock]:
             rows[d] = r
         return r
 
-    def shifts(x: int, y: int) -> list[Pair]:
-        """The images of the pair {x, y} under each of the p shifts, in order."""
-        if x == p:
-            x, y = y, x
-        r = row(p if y == p else (y - x) % p)
-        return r[x:] + r[:x]
-
     multipliers = sorted(spec.multipliers)
+    for (a, b), (c, d) in spec.base_blocks:
+        for m in multipliers:
+            w, x, y, z = (pt if pt == p else m * pt % p for pt in (a, b, c, d))
+            canonical_block((w, x), (y, z))
+            # the shift-s image of {x, p} is row(p)[x + s]; of {x, y},
+            # row(y - x)[x + s]
+            if w == p:
+                w, x = x, w
+            if y == p:
+                y, z = z, y
+            yield (row(p if x == p else (x - w) % p), w,
+                   row(p if z == p else (z - y) % p), y)
+
+
+def _expand_images(spec: RotationalSpec) -> list[NestedBlock]:
+    """Every image of every base block, in image order (base block, then
+    ``sorted(multipliers)``, then shift), unchecked but for a degenerate
+    base block, which raises after any conflict among earlier images."""
     images: list[NestedBlock] = []
     try:
-        for (a, b), (c, d) in spec.base_blocks:
-            for m in multipliers:
-                w, x, y, z = (pt if pt == p else m * pt % p for pt in (a, b, c, d))
-                # the shift-0 image raises for a degenerate base block
-                canonical_block((w, x), (y, z))
-                # disjoint pairs order by their least points
-                images += [
-                    (e, f) if e < f else (f, e)
-                    for e, f in zip(shifts(w, x), shifts(y, z))
-                ]
+        for r, x, r2, x2 in _image_rows(spec):
+            # disjoint pairs order by their least points
+            images += [
+                (e, f) if e < f else (f, e)
+                for e, f in zip(r[x:] + r[:x], r2[x2:] + r2[:x2])
+            ]
     except NsqsError:
         # image by image, a conflict among the earlier images raised first
         _distinct_images(images)
         raise
     return images
+
+
+def _image_pairs(spec: RotationalSpec) -> Counter:
+    """The pairs of :func:`_expand_images` with their multiplicities,
+    counted from the rows of shift images without building an image."""
+    rows: list[list[Pair]] = []
+    for r, _, r2, _ in _image_rows(spec):
+        rows += (r, r2)
+    return Counter(itertools.chain.from_iterable(rows))
 
 
 def _checked_images(v: int, images: list[NestedBlock]) -> list[NestedBlock]:

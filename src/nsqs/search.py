@@ -2,7 +2,7 @@
 
 One engine, two front ends, plus local rebalancing:
 
-* :func:`_assign_splits` -- the engine: an explicit-stack depth-first
+* :class:`_SplitEngine` -- the engine: an explicit-stack depth-first
   search for one of three splits per *unit*, where each split adds to
   the counts of *cells* that must end in the target band.
 * :func:`search_nesting` -- units are whole blocks, cells are pairs.
@@ -23,7 +23,7 @@ import random
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain, compress
+from itertools import chain
 from math import comb
 from typing import Optional
 
@@ -33,7 +33,7 @@ from .analysis import (
     split_classes,
     uniform_obstruction,
 )
-from .constructions import RotationalSpec, _checked_images, _expand_images
+from .constructions import RotationalSpec, _checked_images, _expand_images, _image_pairs
 from .core import (
     NestedBlock,
     NestedDesign,
@@ -169,6 +169,310 @@ def _check_band(what: str, lo: Optional[int], hi: Optional[int]) -> None:
 # ---------------------------------------------------------------------------
 # the split-assignment engine
 
+class _SplitEngine:
+    """The split-assignment engine on one input: the tables that do not
+    depend on the order in which a unit's options are tried, built once,
+    and :meth:`run`, one depth-first search for one split per unit, every
+    cell ending in [mu_lo, mu_hi] or at zero.
+
+    Unit i has the options 3i, 3i+1 and 3i+2; option o adds
+    ``contribs[o] = ((cell, increment), ...)`` to the cell counts.
+    ``nd_cells`` pins how many cells end up nonzero (None leaves it
+    free; all of them makes every cell live from the start).  With
+    ``unliftable`` a move is also pruned when one of its unit's cells
+    sits below mu_lo and the unassigned units can no longer lift it.
+    A run works on copies of the mutable tables, so an engine serves any
+    number of runs, each with its own order of every unit's options.
+    """
+
+    def __init__(
+        self,
+        contribs: list[tuple[tuple[int, int], ...]],
+        n_cells: int,
+        mu_lo: int,
+        mu_hi: int,
+        nd_cells: Optional[int],
+        unliftable: bool,
+    ) -> None:
+        n_units = len(contribs) // 3
+        self.contribs, self.n_cells, self.n_units = contribs, n_cells, n_units
+        self.mu_lo, self.nd_cells, self.unliftable = mu_lo, nd_cells, unliftable
+        self.complete = complete = nd_cells == n_cells
+        # With the support pinned below all cells, an option is feasible
+        # only if the cells it would open fit in the slack (nd_cells less
+        # the nonzero cells).  That test binds only while the slack is
+        # below max_new, the most cells one option touches.
+        self.pinned = pinned = nd_cells is not None and not complete
+        self.max_new = max_new = max(map(len, contribs), default=0)
+        # no unassigned unit can lower the deficit by more than this
+        self.capacity = max((sum(inc for _, inc in con) for con in contribs), default=0)
+
+        # lifts[i]: the cells unit i touches, each repeated as often as
+        # the most unit i can add to it (built for the unliftable prune
+        # only); reach[cell]: the most the unassigned units can still add
+        # to it.  No count ever passes its cell's initial reach, so
+        # capping mu_hi at the largest one changes no test and keeps the
+        # tables below small.
+        self.lifts = lifts = []
+        self.reach = reach = [0] * n_cells
+        for o in range(0, len(contribs), 3):
+            span: dict[int, int] = {}
+            for con in contribs[o:o + 3]:
+                for cl, inc in con:
+                    if inc > span.get(cl, 0):
+                        span[cl] = inc
+            if unliftable:
+                lifts.append(tuple(cl for cl, inc in span.items() for _ in range(inc)))
+            for cl, inc in span.items():
+                reach[cl] += inc
+        mu_hi = max(0, min(mu_hi, max(reach, default=0)))
+
+        # Domains.  over[o] counts the cells option o would push past
+        # mu_hi, so o is feasible iff over[o] == 0 (and the support pin
+        # allows it).  An option adding inc to a cell fits while the
+        # cell's count is at most mu_hi - inc, so watch[cell][t] lists the
+        # (option, unit) pairs with that threshold t: a count crossing t
+        # flips exactly those, and none is crossed by a count that ends at
+        # or below floor[cell], the lowest threshold with a watcher.
+        # nfeas[i] counts unit i's options with over == 0.
+        self.watch = watch = [[[] for _ in range(mu_hi)] for _ in range(n_cells)]
+        self.over = over = [0] * len(contribs)
+        for o, con in enumerate(contribs):
+            for cl, inc in con:
+                if inc > mu_hi:
+                    over[o] += 1
+                else:
+                    watch[cl][mu_hi - inc].append((o, o // 3))
+        self.floor = [next((t for t, w in enumerate(ws) if w), mu_hi) for ws in watch]
+        self.nfeas = bytearray((not over[o]) + (not over[o + 1]) + (not over[o + 2])
+                               for o in range(0, len(contribs), 3))
+
+        # Pinned support: new[o] counts the cells option o would open,
+        # touch[cell] lists the (option, unit) pairs with an entry on the
+        # cell, and within[s][i] counts unit i's options with over == 0
+        # that open at most s cells, for every slack s below max_new.
+        new = [len(con) for con in contribs] if pinned else []
+        touch: list[list[tuple[int, int]]] = [[] for _ in range(n_cells)] if pinned else []
+        for o, con in enumerate(contribs if pinned else ()):
+            for cl, _ in con:
+                touch[cl].append((o, o // 3))
+        self.new, self.touch = new, touch
+        self.within = [
+            bytearray(
+                sum(not over[o] and new[o] <= s for o in range(3 * i, 3 * i + 3))
+                for i in range(n_units)
+            )
+            for s in range(max_new if pinned else 0)
+        ]
+        # deficit = sum of gap[count] over cells: how far the live cells
+        # sit below mu_lo; empty cells are live only when the support is
+        # complete
+        self.gap = [
+            mu_lo - c if c < mu_lo and (complete or c) else 0 for c in range(mu_hi + 1)
+        ]
+
+    def run(
+        self, units: list[list[int]], spec: SearchSpec
+    ) -> tuple[str, list[int], SearchStats]:
+        """Search with unit i's feasible options tried in the order of
+        ``units[i]``, a permutation of (3i, 3i+1, 3i+2).  Returns the
+        outcome status, the chosen option of every unit (when found) and
+        the stats.
+
+        The search runs on an explicit stack, so the number of units is
+        not limited by the recursion limit.  It branches fail-first: on
+        the free unit with the fewest feasible options, ties going to the
+        lowest unit index, so the node order depends on nothing but the
+        input and ``units``.  Domains are kept incrementally: a move
+        updates only the options of free units that watch a cell whose
+        count it changed, and C-level scans of a bytearray of feasible
+        counts give the fail-first choice without scoring every unit.
+        A count change that ends at or below its cell's lowest watched
+        threshold flips no option and skips the watch lists altogether.
+        ``stats.nodes`` never exceeds ``spec.node_budget``.
+        """
+        # the tables a run changes are copied; every table is a local
+        contribs, n_cells, n_units = self.contribs, self.n_cells, self.n_units
+        mu_lo, nd_cells, unliftable = self.mu_lo, self.nd_cells, self.unliftable
+        complete, pinned, max_new = self.complete, self.pinned, self.max_new
+        capacity, lifts, watch, floor = self.capacity, self.lifts, self.watch, self.floor
+        touch, gap = self.touch, self.gap
+        reach = self.reach[:] if unliftable else self.reach
+        over = self.over[:]
+        nfeas = self.nfeas[:]
+        new = self.new[:]
+        within = [w[:] for w in self.within]
+        # The walks update over, new and within only for free units; an
+        # assigned unit's entries freeze when it is branched on.  That is
+        # exact: units leave and re-enter in stack order, so a unit is
+        # free both when an option is applied and when it is undone, or
+        # assigned both times, and the skipped updates would have
+        # cancelled.  When the unit is popped, the counts are back to
+        # their values at its branch, so its frozen entries are correct
+        # again.  nfeas[i] and within[s][i] are recomputed when unit i is
+        # popped; a unit on the stack holds 4 in them, above any count.
+        # So ``0 in nfeas`` is a dead end, and otherwise the first of
+        # nfeas.find(1), find(2), find(3) to hit is the lowest unit among
+        # the fewest feasible options; within[slack] answers the same
+        # while the pinned slack binds.
+        free = [True] * n_units  # not on the stack
+        counts = [0] * n_cells
+        deficit = gap[0] * n_cells
+
+        budget = spec.node_budget
+        time_budget = spec.time_budget
+        nodes = no_split = over_capacity = unliftable_cell = 0
+        start = time.monotonic()
+        chosen = [0] * n_units
+        n_free = n_units
+        stack: list[list] = []  # [unit, its feasible options, next position]
+        status = None
+        while status is None:
+            # a fresh node: a leaf, a budget stop, or a branch on the
+            # lowest unit among those with the fewest feasible options
+            if not n_free:
+                if deficit == 0 and (nd_cells is None or n_cells - counts.count(0) == nd_cells):
+                    status = "found"
+                    break
+            elif nodes >= budget or time.monotonic() - start > time_budget:
+                status = "budget-exceeded"
+                break
+            else:
+                if pinned and (slack := nd_cells - n_cells + counts.count(0)) < max_new:
+                    least = min(within[slack])
+                    if least:
+                        i = within[slack].find(least)
+                        opts = tuple(o for o in units[i] if not over[o] and new[o] <= slack)
+                else:
+                    least = 0 if 0 in nfeas else 1
+                    if least:
+                        i = nfeas.find(1)
+                        if i >= 0:  # a forced unit: its one open option
+                            o = 3 * i
+                            while over[o]:
+                                o += 1
+                            opts = (o,)
+                        elif (i := nfeas.find(2)) >= 0:
+                            least = 2
+                            opts = tuple(o for o in units[i] if not over[o])
+                        else:
+                            least, i = 3, nfeas.find(3)
+                            opts = units[i]
+                if least:
+                    nfeas[i] = 4
+                    if pinned:
+                        for w in within:
+                            w[i] = 4
+                    free[i] = False
+                    n_free -= 1
+                    if unliftable:
+                        for cl in lifts[i]:
+                            reach[cl] -= 1
+                    stack.append([i, opts, 0])
+                else:
+                    no_split += 1
+            # undo the last option tried and apply the next untried one
+            while stack:
+                frame = stack[-1]
+                i, opts, pos = frame
+                if pos:
+                    for cl, inc in contribs[opts[pos - 1]]:
+                        c2 = counts[cl]
+                        c = c2 - inc
+                        counts[cl] = c
+                        deficit += gap[c] - gap[c2]
+                        if c2 > floor[cl]:
+                            crossed = watch[cl]
+                            for t in range(c, c2):
+                                for o2, j in crossed[t]:
+                                    if free[j]:
+                                        n = over[o2] - 1
+                                        over[o2] = n
+                                        if not n:  # o2 fits again
+                                            nfeas[j] += 1
+                                            if pinned:
+                                                for s in range(new[o2], max_new):
+                                                    within[s][j] += 1
+                        if pinned and not c:  # the cell closes
+                            for o2, j in touch[cl]:
+                                if free[j]:
+                                    n = new[o2]
+                                    new[o2] = n + 1
+                                    if n < max_new and not over[o2]:
+                                        within[n][j] -= 1
+                if pos == len(opts):
+                    stack.pop()
+                    free[i] = True
+                    n_free += 1
+                    o = 3 * i
+                    nfeas[i] = (not over[o]) + (not over[o + 1]) + (not over[o + 2])
+                    if pinned:
+                        for s, w in enumerate(within):
+                            w[i] = sum(not over[o2] and new[o2] <= s for o2 in (o, o + 1, o + 2))
+                    if unliftable:
+                        for cl in lifts[i]:
+                            reach[cl] += 1
+                    continue
+                if nodes >= budget:  # siblings count against the budget too
+                    status = "budget-exceeded"
+                    break
+                frame[2] = pos + 1
+                nodes += 1
+                o = opts[pos]
+                chosen[i] = o
+                for cl, inc in contribs[o]:
+                    c = counts[cl]
+                    c2 = c + inc
+                    counts[cl] = c2
+                    deficit += gap[c2] - gap[c]
+                    if c2 > floor[cl]:
+                        crossed = watch[cl]
+                        for t in range(c, c2):
+                            for o2, j in crossed[t]:
+                                if free[j]:
+                                    n = over[o2]
+                                    over[o2] = n + 1
+                                    if not n:  # o2 stopped fitting
+                                        nfeas[j] -= 1
+                                        if pinned:
+                                            for s in range(new[o2], max_new):
+                                                within[s][j] -= 1
+                    if pinned and not c:  # the cell opens
+                        for o2, j in touch[cl]:
+                            if free[j]:
+                                n = new[o2] - 1
+                                new[o2] = n
+                                if n < max_new and not over[o2]:
+                                    within[n][j] += 1
+                if deficit > capacity * n_free:
+                    over_capacity += 1
+                    continue
+                if unliftable:
+                    # prune when one of the unit's cells sits below mu_lo
+                    # out of reach of the unassigned units
+                    for cl in lifts[i]:
+                        c = counts[cl]
+                        if c + reach[cl] < mu_lo and (complete or c):
+                            unliftable_cell += 1
+                            break
+                    else:
+                        break
+                    continue
+                break
+            else:
+                status = "exhausted"
+
+        stats = SearchStats(nodes=nodes, elapsed=time.monotonic() - start)
+        for name, n in (
+            ("no-feasible-split", no_split),
+            ("deficit-exceeds-capacity", over_capacity),
+            ("pair-unliftable", unliftable_cell),
+        ):
+            if n:
+                stats.prunes[name] = n
+        return status, chosen, stats
+
+
 def _assign_splits(
     contribs: list[tuple[tuple[int, int], ...]],
     n_cells: int,
@@ -178,243 +482,10 @@ def _assign_splits(
     unliftable: bool,
     spec: SearchSpec,
 ) -> tuple[str, list[int], SearchStats]:
-    """Depth-first search for one split per unit, every cell ending in
-    [mu_lo, mu_hi] or at zero.
-
-    Unit i has the options 3i, 3i+1 and 3i+2; option o adds
-    ``contribs[o] = ((cell, increment), ...)`` to the cell counts.
-    ``nd_cells`` pins how many cells end up nonzero (None leaves it
-    free; all of them makes every cell live from the start).  With
-    ``unliftable`` a move is also pruned when one of its unit's cells
-    sits below mu_lo and the unassigned units can no longer lift it.
-    Returns the outcome status, the chosen option of every unit (when
-    found) and the stats.
-
-    The search runs on an explicit stack, so the number of units is not
-    limited by the recursion limit.  It branches fail-first: on the free
-    unit with the fewest feasible options, ties going to the lowest unit
-    index, so the node order depends on nothing but the input.  Domains
-    are kept incrementally: a move updates only the options of free units
-    that watch a cell whose count it changed, and C-level scans of a
-    bytearray of feasible counts give the fail-first choice without
-    scoring every unit.
-    A count change that ends at or below its cell's lowest watched
-    threshold flips no option and skips the watch lists altogether.
-    ``stats.nodes`` never exceeds ``spec.node_budget``.
-    """
-    n_units = len(contribs) // 3
-    complete = nd_cells == n_cells
-    # With the support pinned below all cells, an option is feasible only
-    # if the cells it would open fit in the slack (nd_cells less the
-    # nonzero cells).  That test binds only while the slack is below
-    # max_new, the most cells one option touches; then the options of
-    # each free unit are counted afresh at every node, in ascending unit
-    # order, instead of read from nfeas.
-    pinned = nd_cells is not None and not complete
-    max_new = max(map(len, contribs), default=0)
-    # no unassigned unit can lower the deficit by more than this
-    capacity = max((sum(inc for _, inc in con) for con in contribs), default=0)
-
-    # lifts[i]: the cells unit i touches, each repeated as often as the
-    # most unit i can add to it (built for the unliftable prune only);
-    # reach[cell]: the most the unassigned units can still add to it.  No
-    # count ever passes its cell's initial reach, so capping mu_hi at the
-    # largest one changes no test and keeps the tables below small.
-    lifts: list[tuple[int, ...]] = []
-    reach = [0] * n_cells
-    for i in range(n_units):
-        span: dict[int, int] = {}
-        for o in range(3 * i, 3 * i + 3):
-            for cl, inc in contribs[o]:
-                if inc > span.get(cl, 0):
-                    span[cl] = inc
-        if unliftable:
-            lifts.append(tuple(cl for cl, inc in span.items() for _ in range(inc)))
-        for cl, inc in span.items():
-            reach[cl] += inc
-    mu_hi = max(0, min(mu_hi, max(reach, default=0)))
-
-    # Domains.  over[o] counts the cells option o would push past mu_hi,
-    # so o is feasible iff over[o] == 0 (and the support pin allows it).
-    # An option adding inc to a cell fits while the cell's count is at
-    # most mu_hi - inc, so watch[cell][t] lists the (option, unit) pairs
-    # with that threshold t: a count crossing t flips exactly those, and
-    # none is crossed by a count that ends at or below floor[cell], the
-    # lowest threshold with a watcher.
-    #
-    # The walks update over only for free units; an assigned unit's
-    # entries freeze when it is branched on.  That is exact: units leave
-    # and re-enter in stack order, so a unit is free both when an option
-    # is applied and when it is undone, or assigned both times, and the
-    # skipped updates would have cancelled.  When the unit is popped, the
-    # counts are back to their values at its branch, so its frozen
-    # entries are correct again.  nfeas[i] counts a free unit's options
-    # with over == 0 (recomputed when it is popped); a unit on the stack
-    # holds 4, above any count.  So ``0 in nfeas`` is a dead end, and
-    # otherwise the first of nfeas.find(1), find(2), find(3) to hit is the
-    # lowest unit among the fewest feasible options.
-    watch = [[[] for _ in range(mu_hi)] for _ in range(n_cells)]
-    over = [0] * len(contribs)
-    for o, con in enumerate(contribs):
-        for cl, inc in con:
-            if inc > mu_hi:
-                over[o] += 1
-            else:
-                watch[cl][mu_hi - inc].append((o, o // 3))
-    floor = [next((t for t, w in enumerate(ws) if w), mu_hi) for ws in watch]
-
-    nfeas = bytearray((not over[o]) + (not over[o + 1]) + (not over[o + 2])
-                      for o in range(0, len(contribs), 3))
-    free = [True] * n_units  # not on the stack
-    units = [(o, o + 1, o + 2) for o in range(0, len(contribs), 3)]
-    # deficit = sum of gap[count] over cells: how far the live cells sit
-    # below mu_lo; empty cells are live only when the support is complete
-    gap = [
-        mu_lo - c if c < mu_lo and (complete or c) else 0 for c in range(mu_hi + 1)
-    ]
-    counts = [0] * n_cells
-    deficit = gap[0] * n_cells
-
-    def options(i: int, slack: int) -> list[int]:
-        """Unit i's feasible options when only ``slack`` more cells may
-        open, fewer than ``max_new``."""
-        return [
-            o
-            for o in units[i]
-            if not over[o] and sum(not counts[cl] for cl, _ in contribs[o]) <= slack
-        ]
-
-    budget = spec.node_budget
-    time_budget = spec.time_budget
-    nodes = no_split = over_capacity = unliftable_cell = 0
-    start = time.monotonic()
-    chosen = [0] * n_units
-    n_free = n_units
-    stack: list[list] = []  # [unit, its feasible options, next position]
-    status = None
-    while status is None:
-        # a fresh node: a leaf, a budget stop, or a branch on the lowest
-        # unit among those with the fewest feasible options
-        if not n_free:
-            if deficit == 0 and (nd_cells is None or n_cells - counts.count(0) == nd_cells):
-                status = "found"
-                break
-        elif nodes >= budget or time.monotonic() - start > time_budget:
-            status = "budget-exceeded"
-            break
-        else:
-            if pinned and (slack := nd_cells - n_cells + counts.count(0)) < max_new:
-                least = 4
-                for u in compress(range(n_units), free):
-                    k = len(options(u, slack))
-                    if k < least:
-                        i, least = u, k
-                        if not k:
-                            break
-                if least:
-                    opts = options(i, slack)
-            else:
-                least = 0 if 0 in nfeas else 1
-                if least:
-                    i = nfeas.find(1)
-                    if i >= 0:  # a forced unit: its one open option
-                        o = 3 * i
-                        while over[o]:
-                            o += 1
-                        opts = (o,)
-                    elif (i := nfeas.find(2)) >= 0:
-                        least = 2
-                        opts = tuple(o for o in units[i] if not over[o])
-                    else:
-                        least, i = 3, nfeas.find(3)
-                        opts = units[i]
-            if least:
-                nfeas[i] = 4
-                free[i] = False
-                n_free -= 1
-                if unliftable:
-                    for cl in lifts[i]:
-                        reach[cl] -= 1
-                stack.append([i, opts, 0])
-            else:
-                no_split += 1
-        # undo the last option tried and apply the next untried one
-        while stack:
-            frame = stack[-1]
-            i, opts, pos = frame
-            if pos:
-                for cl, inc in contribs[opts[pos - 1]]:
-                    c2 = counts[cl]
-                    c = c2 - inc
-                    counts[cl] = c
-                    deficit += gap[c] - gap[c2]
-                    if c2 > floor[cl]:
-                        crossed = watch[cl]
-                        for t in range(c, c2):
-                            for o2, j in crossed[t]:
-                                if free[j]:
-                                    n = over[o2] - 1
-                                    over[o2] = n
-                                    if not n:  # o2 fits again
-                                        nfeas[j] += 1
-            if pos == len(opts):
-                stack.pop()
-                free[i] = True
-                n_free += 1
-                o = 3 * i
-                nfeas[i] = (not over[o]) + (not over[o + 1]) + (not over[o + 2])
-                if unliftable:
-                    for cl in lifts[i]:
-                        reach[cl] += 1
-                continue
-            if nodes >= budget:  # siblings count against the budget too
-                status = "budget-exceeded"
-                break
-            frame[2] = pos + 1
-            nodes += 1
-            o = opts[pos]
-            chosen[i] = o
-            for cl, inc in contribs[o]:
-                c = counts[cl]
-                c2 = c + inc
-                counts[cl] = c2
-                deficit += gap[c2] - gap[c]
-                if c2 > floor[cl]:
-                    crossed = watch[cl]
-                    for t in range(c, c2):
-                        for o2, j in crossed[t]:
-                            if free[j]:
-                                n = over[o2]
-                                over[o2] = n + 1
-                                if not n:  # o2 stopped fitting
-                                    nfeas[j] -= 1
-            if deficit > capacity * n_free:
-                over_capacity += 1
-                continue
-            if unliftable:
-                # prune when one of the unit's cells sits below mu_lo out
-                # of reach of the unassigned units
-                for cl in lifts[i]:
-                    c = counts[cl]
-                    if c + reach[cl] < mu_lo and (complete or c):
-                        unliftable_cell += 1
-                        break
-                else:
-                    break
-                continue
-            break
-        else:
-            status = "exhausted"
-
-    stats = SearchStats(nodes=nodes, elapsed=time.monotonic() - start)
-    for name, n in (
-        ("no-feasible-split", no_split),
-        ("deficit-exceeds-capacity", over_capacity),
-        ("pair-unliftable", unliftable_cell),
-    ):
-        if n:
-            stats.prunes[name] = n
-    return status, chosen, stats
+    """One run of a :class:`_SplitEngine` built on these arguments, each
+    unit's options tried in index order."""
+    engine = _SplitEngine(contribs, n_cells, mu_lo, mu_hi, nd_cells, unliftable)
+    return engine.run([[o, o + 1, o + 2] for o in range(0, len(contribs), 3)], spec)
 
 
 # ---------------------------------------------------------------------------
@@ -459,14 +530,15 @@ def search_nesting(blocks, spec: SearchSpec) -> SearchOutcome:
 @dataclass
 class _SpecClasses:
     """What :func:`search_rotational` works out once per spec: the
-    fixed-point multiplicity of the validated difference census, each
-    base block's three splits with their class contributions (built on
-    first need), and whether a witness's images passed the Steiner check
-    with no image repeated."""
+    fixed-point multiplicity of the validated difference census, the
+    three splits of every base block (split k of block i at 3i + k) and
+    the engine over their class contributions (both built on first
+    need), and whether a witness's images passed the Steiner check with
+    no image repeated."""
 
     inf_count: int
-    splits: Optional[list[list[NestedBlock]]] = None
-    contribs: Optional[list[list[tuple[tuple[int, int], ...]]]] = None
+    splits: Optional[list[NestedBlock]] = None
+    engine: Optional[_SplitEngine] = None
     steiner_ok: bool = False
 
 
@@ -503,13 +575,14 @@ def search_rotational(spec: RotationalSpec, search: SearchSpec) -> SearchOutcome
     point are not a cell: their multiplicity is forced.
 
     Seeded restarts on one spec repeat only the per-call work: the
-    target, the seeded order of each block's splits, the engine and the
-    expansion of the witness.  The difference census, the splits and
-    their class contributions are worked out once per spec (equal p,
-    base blocks and multipliers), and kept for the last few specs.  The
-    first witness of a spec gets the full Steiner check of its
-    expansion; later witnesses have the same block point sets, so they
-    skip it, but every witness still has its expanded pairs counted.
+    target, the seeded order of each block's splits, one run of the
+    engine and the post-check of the witness.  The difference census,
+    the splits, their class contributions and the engine's tables are
+    built once per spec (equal p, base blocks and multipliers), and kept
+    for the last few specs.  The first witness of a spec gets the full
+    Steiner check of its expansion; later witnesses have the same block
+    point sets, so they skip it and have their expanded pairs counted
+    from the orbit rows, without building an image block.
     """
     entry = _spec_classes(spec)  # validates the spec
     p = spec.p
@@ -539,37 +612,31 @@ def search_rotational(spec: RotationalSpec, search: SearchSpec) -> SearchOutcome
             ),
         )
 
-    if entry.splits is None:
-        block_splits = [alternative_splits(blk) for blk in spec.base_blocks]
-        entry.contribs = [
-            [
-                tuple(Counter(d - 1 for d in split_classes(opt, p, spec.multipliers)).items())
-                for opt in opts
-            ]
-            for opts in block_splits
+    if entry.engine is None:
+        splits = [opt for blk in spec.base_blocks for opt in alternative_splits(blk)]
+        contribs = [
+            tuple(Counter(d - 1 for d in split_classes(opt, p, spec.multipliers)).items())
+            for opt in splits
         ]
-        entry.splits = block_splits
-    # option 3*i + k is split k of base block i in seeded order: a seed
-    # shuffles each block's index triple, which takes the same rng calls
+        # the nonzero classes are the ND-pairs less the fixed point's p.
+        # An exact target's ND-pair count is the total pair slots over mu,
+        # and mu is forced above, so one engine serves every call.  The
+        # unliftable prune stays off at orbit level: searches with it find
+        # the same witnesses in a quarter fewer nodes, but its cost per
+        # node makes them about 17% slower for a fixed node count
+        entry.engine = _SplitEngine(
+            contribs, p // 2, mu, mu, res.nd_pairs // p - 1, unliftable=False
+        )
+        entry.splits = splits
+    # a seed shuffles each block's index triple, with the same rng calls
     # as shuffling its splits
-    rng = random.Random(search.seed)
-    splits: list[NestedBlock] = []
-    contribs: list[tuple[tuple[int, int], ...]] = []
-    for opts, cons in zip(entry.splits, entry.contribs):
-        order = [0, 1, 2]
-        if search.seed is not None:
-            rng.shuffle(order)
-        splits += [opts[k] for k in order]
-        contribs += [cons[k] for k in order]
-
-    # the nonzero classes are the ND-pairs less the fixed point's p.  The
-    # unliftable prune stays off at orbit level: searches with it find the
-    # same witnesses in a quarter fewer nodes, but its cost per node makes
-    # them about 17% slower for a fixed node count
-    status, chosen, stats = _assign_splits(
-        contribs, p // 2, mu, mu, res.nd_pairs // p - 1,
-        unliftable=False, spec=search,
-    )
+    splits = entry.splits
+    units = [[o, o + 1, o + 2] for o in range(0, len(splits), 3)]
+    if search.seed is not None:
+        shuffle = random.Random(search.seed).shuffle
+        for order in units:
+            shuffle(order)
+    status, chosen, stats = entry.engine.run(units, search)
     if status != "found":
         return SearchOutcome(status=status, stats=stats)
     witness = RotationalSpec(
@@ -581,14 +648,16 @@ def search_rotational(spec: RotationalSpec, search: SearchSpec) -> SearchOutcome
     # Whether the images form an SQS depends on p, the multipliers and
     # the base blocks' point sets, not on their splits, so once a witness
     # of this spec passed with no image repeated, later ones skip the
-    # Steiner check; a spec that failed it or repeats an image keeps it
-    images = _expand_images(witness)
-    if not entry.steiner_ok:
+    # Steiner check and count the same pairs from the orbit rows; a spec
+    # that failed it or repeats an image keeps it
+    if entry.steiner_ok:
+        pairs = _image_pairs(witness)
+    else:
+        images = _expand_images(witness)
         whole = len(images) == expected_block_count(spec.v)
-        images = _checked_images(spec.v, images)
+        pairs = Counter(chain.from_iterable(_checked_images(spec.v, images)))
         entry.steiner_ok = whole
-    counts = Counter(chain.from_iterable(images)).values()
-    if min(counts) != mu or max(counts) != mu:
+    if min(pairs.values()) != mu or max(pairs.values()) != mu:
         raise NsqsError("rotational search produced a non-uniform witness")
     return SearchOutcome(status=status, witness=witness, stats=stats)
 

@@ -1,11 +1,13 @@
 """Nesting search: refusal, backtracking, rotational, local balance."""
 
+import copy
 import functools
 import hashlib
 import random
 import sys
 import time
 from collections import Counter
+from itertools import chain
 from typing import Optional
 
 import pytest
@@ -437,6 +439,120 @@ def test_rotational_search_checks_steiner_once_per_spec(monkeypatch):
     assert calls == [20, 26, 20]
 
 
+def _rotational_pin_spec(target, budget, seed):
+    return SearchSpec(
+        complete_uniform() if target == "complete" else uniform(5),
+        node_budget=budget or 10**8,
+        seed=seed,
+    )
+
+
+def test_rotational_search_interleaved_specs_match_pins():
+    # each spec keeps its own engine: runs on other specs, and a target
+    # refused after the spec's entry was made, change no seeded result
+    search._spec_cache.clear()
+    rows = [row for row in ROTATIONAL_PINS if row[2] is not None]
+    for row in rows + rows[::-1]:
+        name, target, seed, budget, status, nodes, prunes, witness = row
+        other = "ro38" if name != "ro38" else "ro20"
+        refused = search_rotational(_stripped_spec(other), SearchSpec(uniform(5)))
+        assert refused.status == "refused"
+        assert _rotational_result(
+            _stripped_spec(name), _rotational_pin_spec(target, budget, seed)
+        ) == (status, nodes, prunes, witness)
+
+
+def _engine_snapshot(engine):
+    return copy.deepcopy(vars(engine))
+
+
+def test_engine_runs_leave_the_tables_unchanged():
+    search._spec_cache.clear()
+    ro38 = _stripped_spec("ro38")
+    assert search_rotational(ro38, SearchSpec(complete_uniform(), node_budget=0)).status == (
+        "budget-exceeded"
+    )
+    (entry,) = search._spec_cache.values()
+    before = _engine_snapshot(entry.engine), list(entry.splits)
+    for seed, budget, status in ((5, 3000, "found"), (1, 3000, "budget-exceeded")):
+        out = search_rotational(ro38, SearchSpec(complete_uniform(), node_budget=budget, seed=seed))
+        assert out.status == status
+        assert (_engine_snapshot(entry.engine), entry.splits) == before
+    # a pinned support adds the open-cell tallies, which runs copy too
+    blocks = [b[0] + b[1] for b in boolean_sqs(4).blocks]
+    contribs, _, n_cells = _engine_input(
+        search_nesting, blocks, SearchSpec(band(0, 1), node_budget=0)
+    )
+    res = search._resolve_target(minimum_uniform(), 16)
+    engine = search._SplitEngine(contribs, n_cells, res.mu_lo, res.mu_hi, res.nd_pairs, True)
+    assert engine.pinned and engine.within
+    before = _engine_snapshot(engine)
+    units = [(o, o + 1, o + 2) for o in range(0, len(contribs), 3)]
+    for budget, status in ((10**5, "found"), (500, "budget-exceeded")):
+        assert engine.run(units, SearchSpec(minimum_uniform(), node_budget=budget))[0] == status
+        assert _engine_snapshot(engine) == before
+
+
+def _pin_witnesses():
+    """The witness of every found ROTATIONAL_PINS row."""
+    for name, target, seed, budget, status, *_ in ROTATIONAL_PINS:
+        if status == "found":
+            yield search_rotational(
+                _stripped_spec(name), _rotational_pin_spec(target, budget, seed)
+            ).witness
+
+
+def test_image_pairs_count_the_expanded_pairs():
+    specs = [catalog_get(n).payload for n in ("ro20", "ro26", "ro38", "ro62", "bool32")]
+    specs += _pin_witnesses()
+    assert len(specs) == 12
+    for spec in specs:
+        want = Counter(chain.from_iterable(constructions._expand_images(spec)))
+        assert constructions._image_pairs(spec) == want
+
+
+@pytest.mark.parametrize(
+    "degenerate,error",
+    [
+        (((0, 1), (1, 2)), r"^split pairs \(0, 1\) and \(1, 2\) are not disjoint$"),
+        (((3, 3), (1, 2)), r"^pair needs two distinct points, got 3 twice$"),
+    ],
+)
+def test_image_pairs_refuse_a_degenerate_block_like_the_expansion(degenerate, error):
+    ro20 = catalog_get("ro20").payload
+    spec = RotationalSpec(ro20.p, ro20.base_blocks[:2] + (degenerate,), ro20.multipliers)
+    with pytest.raises(NsqsError, match=error):
+        constructions._expand_images(spec)
+    with pytest.raises(NsqsError, match=error):
+        constructions._image_pairs(spec)
+
+
+def test_rotational_search_post_check_catches_a_wrong_split_when_warm(monkeypatch):
+    search._spec_cache.clear()
+    ro20 = _stripped_spec("ro20")
+    assert search_rotational(ro20, SearchSpec(complete_uniform())).status == "found"
+    (entry,) = search._spec_cache.values()
+    assert entry.steiner_ok  # later witnesses are checked by their pair counts
+    run = search._SplitEngine.run
+
+    def wrong_split(engine, units, spec):
+        status, chosen, stats = run(engine, units, spec)
+        # move the first unit with a choice of classes to another split
+        con = engine.contribs
+        for i, o in enumerate(chosen):
+            other = next(
+                (o2 for o2 in range(3 * i, 3 * i + 3) if dict(con[o2]) != dict(con[o])), None
+            )
+            if other is not None:
+                chosen[i] = other
+                break
+        return status, chosen, stats
+
+    monkeypatch.setattr(search._SplitEngine, "run", wrong_split)
+    with pytest.raises(NsqsError, match="^rotational search produced a non-uniform witness$"):
+        search_rotational(ro20, SearchSpec(complete_uniform(), seed=2))
+
+
 # local_balance runs: (design, mu_lo, mu_hi, max_moves, status, moves,
 # sha256 prefix of the serialized witness).  Recorded from the version
 # that re-scored every block at every move.  bool5 toward [4, 6] reaches
@@ -756,20 +872,27 @@ def reference_assign_splits(
 
 
 def _engine_input(front_end, *args):
-    """The (contribs, n_cells) a front end hands the engine."""
+    """The (contribs, units, n_cells) of the engine run a front end makes:
+    the contributions of options 3i, 3i+1, 3i+2 of each unit i, and the
+    order in which the run tries each unit's options."""
     seen = []
-    engine = search._assign_splits
+    run = search._SplitEngine.run
 
-    def spy(contribs, n_cells, *rest, **kwargs):
-        seen.append((contribs, n_cells))
-        return engine(contribs, n_cells, *rest, **kwargs)
+    def spy(engine, units, *rest, **kwargs):
+        seen.append((engine.contribs, [tuple(u) for u in units], engine.n_cells))
+        return run(engine, units, *rest, **kwargs)
 
-    search._assign_splits = spy
+    search._SplitEngine.run = spy
     try:
         front_end(*args)
     finally:
-        search._assign_splits = engine
+        search._SplitEngine.run = run
     return seen[0]
+
+
+def _seeded(contribs, units):
+    """The contributions read in each unit's order."""
+    return [contribs[o] for order in units for o in order]
 
 
 def reference_orbit_input(spec, seed):
@@ -824,11 +947,11 @@ def test_orbit_engine_input_matches_reference(name, seeds):
     for seed in seeds:
         want = reference_orbit_input(spec, seed)
         for _ in range(2):  # the spec's first call, then a cached one
-            got = _engine_input(
+            contribs, units, n_cells = _engine_input(
                 search_rotational, spec,
                 SearchSpec(complete_uniform(), node_budget=0, seed=seed),
             )
-            assert got == want, seed
+            assert (_seeded(contribs, units), n_cells) == want, seed
 
 
 def _engine_cases(name, level, seed):
@@ -841,17 +964,18 @@ def _engine_cases(name, level, seed):
             else _point_sets(name)
         )
         v = max(map(max, blocks)) + 1
-        contribs, n_cells = _engine_input(
+        contribs, units, n_cells = _engine_input(
             search_nesting, blocks, SearchSpec(band(0, 1), node_budget=0, seed=seed)
         )
         p = None
     else:
         spec = _stripped_spec(name)
         v, p = spec.v, spec.p
-        contribs, n_cells = _engine_input(
+        contribs, units, n_cells = _engine_input(
             search_rotational, spec,
             SearchSpec(complete_uniform(), node_budget=0, seed=seed),
         )
+    contribs = _seeded(contribs, units)
     for target in ENGINE_TARGETS:
         res = search._resolve_target(target, v)
         if isinstance(res, str):
@@ -874,11 +998,24 @@ def _sweep_cases(name, level, seeds):
 def _ro38_complete_cases():
     """The unseeded ro38 complete-uniform block search, deep enough to
     branch on units with two and with three feasible options."""
-    contribs, n_cells = _engine_input(
+    contribs, _, n_cells = _engine_input(
         search_nesting, _point_sets("ro38"), SearchSpec(band(0, 1), node_budget=0)
     )
     res = search._resolve_target(complete_uniform(), 38)
     yield contribs, n_cells, res.mu_lo, res.mu_hi, res.nd_pairs, 4000, None
+
+
+def _bool4_minimum_cases():
+    """bool4 minimum-uniform, its support pinned: deep enough for the
+    slack to drop below the most cells one split opens."""
+    blocks = [b[0] + b[1] for b in boolean_sqs(4).blocks]
+    res = search._resolve_target(minimum_uniform(), 16)
+    for seed in (None, 1):
+        contribs, units, n_cells = _engine_input(
+            search_nesting, blocks, SearchSpec(band(0, 1), node_budget=0, seed=seed)
+        )
+        yield (_seeded(contribs, units), n_cells, res.mu_lo, res.mu_hi, res.nd_pairs,
+               4000, seed)
 
 
 def _synthetic_cases():
@@ -901,7 +1038,40 @@ ENGINE_SWEEP = {
     for n, lv, seeds in ENGINE_INPUTS
 }
 ENGINE_SWEEP["ro38-block-complete"] = _ro38_complete_cases
+ENGINE_SWEEP["bool4-block-minimum"] = _bool4_minimum_cases
 ENGINE_SWEEP["synthetic-320"] = _synthetic_cases
+
+
+def test_engine_follows_the_unit_orders():
+    # a run with each unit's options in a shuffled order makes the same
+    # search as the reference over the contributions read in that order,
+    # including the pinned slack's tallies past their threshold.  Unit 0
+    # keeps its order, so an unset chosen entry (0) reads alike in both
+    rng = random.Random(4)
+    cases = chain(
+        _bool4_minimum_cases(),
+        _synthetic_cases(),
+        _sweep_cases("sqs10", "block", (None,)),
+        _sweep_cases("ro26", "orbit", (None,)),
+    )
+    runs = 0
+    for contribs, n_cells, lo, hi, nd, budget, _ in cases:
+        units = [[0, 1, 2]]
+        units += [rng.sample(range(o, o + 3), 3) for o in range(3, len(contribs), 3)]
+        for unliftable in (True, False):
+            spec = SearchSpec(complete_uniform(), node_budget=budget)
+            engine = search._SplitEngine(contribs, n_cells, lo, hi, nd, unliftable)
+            status, chosen, stats = engine.run(units, spec)
+            want = reference_assign_splits(
+                _seeded(contribs, units), n_cells, lo, hi, nd, unliftable, spec
+            )
+            assert (status, stats.nodes, stats.prunes) == (want[0], want[2].nodes, want[2].prunes)
+            assert chosen == [
+                units[i][o - 3 * i] if 0 <= o - 3 * i < 3 else o
+                for i, o in enumerate(want[1])
+            ]
+            runs += 1
+    assert runs
 
 
 @pytest.mark.parametrize("case", ENGINE_SWEEP)
