@@ -229,16 +229,30 @@ def rotational_expand(spec: RotationalSpec) -> NestedDesign:
     Steiner check are the design.  Otherwise they are deduplicated by
     canonical form, in image order: a block reached with two different
     splits, a wrong final block count, or a failed Steiner check all
-    raise InconsistentSpecError carrying a witness.
+    raise InconsistentSpecError carrying a witness, in that order.
     """
-    return design_from_canonical(spec.v, rotational_images(spec), uses_infinity=True)
-
-
-def rotational_images(spec: RotationalSpec) -> list[NestedBlock]:
-    """The canonical blocks of :func:`rotational_expand`, checked the
-    same way and raising the same errors, but in image order: a caller
-    that only counts pairs skips the sort into a design."""
-    return _checked_images(spec.v, _expand_images(spec))
+    v = spec.v
+    images = _expand_images(spec)
+    expected = expected_block_count(v)
+    # verify_steiner reads the blocks in any order, so the images need no
+    # sort to be checked.  When they number the blocks and every triple
+    # is covered once, no two share a point set, so deduplication would
+    # keep every image
+    if len(images) != expected or not verify_steiner(
+        NestedDesign(v, tuple(images), uses_infinity=True)
+    ).ok:
+        images = _distinct_images(images)
+        if len(images) != expected:
+            raise InconsistentSpecError(
+                f"expansion produced {len(images)} distinct blocks, expected {expected}"
+            )
+        report = verify_steiner(NestedDesign(v, tuple(images), uses_infinity=True))
+        if not report.ok:
+            raise InconsistentSpecError(
+                f"expansion is not a quadruple system; witness triple "
+                f"{report.witness} covered {report.witness_coverage} times"
+            )
+    return design_from_canonical(v, images, uses_infinity=True)
 
 
 def _image_rows(spec: RotationalSpec) -> Iterator[tuple[list[Pair], int, list[Pair], int]]:
@@ -311,32 +325,6 @@ def _image_pairs(spec: RotationalSpec) -> Counter:
     for r, _, r2, _ in _image_rows(spec):
         rows += (r, r2)
     return Counter(itertools.chain.from_iterable(rows))
-
-
-def _checked_images(v: int, images: list[NestedBlock]) -> list[NestedBlock]:
-    """The images themselves when they are the blocks of an SQS(v);
-    otherwise deduplicated, or an InconsistentSpecError for a conflict,
-    a wrong block count or a failed Steiner check, in that order."""
-    expected = expected_block_count(v)
-    # verify_steiner reads the blocks in any order, so the images need
-    # no sort to be checked
-    if len(images) == expected:
-        # every triple covered once: no two images share a point set, so
-        # deduplication would keep every image
-        if verify_steiner(NestedDesign(v, tuple(images), uses_infinity=True)).ok:
-            return images
-    distinct = _distinct_images(images)
-    if len(distinct) != expected:
-        raise InconsistentSpecError(
-            f"expansion produced {len(distinct)} distinct blocks, expected {expected}"
-        )
-    report = verify_steiner(NestedDesign(v, tuple(distinct), uses_infinity=True))
-    if not report.ok:
-        raise InconsistentSpecError(
-            f"expansion is not a quadruple system; witness triple "
-            f"{report.witness} covered {report.witness_coverage} times"
-        )
-    return distinct
 
 
 def _distinct_images(images: list[NestedBlock]) -> list[NestedBlock]:

@@ -11,9 +11,14 @@ One engine, two front ends, plus local rebalancing:
 * :func:`local_balance` -- steepest-descent repartitioning of single
   blocks toward a multiplicity band.
 
-Targets that violate a counting or divisibility necessary condition are
-refused before any node is expanded, with the failing condition in the
-outcome's ``reason``.
+Both front ends list each unit's three splits in canonical order, build
+one engine over them and call its ``run`` with the search spec, whose
+seed orders every unit's options the same way for both.  Each certifies
+its input before the first node: the blocks must form an SQS, and a
+spec's images must be the blocks of one.  Targets that violate a
+counting or divisibility necessary condition are refused before any
+node is expanded, with the failing condition in the outcome's
+``reason``.
 """
 
 from __future__ import annotations
@@ -23,7 +28,6 @@ import random
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain
 from math import comb
 from typing import Optional
 
@@ -33,7 +37,7 @@ from .analysis import (
     split_classes,
     uniform_obstruction,
 )
-from .constructions import RotationalSpec, _checked_images, _expand_images, _image_pairs
+from .constructions import RotationalSpec, _image_pairs, rotational_expand
 from .core import (
     NestedBlock,
     NestedDesign,
@@ -44,7 +48,7 @@ from .core import (
     total_pair_slots,
     verify_steiner,
 )
-from .errors import NsqsError, PreconditionError
+from .errors import InconsistentSpecError, NsqsError, PreconditionError
 
 
 @dataclass(frozen=True)
@@ -182,7 +186,7 @@ class _SplitEngine:
     ``unliftable`` a move is also pruned when one of its unit's cells
     sits below mu_lo and the unassigned units can no longer lift it.
     A run works on copies of the mutable tables, so an engine serves any
-    number of runs, each with its own order of every unit's options.
+    number of runs, each with its own seed.
     """
 
     def __init__(
@@ -271,19 +275,18 @@ class _SplitEngine:
             mu_lo - c if c < mu_lo and (complete or c) else 0 for c in range(mu_hi + 1)
         ]
 
-    def run(
-        self, units: list[list[int]], spec: SearchSpec
-    ) -> tuple[str, list[int], SearchStats]:
-        """Search with unit i's feasible options tried in the order of
-        ``units[i]``, a permutation of (3i, 3i+1, 3i+2).  Returns the
-        outcome status, the chosen option of every unit (when found) and
-        the stats.
+    def run(self, spec: SearchSpec) -> tuple[str, list[int], SearchStats]:
+        """Search with each unit's feasible options tried in index order
+        or, with ``spec.seed``, in an order drawn from
+        ``random.Random(spec.seed)``: one shuffle of each unit's
+        [3i, 3i+1, 3i+2], in unit order.  Returns the outcome status, the
+        chosen option of every unit (when found) and the stats.
 
         The search runs on an explicit stack, so the number of units is
         not limited by the recursion limit.  It branches fail-first: on
         the free unit with the fewest feasible options, ties going to the
         lowest unit index, so the node order depends on nothing but the
-        input and ``units``.  Domains are kept incrementally: a move
+        input and the seed.  Domains are kept incrementally: a move
         updates only the options of free units that watch a cell whose
         count it changed, and C-level scans of a bytearray of feasible
         counts give the fail-first choice without scoring every unit.
@@ -291,6 +294,11 @@ class _SplitEngine:
         threshold flips no option and skips the watch lists altogether.
         ``stats.nodes`` never exceeds ``spec.node_budget``.
         """
+        units = [[o, o + 1, o + 2] for o in range(0, 3 * self.n_units, 3)]
+        if spec.seed is not None:
+            shuffle = random.Random(spec.seed).shuffle
+            for order in units:
+                shuffle(order)
         # the tables a run changes are copied; every table is a local
         contribs, n_cells, n_units = self.contribs, self.n_cells, self.n_units
         mu_lo, nd_cells, unliftable = self.mu_lo, self.nd_cells, self.unliftable
@@ -473,21 +481,6 @@ class _SplitEngine:
         return status, chosen, stats
 
 
-def _assign_splits(
-    contribs: list[tuple[tuple[int, int], ...]],
-    n_cells: int,
-    mu_lo: int,
-    mu_hi: int,
-    nd_cells: Optional[int],
-    unliftable: bool,
-    spec: SearchSpec,
-) -> tuple[str, list[int], SearchStats]:
-    """One run of a :class:`_SplitEngine` built on these arguments, each
-    unit's options tried in index order."""
-    engine = _SplitEngine(contribs, n_cells, mu_lo, mu_hi, nd_cells, unliftable)
-    return engine.run([[o, o + 1, o + 2] for o in range(0, len(contribs), 3)], spec)
-
-
 # ---------------------------------------------------------------------------
 # the two front ends: whole block lists, and rotational base blocks
 
@@ -506,21 +499,16 @@ def search_nesting(blocks, spec: SearchSpec) -> SearchOutcome:
     if isinstance(res, str):
         return SearchOutcome(status="refused", reason=res)
 
-    rng = random.Random(spec.seed)
-    splits: list[NestedBlock] = []
+    splits = [opt for opts in choices for opt in opts]
     cell_of: dict[tuple[int, int], int] = {}
-    for opts in choices:
-        if spec.seed is not None:
-            rng.shuffle(opts)
-        splits += opts
     contribs = [
         tuple((cell_of.setdefault(pr, len(cell_of)), 1) for pr in opt)
         for opt in splits
     ]
-    status, chosen, stats = _assign_splits(
-        contribs, len(cell_of), res.mu_lo, res.mu_hi, res.nd_pairs,
-        unliftable=True, spec=spec,
+    engine = _SplitEngine(
+        contribs, len(cell_of), res.mu_lo, res.mu_hi, res.nd_pairs, unliftable=True
     )
+    status, chosen, stats = engine.run(spec)
     if status != "found":
         return SearchOutcome(status=status, stats=stats)
     witness = nested_design(v, [splits[o] for o in chosen])
@@ -532,14 +520,13 @@ class _SpecClasses:
     """What :func:`search_rotational` works out once per spec: the
     fixed-point multiplicity of the validated difference census, the
     three splits of every base block (split k of block i at 3i + k) and
-    the engine over their class contributions (both built on first
-    need), and whether a witness's images passed the Steiner check with
-    no image repeated."""
+    the engine over their class contributions.  The splits and the
+    engine are built on first need, once the spec is certified, so an
+    entry with an engine holds a certified spec."""
 
     inf_count: int
     splits: Optional[list[NestedBlock]] = None
     engine: Optional[_SplitEngine] = None
-    steiner_ok: bool = False
 
 
 # the specs seen last, oldest first, keyed on their values; each entry
@@ -574,15 +561,17 @@ def search_rotational(spec: RotationalSpec, search: SearchSpec) -> SearchOutcome
     predictions of the expanded census.  The p pairs through the fixed
     point are not a cell: their multiplicity is forced.
 
-    Seeded restarts on one spec repeat only the per-call work: the
-    target, the seeded order of each block's splits, one run of the
-    engine and the post-check of the witness.  The difference census,
-    the splits, their class contributions and the engine's tables are
-    built once per spec (equal p, base blocks and multipliers), and kept
-    for the last few specs.  The first witness of a spec gets the full
-    Steiner check of its expansion; later witnesses have the same block
-    point sets, so they skip it and have their expanded pairs counted
-    from the orbit rows, without building an image block.
+    Before its first run a spec is certified: its images must number
+    the blocks of an SQS(v) and expand to one (:func:`rotational_expand`
+    and its errors), or InconsistentSpecError is raised.  Seeded
+    restarts on one spec repeat only the per-call work: the target, one
+    run of the engine and the post-check of the witness.  The difference
+    census, the certification, the splits, their class contributions and
+    the engine's tables are done once per spec (equal p, base blocks and
+    multipliers), and kept for the last few specs.  A witness has the
+    certified spec's block point sets, so its post-check counts the
+    pairs of its expansion from the orbit rows, without building an
+    image block, and tests them for the uniform multiplicity.
     """
     entry = _spec_classes(spec)  # validates the spec
     p = spec.p
@@ -613,6 +602,17 @@ def search_rotational(spec: RotationalSpec, search: SearchSpec) -> SearchOutcome
         )
 
     if entry.engine is None:
+        # certify the spec: one image per base block, multiplier and
+        # shift, as many as the blocks of an SQS(v), which they must form
+        maps = len(spec.multipliers) * p
+        expected = expected_block_count(spec.v)
+        if len(spec.base_blocks) * maps != expected:
+            raise InconsistentSpecError(
+                f"{len(spec.base_blocks)} base blocks have "
+                f"{len(spec.base_blocks) * maps} images under {maps} maps "
+                f"x -> m*x + s, expected {expected}"
+            )
+        rotational_expand(spec)
         splits = [opt for blk in spec.base_blocks for opt in alternative_splits(blk)]
         contribs = [
             tuple(Counter(d - 1 for d in split_classes(opt, p, spec.multipliers)).items())
@@ -628,35 +628,17 @@ def search_rotational(spec: RotationalSpec, search: SearchSpec) -> SearchOutcome
             contribs, p // 2, mu, mu, res.nd_pairs // p - 1, unliftable=False
         )
         entry.splits = splits
-    # a seed shuffles each block's index triple, with the same rng calls
-    # as shuffling its splits
-    splits = entry.splits
-    units = [[o, o + 1, o + 2] for o in range(0, len(splits), 3)]
-    if search.seed is not None:
-        shuffle = random.Random(search.seed).shuffle
-        for order in units:
-            shuffle(order)
-    status, chosen, stats = entry.engine.run(units, search)
+    status, chosen, stats = entry.engine.run(search)
     if status != "found":
         return SearchOutcome(status=status, stats=stats)
     witness = RotationalSpec(
         p=p,
-        base_blocks=tuple(splits[o] for o in chosen),
+        base_blocks=tuple(entry.splits[o] for o in chosen),
         multipliers=spec.multipliers,
     )
-    # the class prediction is exact, but expand once as a post-check.
-    # Whether the images form an SQS depends on p, the multipliers and
-    # the base blocks' point sets, not on their splits, so once a witness
-    # of this spec passed with no image repeated, later ones skip the
-    # Steiner check and count the same pairs from the orbit rows; a spec
-    # that failed it or repeats an image keeps it
-    if entry.steiner_ok:
-        pairs = _image_pairs(witness)
-    else:
-        images = _expand_images(witness)
-        whole = len(images) == expected_block_count(spec.v)
-        pairs = Counter(chain.from_iterable(_checked_images(spec.v, images)))
-        entry.steiner_ok = whole
+    # the class prediction is exact, but count the expanded pairs as a
+    # post-check: the images are those of the certified spec, resplit
+    pairs = _image_pairs(witness)
     if min(pairs.values()) != mu or max(pairs.values()) != mu:
         raise NsqsError("rotational search produced a non-uniform witness")
     return SearchOutcome(status=status, witness=witness, stats=stats)

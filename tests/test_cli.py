@@ -9,10 +9,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from nsqs import (
+    alternative_splits,
     block_points,
     boolean_blocks,
     catalog_get,
     parse_design,
+    rotational_spec,
     serialize_base_spec,
     serialize_design,
 )
@@ -286,6 +288,48 @@ def test_search_rotational_base_file(capsys, tmp_path):
     code, out, _ = run(capsys, "expand", "--base", str(found))
     assert code == 0
     assert out.startswith("nsqs v=20 blocks=285")
+
+
+@pytest.mark.parametrize("indent", [" ", "  \t"])
+def test_search_dispatches_on_the_stripped_header(capsys, tmp_path, indent):
+    # the parsers strip the header line, so an indented header picks the
+    # same search as it picks the same parser in expand --base
+    spec = catalog_get("ro20").payload
+    stripped = rotational_spec(
+        spec.p,
+        [alternative_splits(block_points(b))[0] for b in spec.base_blocks],
+        spec.multipliers,
+    )
+    base = tmp_path / "ro20.base"
+    base.write_text(indent + serialize_base_spec(stripped))
+    code, out, err = run(capsys, "expand", "--base", str(base))
+    assert code == 0
+    code, out, err = run(capsys, "search", str(base), "--target", "complete-uniform")
+    assert code == 0
+    assert err.startswith("status=found ")
+    assert out.startswith("nsqs-base p=19")
+    design = tmp_path / "sqs10.nsqs"
+    design.write_text(indent + serialize_design(catalog_get("sqs10").design()))
+    code, out, err = run(capsys, "search", str(design), "--target", "uniform", "--mu", "2")
+    assert code == 0
+    assert err.startswith("status=found ")
+    assert out.startswith("nsqs v=10 blocks=30")
+
+
+def test_search_refuses_a_base_file_with_a_repeated_orbit(capsys, tmp_path):
+    # stripped ro20 with a finite base block listed twice expands to ro20
+    # itself, but its orbits number 16 where an SQS(20) has 15
+    spec = catalog_get("ro20").payload
+    blocks = [alternative_splits(block_points(b))[0] for b in spec.base_blocks]
+    repeated = rotational_spec(spec.p, blocks + [blocks[3]], spec.multipliers)
+    base = tmp_path / "ro20-repeated.base"
+    base.write_text(serialize_base_spec(repeated))
+    code, out, err = run(capsys, "search", str(base), "--target", "complete-uniform")
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: 16 base blocks have 304 images under 19 maps x -> m*x + s, "
+        "expected 285\n"
+    )
 
 
 def test_cosets(capsys):

@@ -42,7 +42,7 @@ from nsqs import (
     verify_steiner,
 )
 from nsqs.catalog import BOOL32_POLY
-from nsqs.constructions import _distinct_images, rotational_images
+from nsqs.constructions import _distinct_images
 from nsqs.core import design_from_canonical
 
 BOOL32_MULTIPLIERS = (1, 2, 4, 8, 16)
@@ -441,8 +441,8 @@ def reference_boolean_sqs(n):
 
 
 def reference_rotational_images(spec):
-    """rotational_images as it was: each image built from four shifted
-    points, its pairs new tuples."""
+    """The images of rotational_expand as they were built and checked:
+    each image built from four shifted points, its pairs new tuples."""
     spec.validate()
     p = spec.p
     v = spec.v
@@ -649,12 +649,14 @@ def _differential_specs():
     "spec", [pytest.param(s, id=str(i)) for i, s in _differential_specs()]
 )
 def test_rotational_images_match_reference(spec):
-    got = _outcome(rotational_images, spec)
-    assert got == _outcome(reference_rotational_images, spec)
-    if isinstance(got, list):
-        design = design_from_canonical(spec.v, got, uses_infinity=True)
-        assert design == rotational_expand(spec)
-        assert _one_tuple_per_pair(design)
+    def reference(spec):
+        images = reference_rotational_images(spec)
+        return design_from_canonical(spec.v, images, uses_infinity=True)
+
+    got = _outcome(rotational_expand, spec)
+    assert got == _outcome(reference, spec)
+    if isinstance(got, NestedDesign):
+        assert _one_tuple_per_pair(got)
 
 
 def _doubling_input(name):

@@ -7,7 +7,7 @@ import random
 import sys
 import time
 from collections import Counter
-from itertools import chain
+from itertools import chain, count
 from typing import Optional
 
 import pytest
@@ -439,6 +439,35 @@ def test_rotational_search_checks_steiner_once_per_spec(monkeypatch):
     assert calls == [20, 26, 20]
 
 
+def _ro20_miscounted(edit):
+    """Stripped ro20 with its first finite base block listed twice, or
+    dropped: 16 or 14 orbits where an SQS(20) has 15."""
+    spec = _stripped_spec("ro20")
+    base = list(spec.base_blocks)
+    k = next(i for i, b in enumerate(base) if spec.p not in b[0] + b[1])
+    base = base + [base[k]] if edit == "repeated" else base[:k] + base[k + 1:]
+    return RotationalSpec(spec.p, tuple(base), spec.multipliers)
+
+
+@pytest.mark.parametrize("edit,n_base", [("repeated", 16), ("dropped", 14)])
+def test_rotational_search_certifies_the_image_count(monkeypatch, edit, n_base):
+    # the repeated block expands to ro20 itself, and the dropped one to
+    # no SQS; both are refused before anything is expanded or searched
+    message = (
+        rf"^{n_base} base blocks have {19 * n_base} images under 19 maps "
+        r"x -> m\*x \+ s, expected 285$"
+    )
+    search._spec_cache.clear()
+    calls = []
+    monkeypatch.setattr(search, "rotational_expand", lambda spec: calls.append("expand"))
+    monkeypatch.setattr(search._SplitEngine, "run", lambda engine, spec: calls.append("run"))
+    spec = _ro20_miscounted(edit)
+    for seed in (None, 1):  # the spec's first call, then a repeat
+        with pytest.raises(InconsistentSpecError, match=message):
+            search_rotational(spec, SearchSpec(complete_uniform(), seed=seed))
+    assert calls == []
+
+
 def _rotational_pin_spec(target, budget, seed):
     return SearchSpec(
         complete_uniform() if target == "complete" else uniform(5),
@@ -487,9 +516,8 @@ def test_engine_runs_leave_the_tables_unchanged():
     engine = search._SplitEngine(contribs, n_cells, res.mu_lo, res.mu_hi, res.nd_pairs, True)
     assert engine.pinned and engine.within
     before = _engine_snapshot(engine)
-    units = [(o, o + 1, o + 2) for o in range(0, len(contribs), 3)]
     for budget, status in ((10**5, "found"), (500, "budget-exceeded")):
-        assert engine.run(units, SearchSpec(minimum_uniform(), node_budget=budget))[0] == status
+        assert engine.run(SearchSpec(minimum_uniform(), node_budget=budget))[0] == status
         assert _engine_snapshot(engine) == before
 
 
@@ -530,13 +558,10 @@ def test_image_pairs_refuse_a_degenerate_block_like_the_expansion(degenerate, er
 def test_rotational_search_post_check_catches_a_wrong_split_when_warm(monkeypatch):
     search._spec_cache.clear()
     ro20 = _stripped_spec("ro20")
-    assert search_rotational(ro20, SearchSpec(complete_uniform())).status == "found"
-    (entry,) = search._spec_cache.values()
-    assert entry.steiner_ok  # later witnesses are checked by their pair counts
     run = search._SplitEngine.run
 
-    def wrong_split(engine, units, spec):
-        status, chosen, stats = run(engine, units, spec)
+    def wrong_split(engine, spec):
+        status, chosen, stats = run(engine, spec)
         # move the first unit with a choice of classes to another split
         con = engine.contribs
         for i, o in enumerate(chosen):
@@ -548,9 +573,15 @@ def test_rotational_search_post_check_catches_a_wrong_split_when_warm(monkeypatc
                 break
         return status, chosen, stats
 
+    message = "^rotational search produced a non-uniform witness$"
     monkeypatch.setattr(search._SplitEngine, "run", wrong_split)
-    with pytest.raises(NsqsError, match="^rotational search produced a non-uniform witness$"):
-        search_rotational(ro20, SearchSpec(complete_uniform(), seed=2))
+    with pytest.raises(NsqsError, match=message):
+        search_rotational(ro20, SearchSpec(complete_uniform(), seed=2))  # first call
+    monkeypatch.setattr(search._SplitEngine, "run", run)
+    assert search_rotational(ro20, SearchSpec(complete_uniform())).status == "found"
+    monkeypatch.setattr(search._SplitEngine, "run", wrong_split)
+    with pytest.raises(NsqsError, match=message):
+        search_rotational(ro20, SearchSpec(complete_uniform(), seed=2))  # after a witness
 
 
 # local_balance runs: (design, mu_lo, mu_hi, max_moves, status, moves,
@@ -871,6 +902,18 @@ def reference_assign_splits(
     return status, chosen, stats
 
 
+def _unit_orders(n_units, seed):
+    """The order in which a run under ``seed`` tries each unit's options:
+    index order, or one ``random.Random(seed)`` shuffle of each unit's
+    [3i, 3i+1, 3i+2], in unit order."""
+    orders = [[o, o + 1, o + 2] for o in range(0, 3 * n_units, 3)]
+    if seed is not None:
+        rng = random.Random(seed)
+        for order in orders:
+            rng.shuffle(order)
+    return [tuple(order) for order in orders]
+
+
 def _engine_input(front_end, *args):
     """The (contribs, units, n_cells) of the engine run a front end makes:
     the contributions of options 3i, 3i+1, 3i+2 of each unit i, and the
@@ -878,16 +921,17 @@ def _engine_input(front_end, *args):
     seen = []
     run = search._SplitEngine.run
 
-    def spy(engine, units, *rest, **kwargs):
-        seen.append((engine.contribs, [tuple(u) for u in units], engine.n_cells))
-        return run(engine, units, *rest, **kwargs)
+    def spy(engine, spec):
+        seen.append((engine.contribs, spec.seed, engine.n_cells))
+        return run(engine, spec)
 
     search._SplitEngine.run = spy
     try:
         front_end(*args)
     finally:
         search._SplitEngine.run = run
-    return seen[0]
+    contribs, seed, n_cells = seen[0]
+    return contribs, _unit_orders(len(contribs) // 3, seed), n_cells
 
 
 def _seeded(contribs, units):
@@ -1043,11 +1087,13 @@ ENGINE_SWEEP["synthetic-320"] = _synthetic_cases
 
 
 def test_engine_follows_the_unit_orders():
-    # a run with each unit's options in a shuffled order makes the same
-    # search as the reference over the contributions read in that order,
-    # including the pinned slack's tallies past their threshold.  Unit 0
-    # keeps its order, so an unset chosen entry (0) reads alike in both
-    rng = random.Random(4)
+    # a seeded run, each unit's options in a shuffled order, makes the
+    # same search as the reference over the contributions read in that
+    # order, including the pinned slack's tallies past their threshold.
+    # Each case takes its own seed among those that leave option 0 first
+    # in unit 0, so an unset chosen entry (0) reads alike in both
+    seeds = (seed for seed in count() if _unit_orders(1, seed)[0][0] == 0)
+    orders = set()
     cases = chain(
         _bool4_minimum_cases(),
         _synthetic_cases(),
@@ -1056,12 +1102,15 @@ def test_engine_follows_the_unit_orders():
     )
     runs = 0
     for contribs, n_cells, lo, hi, nd, budget, _ in cases:
-        units = [[0, 1, 2]]
-        units += [rng.sample(range(o, o + 3), 3) for o in range(3, len(contribs), 3)]
+        seed = next(seeds)
+        units = _unit_orders(len(contribs) // 3, seed)
+        orders.add(tuple(units))
         for unliftable in (True, False):
             spec = SearchSpec(complete_uniform(), node_budget=budget)
             engine = search._SplitEngine(contribs, n_cells, lo, hi, nd, unliftable)
-            status, chosen, stats = engine.run(units, spec)
+            status, chosen, stats = engine.run(
+                SearchSpec(complete_uniform(), node_budget=budget, seed=seed)
+            )
             want = reference_assign_splits(
                 _seeded(contribs, units), n_cells, lo, hi, nd, unliftable, spec
             )
@@ -1071,7 +1120,7 @@ def test_engine_follows_the_unit_orders():
                 for i, o in enumerate(want[1])
             ]
             runs += 1
-    assert runs
+    assert runs == 2 * len(orders)
 
 
 @pytest.mark.parametrize("case", ENGINE_SWEEP)
@@ -1080,7 +1129,7 @@ def test_engine_matches_reference(case):
     for contribs, n_cells, lo, hi, nd, budget, seed in ENGINE_SWEEP[case]():
         for unliftable in (True, False):
             spec = SearchSpec(complete_uniform(), node_budget=budget)
-            got = search._assign_splits(contribs, n_cells, lo, hi, nd, unliftable, spec)
+            got = search._SplitEngine(contribs, n_cells, lo, hi, nd, unliftable).run(spec)
             want = reference_assign_splits(contribs, n_cells, lo, hi, nd, unliftable, spec)
             assert got[2].nodes <= budget
             # chosen at a budget stop pins the node order
