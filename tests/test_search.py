@@ -294,6 +294,8 @@ ROTATIONAL_PINS = [
     ("bool32", "complete", 1, None, "found", 8, {}, "3c2c2e00d3492e0f"),
     ("ro38", "complete", 1, 3000, "budget-exceeded", 3000, {"no-feasible-split": 640}, None),
     ("ro38", "complete", 5, 3000, "found", 438, {"no-feasible-split": 87}, "7f957f082de87e85"),
+    ("ro62", "complete", None, None, "found", 31, {}, "581034c243349ab9"),
+    ("ro62", "complete", 2, None, "found", 55, {"no-feasible-split": 9}, "d55251ce27a127d6"),
 ]
 
 
@@ -533,7 +535,7 @@ def _pin_witnesses():
 def test_image_pairs_count_the_expanded_pairs():
     specs = [catalog_get(n).payload for n in ("ro20", "ro26", "ro38", "ro62", "bool32")]
     specs += _pin_witnesses()
-    assert len(specs) == 12
+    assert len(specs) == 14
     for spec in specs:
         want = Counter(chain.from_iterable(constructions._expand_images(spec)))
         assert constructions._image_pairs(spec) == want
@@ -958,7 +960,8 @@ def reference_orbit_input(spec, seed):
 
 # (entry, level, seeds): block contribs have one cell per pair and
 # increments of 1; orbit contribs have one cell per difference class and
-# increments up to the number of multipliers
+# increments up to the number of multipliers.  ro62's options touch 5 to
+# 10 classes, with increments of 2 among them
 ENGINE_INPUTS = [
     ("sqs10", "block", (None, 0, 1, 2, 3, 4, 5)),
     ("bool4", "block", (None, 0, 1, 2, 3, 4, 5)),
@@ -969,6 +972,7 @@ ENGINE_INPUTS = [
     ("ro26", "orbit", (None, 0, 1, 2, 3, 4, 5)),
     ("ro38", "orbit", (None, 0, 1, 2, 3, 4, 5)),
     ("bool32", "orbit", (None, 0, 1, 2, 3, 4, 5)),
+    ("ro62", "orbit", (None, 0, 1, 2)),
 ]
 ENGINE_TARGETS = [
     complete_uniform(),
@@ -1077,6 +1081,21 @@ def _synthetic_cases():
         yield contribs, 40, 2, 5, nd, 4000, None
 
 
+def _synthetic_increment_cases():
+    """24 units over 16 cells whose options add 1, 2 or 3 to each of
+    their cells, so that under mu_hi = 6 a cell's thresholds 3, 4 and 5
+    are all watched and one count change crosses two or three of them."""
+    rng = random.Random(3)
+    contribs = []
+    for _ in range(3 * 24):
+        con = {}
+        while len(con) < 2 + (rng.random() < 0.5):
+            con[int(rng.random() * 16)] = 1 + int(rng.random() * 3)
+        contribs.append(tuple(sorted(con.items())))
+    for lo, hi, nd in ((4, 6, None), (6, 6, None), (3, 6, 12)):
+        yield contribs, 16, lo, hi, nd, 4000, None
+
+
 ENGINE_SWEEP = {
     f"{n}-{lv}": functools.partial(_sweep_cases, n, lv, seeds)
     for n, lv, seeds in ENGINE_INPUTS
@@ -1084,6 +1103,7 @@ ENGINE_SWEEP = {
 ENGINE_SWEEP["ro38-block-complete"] = _ro38_complete_cases
 ENGINE_SWEEP["bool4-block-minimum"] = _bool4_minimum_cases
 ENGINE_SWEEP["synthetic-320"] = _synthetic_cases
+ENGINE_SWEEP["synthetic-increments"] = _synthetic_increment_cases
 
 
 def test_engine_follows_the_unit_orders():
