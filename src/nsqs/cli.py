@@ -335,7 +335,7 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     if args.command == "construct" and args.what == "boolean" and args.n is None:
-        print("construct boolean needs --n", file=sys.stderr)
+        print("error: construct boolean needs --n", file=sys.stderr)
         return 2
     try:
         return args.func(args)

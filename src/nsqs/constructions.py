@@ -12,7 +12,6 @@ from __future__ import annotations
 import bisect
 import itertools
 import operator
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -316,15 +315,6 @@ def _expand_images(spec: RotationalSpec) -> list[NestedBlock]:
         _distinct_images(images)
         raise
     return images
-
-
-def _image_pairs(spec: RotationalSpec) -> Counter:
-    """The pairs of :func:`_expand_images` with their multiplicities,
-    counted from the rows of shift images without building an image."""
-    rows: list[list[Pair]] = []
-    for r, _, r2, _ in _image_rows(spec):
-        rows += (r, r2)
-    return Counter(itertools.chain.from_iterable(rows))
 
 
 def _distinct_images(images: list[NestedBlock]) -> list[NestedBlock]:

@@ -28,6 +28,7 @@ import random
 import time
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from math import comb
 from typing import Optional
 
@@ -37,10 +38,11 @@ from .analysis import (
     split_classes,
     uniform_obstruction,
 )
-from .constructions import RotationalSpec, _image_pairs, rotational_expand
+from .constructions import RotationalSpec, _image_rows, rotational_expand
 from .core import (
     NestedBlock,
     NestedDesign,
+    Pair,
     alternative_splits,
     design_from_canonical,
     expected_block_count,
@@ -185,7 +187,10 @@ class _SplitEngine:
     free; all of them makes every cell live from the start).  With
     ``unliftable`` a move is also pruned when one of its unit's cells
     sits below mu_lo and the unassigned units can no longer lift it.
-    A run works on copies of the mutable tables, so an engine serves any
+    The options that a count change flips are listed once per cell and
+    increment, for every count the change can start from, and each
+    option keeps its shared steps ``(cell, increment, flips)``.  A run
+    works on copies of the mutable tables, so an engine serves any
     number of runs, each with its own seed.
     """
 
@@ -236,9 +241,8 @@ class _SplitEngine:
         # allows it).  An option adding inc to a cell fits while the
         # cell's count is at most mu_hi - inc, so watch[cell][t] lists the
         # (option, unit) pairs with that threshold t: a count crossing t
-        # flips exactly those, and none is crossed by a count that ends at
-        # or below floor[cell], the lowest threshold with a watcher.
-        # nfeas[i] counts unit i's options with over == 0.
+        # flips exactly those.  nfeas[i] counts unit i's options with
+        # over == 0.
         self.watch = watch = [[[] for _ in range(mu_hi)] for _ in range(n_cells)]
         self.over = over = [0] * len(contribs)
         for o, con in enumerate(contribs):
@@ -247,7 +251,22 @@ class _SplitEngine:
                     over[o] += 1
                 else:
                     watch[cl][mu_hi - inc].append((o, o // 3))
-        self.floor = [next((t for t, w in enumerate(ws) if w), mu_hi) for ws in watch]
+        # Crossing lists.  steps[o] holds one step (cell, inc, flips) per
+        # entry of contribs[o], shared by every option with that entry:
+        # flips[c] lists the watchers of the thresholds c .. c+inc-1, the
+        # ones a count moving between c and c + inc crosses.  An option is
+        # applied only while it fits, so c never passes mu_hi - inc.  For
+        # inc == 1, flips is the cell's watch list itself.
+        interned: dict[tuple[int, int], tuple] = {}
+        for con in contribs:
+            for key in con:
+                if key not in interned:
+                    cl, inc = key
+                    ws = watch[cl]
+                    interned[key] = (cl, inc, ws if inc == 1 else [
+                        tuple(chain.from_iterable(ws[c:c + inc])) for c in range(mu_hi - inc + 1)
+                    ])
+        self.steps = [tuple(map(interned.__getitem__, con)) for con in contribs]
         self.nfeas = bytearray((not over[o]) + (not over[o + 1]) + (not over[o + 2])
                                for o in range(0, len(contribs), 3))
 
@@ -290,9 +309,10 @@ class _SplitEngine:
         updates only the options of free units that watch a cell whose
         count it changed, and C-level scans of a bytearray of feasible
         counts give the fail-first choice without scoring every unit.
-        A count change that ends at or below its cell's lowest watched
-        threshold flips no option and skips the watch lists altogether.
-        ``stats.nodes`` never exceeds ``spec.node_budget``.
+        Applying or undoing an option walks, for each of its steps, the
+        one crossing list of the count the change starts or ends at, so
+        no threshold is tested on the way.  ``stats.nodes`` never
+        exceeds ``spec.node_budget``.
         """
         units = [[o, o + 1, o + 2] for o in range(0, 3 * self.n_units, 3)]
         if spec.seed is not None:
@@ -300,11 +320,10 @@ class _SplitEngine:
             for order in units:
                 shuffle(order)
         # the tables a run changes are copied; every table is a local
-        contribs, n_cells, n_units = self.contribs, self.n_cells, self.n_units
+        steps, n_cells, n_units = self.steps, self.n_cells, self.n_units
         mu_lo, nd_cells, unliftable = self.mu_lo, self.nd_cells, self.unliftable
         complete, pinned, max_new = self.complete, self.pinned, self.max_new
-        capacity, lifts, watch, floor = self.capacity, self.lifts, self.watch, self.floor
-        touch, gap = self.touch, self.gap
+        capacity, lifts, touch, gap = self.capacity, self.lifts, self.touch, self.gap
         reach = self.reach[:] if unliftable else self.reach
         over = self.over[:]
         nfeas = self.nfeas[:]
@@ -333,7 +352,8 @@ class _SplitEngine:
         start = time.monotonic()
         chosen = [0] * n_units
         n_free = n_units
-        stack: list[list] = []  # [unit, its feasible options, next position]
+        # [unit, its feasible options, how many, next position]
+        stack: list[list] = []
         status = None
         while status is None:
             # a fresh node: a leaf, a budget stop, or a branch on the
@@ -362,7 +382,8 @@ class _SplitEngine:
                             opts = (o,)
                         elif (i := nfeas.find(2)) >= 0:
                             least = 2
-                            opts = tuple(o for o in units[i] if not over[o])
+                            x, y, z = units[i]
+                            opts = (y, z) if over[x] else (x, z) if over[y] else (x, y)
                         else:
                             least, i = 3, nfeas.find(3)
                             opts = units[i]
@@ -376,31 +397,28 @@ class _SplitEngine:
                     if unliftable:
                         for cl in lifts[i]:
                             reach[cl] -= 1
-                    stack.append([i, opts, 0])
+                    stack.append([i, opts, least, 0])
                 else:
                     no_split += 1
             # undo the last option tried and apply the next untried one
             while stack:
                 frame = stack[-1]
-                i, opts, pos = frame
+                i, opts, n_opts, pos = frame
                 if pos:
-                    for cl, inc in contribs[opts[pos - 1]]:
+                    for cl, inc, flips in steps[opts[pos - 1]]:
                         c2 = counts[cl]
                         c = c2 - inc
                         counts[cl] = c
                         deficit += gap[c] - gap[c2]
-                        if c2 > floor[cl]:
-                            crossed = watch[cl]
-                            for t in range(c, c2):
-                                for o2, j in crossed[t]:
-                                    if free[j]:
-                                        n = over[o2] - 1
-                                        over[o2] = n
-                                        if not n:  # o2 fits again
-                                            nfeas[j] += 1
-                                            if pinned:
-                                                for s in range(new[o2], max_new):
-                                                    within[s][j] += 1
+                        for o2, j in flips[c]:
+                            if free[j]:
+                                n = over[o2] - 1
+                                over[o2] = n
+                                if not n:  # o2 fits again
+                                    nfeas[j] += 1
+                                    if pinned:
+                                        for s in range(new[o2], max_new):
+                                            within[s][j] += 1
                         if pinned and not c:  # the cell closes
                             for o2, j in touch[cl]:
                                 if free[j]:
@@ -408,7 +426,7 @@ class _SplitEngine:
                                     new[o2] = n + 1
                                     if n < max_new and not over[o2]:
                                         within[n][j] -= 1
-                if pos == len(opts):
+                if pos == n_opts:
                     stack.pop()
                     free[i] = True
                     n_free += 1
@@ -424,27 +442,24 @@ class _SplitEngine:
                 if nodes >= budget:  # siblings count against the budget too
                     status = "budget-exceeded"
                     break
-                frame[2] = pos + 1
+                frame[3] = pos + 1
                 nodes += 1
                 o = opts[pos]
                 chosen[i] = o
-                for cl, inc in contribs[o]:
+                for cl, inc, flips in steps[o]:
                     c = counts[cl]
                     c2 = c + inc
                     counts[cl] = c2
                     deficit += gap[c2] - gap[c]
-                    if c2 > floor[cl]:
-                        crossed = watch[cl]
-                        for t in range(c, c2):
-                            for o2, j in crossed[t]:
-                                if free[j]:
-                                    n = over[o2]
-                                    over[o2] = n + 1
-                                    if not n:  # o2 stopped fitting
-                                        nfeas[j] -= 1
-                                        if pinned:
-                                            for s in range(new[o2], max_new):
-                                                within[s][j] -= 1
+                    for o2, j in flips[c]:
+                        if free[j]:
+                            n = over[o2]
+                            over[o2] = n + 1
+                            if not n:  # o2 stopped fitting
+                                nfeas[j] -= 1
+                                if pinned:
+                                    for s in range(new[o2], max_new):
+                                        within[s][j] -= 1
                     if pinned and not c:  # the cell opens
                         for o2, j in touch[cl]:
                             if free[j]:
@@ -519,14 +534,23 @@ def search_nesting(blocks, spec: SearchSpec) -> SearchOutcome:
 class _SpecClasses:
     """What :func:`search_rotational` works out once per spec: the
     fixed-point multiplicity of the validated difference census, the
-    three splits of every base block (split k of block i at 3i + k) and
-    the engine over their class contributions.  The splits and the
-    engine are built on first need, once the spec is certified, so an
-    entry with an engine holds a certified spec."""
+    three splits of every base block (split k of block i at 3i + k), the
+    shift rows of every split and the engine over their class
+    contributions.  The splits, rows and engine are built on first need,
+    once the spec is certified, so an entry with an engine holds a
+    certified spec."""
 
     inf_count: int
     splits: Optional[list[NestedBlock]] = None
+    rows: Optional[list[tuple[list[Pair], ...]]] = None
     engine: Optional[_SplitEngine] = None
+
+    def pairs(self, chosen: list[int]) -> Counter:
+        """The pairs of the expansion of the chosen splits, with their
+        multiplicities: rows[o] holds the rows of split o's two pairs
+        under every multiplier, and a row lists a pair's images under
+        all p shifts."""
+        return Counter(chain.from_iterable(r for o in chosen for r in self.rows[o]))
 
 
 # the specs seen last, oldest first, keyed on their values; each entry
@@ -568,10 +592,11 @@ def search_rotational(spec: RotationalSpec, search: SearchSpec) -> SearchOutcome
     run of the engine and the post-check of the witness.  The difference
     census, the certification, the splits, their class contributions and
     the engine's tables are done once per spec (equal p, base blocks and
-    multipliers), and kept for the last few specs.  A witness has the
-    certified spec's block point sets, so its post-check counts the
-    pairs of its expansion from the orbit rows, without building an
-    image block, and tests them for the uniform multiplicity.
+    multipliers), and kept for the last few specs, with the shift rows of
+    every split.  A witness has the certified spec's block point sets,
+    so its post-check counts the pairs of its expansion from the kept
+    rows of its chosen splits, without building an image block, and
+    tests them for the uniform multiplicity.
     """
     entry = _spec_classes(spec)  # validates the spec
     p = spec.p
@@ -618,6 +643,14 @@ def search_rotational(spec: RotationalSpec, search: SearchSpec) -> SearchOutcome
             tuple(Counter(d - 1 for d in split_classes(opt, p, spec.multipliers)).items())
             for opt in splits
         ]
+        # one pass over every split, so that all rows share one row table
+        rows = [
+            row
+            for r, _, r2, _ in _image_rows(RotationalSpec(p, tuple(splits), spec.multipliers))
+            for row in (r, r2)
+        ]
+        k = 2 * len(spec.multipliers)
+        entry.rows = [tuple(rows[o:o + k]) for o in range(0, len(rows), k)]
         # the nonzero classes are the ND-pairs less the fixed point's p.
         # An exact target's ND-pair count is the total pair slots over mu,
         # and mu is forced above, so one engine serves every call.  The
@@ -638,7 +671,7 @@ def search_rotational(spec: RotationalSpec, search: SearchSpec) -> SearchOutcome
     )
     # the class prediction is exact, but count the expanded pairs as a
     # post-check: the images are those of the certified spec, resplit
-    pairs = _image_pairs(witness)
+    pairs = entry.pairs(chosen)
     if min(pairs.values()) != mu or max(pairs.values()) != mu:
         raise NsqsError("rotational search produced a non-uniform witness")
     return SearchOutcome(status=status, witness=witness, stats=stats)

@@ -123,9 +123,10 @@ def test_construct_boolean_pipe(capsys, tmp_path):
 
 
 def test_construct_boolean_needs_n(capsys):
-    code, _, err = run(capsys, "construct", "boolean")
-    assert code == 2
-    assert "--n" in err
+    # one error line, worded like every other usage error
+    code, out, err = run(capsys, "construct", "boolean")
+    assert (code, out) == (2, "")
+    assert err == "error: construct boolean needs --n\n"
 
 
 @pytest.mark.parametrize("nest", ["none", "catalog", "search"])

@@ -494,21 +494,38 @@ def test_rotational_search_interleaved_specs_match_pins():
 
 
 def _engine_snapshot(engine):
+    """A deep copy of the engine's tables, steps and the watch lists
+    they share included, with the sharing kept: one copy per list."""
     return copy.deepcopy(vars(engine))
+
+
+def _steps_share_watch(engine):
+    return all(
+        flips is engine.watch[cl]
+        for steps in engine.steps
+        for cl, inc, flips in steps
+        if inc == 1
+    )
 
 
 def test_engine_runs_leave_the_tables_unchanged():
     search._spec_cache.clear()
-    ro38 = _stripped_spec("ro38")
-    assert search_rotational(ro38, SearchSpec(complete_uniform(), node_budget=0)).status == (
-        "budget-exceeded"
-    )
-    (entry,) = search._spec_cache.values()
-    before = _engine_snapshot(entry.engine), list(entry.splits)
-    for seed, budget, status in ((5, 3000, "found"), (1, 3000, "budget-exceeded")):
-        out = search_rotational(ro38, SearchSpec(complete_uniform(), node_budget=budget, seed=seed))
-        assert out.status == status
-        assert (_engine_snapshot(entry.engine), entry.splits) == before
+    for name, runs in (
+        ("ro38", ((5, 3000, "found"), (1, 3000, "budget-exceeded"))),
+        ("ro62", ((None, 10**8, "found"), (2, 10**8, "found"))),
+    ):
+        spec = _stripped_spec(name)
+        out = search_rotational(spec, SearchSpec(complete_uniform(), node_budget=0))
+        assert out.status == "budget-exceeded"
+        entry = search._spec_classes(spec)
+        before = _engine_snapshot(entry.engine), list(entry.splits), copy.deepcopy(entry.rows)
+        for seed, budget, status in runs:
+            out = search_rotational(
+                spec, SearchSpec(complete_uniform(), node_budget=budget, seed=seed)
+            )
+            assert out.status == status
+            assert (_engine_snapshot(entry.engine), entry.splits, entry.rows) == before
+            assert _steps_share_watch(entry.engine)
     # a pinned support adds the open-cell tallies, which runs copy too
     blocks = [b[0] + b[1] for b in boolean_sqs(4).blocks]
     contribs, _, n_cells = _engine_input(
@@ -521,24 +538,70 @@ def test_engine_runs_leave_the_tables_unchanged():
     for budget, status in ((10**5, "found"), (500, "budget-exceeded")):
         assert engine.run(SearchSpec(minimum_uniform(), node_budget=budget))[0] == status
         assert _engine_snapshot(engine) == before
+        assert _steps_share_watch(engine)
 
 
-def _pin_witnesses():
-    """The witness of every found ROTATIONAL_PINS row."""
-    for name, target, seed, budget, status, *_ in ROTATIONAL_PINS:
-        if status == "found":
-            yield search_rotational(
-                _stripped_spec(name), _rotational_pin_spec(target, budget, seed)
-            ).witness
+def test_engine_steps_list_the_watchers_each_change_crosses():
+    # flips[c] of a step (cell, inc) holds the watchers of the thresholds
+    # c .. c+inc-1, for every count c at which an option fits the cell
+    # (c + inc <= mu_hi); one step serves every option with that entry
+    contribs, _, n_cells = _engine_input(
+        search_rotational, _stripped_spec("ro62"), SearchSpec(complete_uniform(), node_budget=0)
+    )
+    cases = [(contribs, n_cells, 10, 10, None)]
+    cases += [case[:5] for case in _synthetic_increment_cases()]
+    cases += [case[:5] for case in _bool4_minimum_cases()][:1]
+    incs = set()
+    for contribs, n_cells, lo, hi, nd in cases:
+        engine = search._SplitEngine(contribs, n_cells, lo, hi, nd, True)
+        shared = {}
+        for o, steps in enumerate(engine.steps):
+            assert [(cl, inc) for cl, inc, _ in steps] == list(contribs[o])
+            for step in steps:
+                cl, inc, flips = step
+                assert shared.setdefault((cl, inc), step) is step
+                watch = engine.watch[cl]
+                assert len(flips) == max(0, len(watch) - inc + 1)
+                for c, crossed in enumerate(flips):
+                    assert list(crossed) == [w for t in range(c, c + inc) for w in watch[t]]
+                incs.add(inc)
+        assert _steps_share_watch(engine)
+    assert incs == {1, 2, 3}
 
 
-def test_image_pairs_count_the_expanded_pairs():
-    specs = [catalog_get(n).payload for n in ("ro20", "ro26", "ro38", "ro62", "bool32")]
-    specs += _pin_witnesses()
-    assert len(specs) == 14
-    for spec in specs:
-        want = Counter(chain.from_iterable(constructions._expand_images(spec)))
-        assert constructions._image_pairs(spec) == want
+def _expanded_pairs(spec):
+    return Counter(chain.from_iterable(rotational_expand(spec).blocks))
+
+
+def test_image_pairs_count_the_expanded_pairs(monkeypatch):
+    # the post-check's pairs of every pinned witness, made cold and warm
+    search._spec_cache.clear()
+    counted = []
+    pairs = search._SpecClasses.pairs
+
+    def spy(entry, chosen):
+        counted.append(pairs(entry, chosen))
+        return counted[-1]
+
+    monkeypatch.setattr(search._SpecClasses, "pairs", spy)
+    found = [row for row in ROTATIONAL_PINS if row[4] == "found"]
+    assert len(found) == 9
+    for name, target, seed, budget, *_ in found + found:
+        witness = search_rotational(
+            _stripped_spec(name), _rotational_pin_spec(target, budget, seed)
+        ).witness
+        assert counted.pop() == _expanded_pairs(witness)
+    assert not counted
+    # and of each catalog spec, read as a choice of its stripped spec's splits
+    for name in ("ro20", "ro26", "ro38", "ro62", "bool32"):
+        spec, stripped = catalog_get(name).payload, _stripped_spec(name)
+        search_rotational(stripped, SearchSpec(complete_uniform(), node_budget=0))
+        entry = search._spec_classes(stripped)
+        chosen = [
+            3 * i + entry.splits[3 * i:3 * i + 3].index(blk)
+            for i, blk in enumerate(spec.base_blocks)
+        ]
+        assert pairs(entry, chosen) == _expanded_pairs(spec)
 
 
 @pytest.mark.parametrize(
@@ -549,12 +612,15 @@ def test_image_pairs_count_the_expanded_pairs():
     ],
 )
 def test_image_pairs_refuse_a_degenerate_block_like_the_expansion(degenerate, error):
+    # the spec is certified by its expansion before any row is built
+    search._spec_cache.clear()
     ro20 = catalog_get("ro20").payload
-    spec = RotationalSpec(ro20.p, ro20.base_blocks[:2] + (degenerate,), ro20.multipliers)
+    spec = RotationalSpec(ro20.p, ro20.base_blocks[:-1] + (degenerate,), ro20.multipliers)
     with pytest.raises(NsqsError, match=error):
         constructions._expand_images(spec)
-    with pytest.raises(NsqsError, match=error):
-        constructions._image_pairs(spec)
+    for _ in range(2):  # the spec's first call, then a repeat
+        with pytest.raises(NsqsError, match=error):
+            search_rotational(spec, SearchSpec(complete_uniform()))
 
 
 def test_rotational_search_post_check_catches_a_wrong_split_when_warm(monkeypatch):
