@@ -14,11 +14,11 @@ One engine, two front ends, plus local rebalancing:
 Both front ends list each unit's three splits in canonical order, build
 one engine over them and call its ``run`` with the search spec, whose
 seed orders every unit's options the same way for both.  Each certifies
-its input before the first node: the blocks must form an SQS, and a
-spec's images must be the blocks of one.  Targets that violate a
-counting or divisibility necessary condition are refused before any
-node is expanded, with the failing condition in the outcome's
-``reason``.
+its input before it reads the target: the blocks must form an SQS, and
+a spec's images must be the blocks of one, or the input is refused with
+an error whatever the target.  Targets that violate a counting or
+divisibility necessary condition are then refused before any node is
+expanded, with the failing condition in the outcome's ``reason``.
 """
 
 from __future__ import annotations
@@ -32,17 +32,10 @@ from itertools import chain
 from math import comb
 from typing import Optional
 
-from .analysis import (
-    difference_census,
-    min_nd_pairs,
-    split_classes,
-    uniform_obstruction,
-)
+from .analysis import min_nd_pairs, split_classes, uniform_obstruction
 from .constructions import RotationalSpec, _image_rows, rotational_expand
 from .core import (
-    NestedBlock,
     NestedDesign,
-    Pair,
     alternative_splits,
     design_from_canonical,
     expected_block_count,
@@ -530,20 +523,55 @@ def search_nesting(blocks, spec: SearchSpec) -> SearchOutcome:
     return SearchOutcome(status=status, witness=witness, stats=stats)
 
 
-@dataclass
-class _SpecClasses:
-    """What :func:`search_rotational` works out once per spec: the
-    fixed-point multiplicity of the validated difference census, the
-    three splits of every base block (split k of block i at 3i + k), the
-    shift rows of every split and the engine over their class
-    contributions.  The splits, rows and engine are built on first need,
-    once the spec is certified, so an entry with an engine holds a
-    certified spec."""
+class _OrbitProblem:
+    """What :func:`search_rotational` works out once per spec, built
+    whole: the spec certified, the three splits of every base block
+    (split k of block i at 3i + k), the shift rows of every split, the
+    multiplicity ``mu`` forced on the pairs through the fixed point, and
+    the engine over the splits' class contributions."""
 
-    inf_count: int
-    splits: Optional[list[NestedBlock]] = None
-    rows: Optional[list[tuple[list[Pair], ...]]] = None
-    engine: Optional[_SplitEngine] = None
+    def __init__(self, spec: RotationalSpec) -> None:
+        # certify the spec: one image per base block, multiplier and
+        # shift, as many as the blocks of an SQS(v), which they must form
+        spec.validate()
+        p = spec.p
+        maps = len(spec.multipliers) * p
+        expected = expected_block_count(spec.v)
+        if len(spec.base_blocks) * maps != expected:
+            raise InconsistentSpecError(
+                f"{len(spec.base_blocks)} base blocks have "
+                f"{len(spec.base_blocks) * maps} images under {maps} maps "
+                f"x -> m*x + s, expected {expected}"
+            )
+        rotational_expand(spec)
+        self.splits = splits = [
+            opt for blk in spec.base_blocks for opt in alternative_splits(blk)
+        ]
+        contribs = [
+            tuple(Counter(d - 1 for d in split_classes(opt, p, spec.multipliers)).items())
+            for opt in splits
+        ]
+        # one pass over every split, so that all rows share one row table
+        rows = [
+            row
+            for r, _, r2, _ in _image_rows(RotationalSpec(p, tuple(splits), spec.multipliers))
+            for row in (r, r2)
+        ]
+        k = 2 * len(spec.multipliers)
+        self.rows = [tuple(rows[o:o + k]) for o in range(0, len(rows), k)]
+        # The images are the blocks of an SQS(v), each once, so the
+        # (v-1)(v-2)/6 blocks through the fixed point are images of the
+        # base blocks through it.  Every split of such a block pairs the
+        # fixed point with one other point, and the shifts spread those
+        # pairs evenly over its p pairs: each has multiplicity (v-2)/6
+        # whatever the choice, and every pair is an ND-pair.  So the only
+        # reachable target is complete-uniform, every class is a cell
+        # that must end at mu, and one engine serves every call.  The
+        # unliftable prune stays off at orbit level: searches with it find
+        # the same witnesses in a quarter fewer nodes, but its cost per
+        # node makes them about 17% slower for a fixed node count
+        self.mu = mu = (spec.v - 2) // 6
+        self.engine = _SplitEngine(contribs, p // 2, mu, mu, p // 2, unliftable=False)
 
     def pairs(self, chosen: list[int]) -> Counter:
         """The pairs of the expansion of the chosen splits, with their
@@ -556,24 +584,24 @@ class _SpecClasses:
 # the specs seen last, oldest first, keyed on their values; each entry
 # holds O(base blocks), never an expanded design
 _SPEC_CACHE_SIZE = 16
-_spec_cache: dict[tuple, _SpecClasses] = {}
+_spec_cache: dict[tuple, _OrbitProblem] = {}
 
 
-def _spec_classes(spec: RotationalSpec) -> _SpecClasses:
-    """The cache entry of a spec equal in p, base blocks and multipliers,
-    made (and the spec validated) on first sight.  A spec whose blocks
-    cannot be hashed gets a fresh entry that is not kept."""
+def _orbit_problem(spec: RotationalSpec) -> _OrbitProblem:
+    """The cached problem of a spec equal in p, base blocks and
+    multipliers, made (and the spec certified) on first sight.  A spec
+    whose blocks cannot be hashed gets a fresh problem that is not kept."""
     key = (spec.p, tuple(spec.base_blocks), frozenset(spec.multipliers))
     try:
-        entry = _spec_cache.get(key)
+        problem = _spec_cache.get(key)
     except TypeError:
-        return _SpecClasses(difference_census(spec).inf_count)
-    if entry is None:
-        entry = _SpecClasses(difference_census(spec).inf_count)
+        return _OrbitProblem(spec)
+    if problem is None:
+        problem = _OrbitProblem(spec)
         if len(_spec_cache) >= _SPEC_CACHE_SIZE:
             del _spec_cache[next(iter(_spec_cache))]
-        _spec_cache[key] = entry
-    return entry
+        _spec_cache[key] = problem
+    return problem
 
 
 def search_rotational(spec: RotationalSpec, search: SearchSpec) -> SearchOutcome:
@@ -583,95 +611,48 @@ def search_rotational(spec: RotationalSpec, search: SearchSpec) -> SearchOutcome
     class min(md, p-md) for each multiplier m; shifts then spread that
     uniformly over every pair of the class, so per-class counts are exact
     predictions of the expanded census.  The p pairs through the fixed
-    point are not a cell: their multiplicity is forced.
+    point are not a cell: their multiplicity is forced to (v-2)/6.
 
-    Before its first run a spec is certified: its images must number
-    the blocks of an SQS(v) and expand to one (:func:`rotational_expand`
-    and its errors), or InconsistentSpecError is raised.  Seeded
-    restarts on one spec repeat only the per-call work: the target, one
-    run of the engine and the post-check of the witness.  The difference
-    census, the certification, the splits, their class contributions and
-    the engine's tables are done once per spec (equal p, base blocks and
-    multipliers), and kept for the last few specs, with the shift rows of
-    every split.  A witness has the certified spec's block point sets,
-    so its post-check counts the pairs of its expansion from the kept
-    rows of its chosen splits, without building an image block, and
-    tests them for the uniform multiplicity.
+    The spec is certified before the target is read: its images must
+    number the blocks of an SQS(v) and expand to one
+    (:func:`rotational_expand` and its errors), or InconsistentSpecError
+    is raised, whatever the target.  Seeded restarts on one spec repeat
+    only the per-call work: the target, one run of the engine and the
+    post-check of the witness.  The certification, the splits, their
+    class contributions, their shift rows and the engine's tables are
+    made once per spec (equal p, base blocks and multipliers), and kept
+    for the last few specs.  A witness has the certified spec's block
+    point sets, so its post-check counts the pairs of its expansion from
+    the kept rows of its chosen splits, without building an image block,
+    and tests them for the uniform multiplicity.
     """
-    entry = _spec_classes(spec)  # validates the spec
-    p = spec.p
+    problem = _orbit_problem(spec)
     res = _resolve_target(search.target, spec.v)
     if isinstance(res, str):
         return SearchOutcome(status="refused", reason=res)
     if not res.exact:
         raise NsqsError("rotational search supports exact uniform targets only")
     mu = res.mu_lo
-
-    # every split of an inf block pairs inf with someone, so the inf-pair
-    # multiplicity is forced before any choice is made
-    if entry.inf_count != mu:
+    if mu != problem.mu:
         return SearchOutcome(
             status="refused",
             reason=(
                 f"pairs through the fixed point are forced to multiplicity "
-                f"{entry.inf_count}, target needs {mu}"
-            ),
-        )
-    if res.nd_pairs % p:
-        return SearchOutcome(
-            status="refused",
-            reason=(
-                f"{res.nd_pairs} ND-pairs are not a union of difference "
-                f"classes and the fixed point, which hold {p} pairs each"
+                f"{problem.mu}, target needs {mu}"
             ),
         )
 
-    if entry.engine is None:
-        # certify the spec: one image per base block, multiplier and
-        # shift, as many as the blocks of an SQS(v), which they must form
-        maps = len(spec.multipliers) * p
-        expected = expected_block_count(spec.v)
-        if len(spec.base_blocks) * maps != expected:
-            raise InconsistentSpecError(
-                f"{len(spec.base_blocks)} base blocks have "
-                f"{len(spec.base_blocks) * maps} images under {maps} maps "
-                f"x -> m*x + s, expected {expected}"
-            )
-        rotational_expand(spec)
-        splits = [opt for blk in spec.base_blocks for opt in alternative_splits(blk)]
-        contribs = [
-            tuple(Counter(d - 1 for d in split_classes(opt, p, spec.multipliers)).items())
-            for opt in splits
-        ]
-        # one pass over every split, so that all rows share one row table
-        rows = [
-            row
-            for r, _, r2, _ in _image_rows(RotationalSpec(p, tuple(splits), spec.multipliers))
-            for row in (r, r2)
-        ]
-        k = 2 * len(spec.multipliers)
-        entry.rows = [tuple(rows[o:o + k]) for o in range(0, len(rows), k)]
-        # the nonzero classes are the ND-pairs less the fixed point's p.
-        # An exact target's ND-pair count is the total pair slots over mu,
-        # and mu is forced above, so one engine serves every call.  The
-        # unliftable prune stays off at orbit level: searches with it find
-        # the same witnesses in a quarter fewer nodes, but its cost per
-        # node makes them about 17% slower for a fixed node count
-        entry.engine = _SplitEngine(
-            contribs, p // 2, mu, mu, res.nd_pairs // p - 1, unliftable=False
-        )
-        entry.splits = splits
-    status, chosen, stats = entry.engine.run(search)
+    status, chosen, stats = problem.engine.run(search)
     if status != "found":
         return SearchOutcome(status=status, stats=stats)
     witness = RotationalSpec(
-        p=p,
-        base_blocks=tuple(entry.splits[o] for o in chosen),
+        p=spec.p,
+        base_blocks=tuple(problem.splits[o] for o in chosen),
         multipliers=spec.multipliers,
     )
     # the class prediction is exact, but count the expanded pairs as a
     # post-check: the images are those of the certified spec, resplit
-    pairs = entry.pairs(chosen)
+    pairs = problem.pairs(chosen)
     if min(pairs.values()) != mu or max(pairs.values()) != mu:
         raise NsqsError("rotational search produced a non-uniform witness")
     return SearchOutcome(status=status, witness=witness, stats=stats)

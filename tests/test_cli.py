@@ -333,6 +333,24 @@ def test_search_refuses_a_base_file_with_a_repeated_orbit(capsys, tmp_path):
     )
 
 
+@pytest.mark.parametrize("blocks", ["", "inf 0 | 1 3\ninf 0 | 1 3\n"], ids=["empty", "twice"])
+@pytest.mark.parametrize(
+    "target",
+    [["complete-uniform"], ["uniform", "--mu", "2"], ["minimum-uniform"]],
+    ids=lambda target: target[0],
+)
+def test_search_refuses_a_non_sqs_base_file_for_every_target(
+    capsys, tmp_path, blocks, target
+):
+    # no blocks, or one orbit listed twice: 0 or 7 distinct blocks where
+    # an SQS(8) has 14, an input error before the target is read
+    base = tmp_path / "p7.base"
+    base.write_text("nsqs-base p=7 multipliers=1\n" + blocks)
+    code, out, err = run(capsys, "search", str(base), "--target", *target)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_cosets(capsys):
     code, out, _ = run(capsys, "cosets", "--mod", "7")
     assert code == 0
@@ -641,6 +659,12 @@ def _search_files(draw):
 def test_cli_search_fuzz_exits_cleanly(tmp_path_factory, data):
     path = tmp_path_factory.mktemp("fuzz") / "input.nsqs"
     path.write_bytes(data)
+    # a base file that does not expand to an SQS is refused for every
+    # target: the orbit search certifies the spec before the target
+    lines = data.decode("utf-8", "replace").splitlines()
+    not_sqs = bool(lines) and lines[0].strip().startswith("nsqs-base") and (
+        _run_quietly(["expand", "--base", str(path)])[0] == 2
+    )
     for target in _SEARCH_TARGETS:
         argv = ["search", str(path), *target, "--budget", "50"]
         code, _, err = _run_quietly(argv)
@@ -648,3 +672,5 @@ def test_cli_search_fuzz_exits_cleanly(tmp_path_factory, data):
         assert "Traceback" not in err
         if code == 2:
             assert err.startswith("error: ") and err.count("\n") == 1, (target, err)
+        if not_sqs:
+            assert code == 2, (target, data, err)

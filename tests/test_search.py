@@ -20,13 +20,16 @@ from nsqs import (
     SearchSpec,
     alternative_splits,
     block_points,
+    boolean_rotational_design,
     boolean_sqs,
     catalog_get,
     classify,
     complete_uniform,
+    difference_census,
     doubling_b,
     local_balance,
     minimum_uniform,
+    orbit_spec,
     pair_census,
     quasi_uniform,
     rotational_expand,
@@ -342,18 +345,47 @@ def test_rotational_search_refuses_bad_order():
     assert out.stats.nodes == 0
 
 
-def test_rotational_search_refuses_support_off_the_classes():
-    # one more inf base block forces the fixed-point pairs to 5, which
-    # uniform(5) allows, but its 260 ND-pairs are not a multiple of p = 25
+def test_rotational_search_certifies_before_the_target(monkeypatch):
+    # one more inf base block would force the fixed-point pairs to 5,
+    # which uniform(5) allows, but its 27 orbits are not those of an
+    # SQS(26): the spec is refused before any target is read
     spec = catalog_get("ro26").payload
     inf_block = next(b for b in spec.base_blocks if spec.p in b[0] + b[1])
     padded = rotational_spec(
         spec.p, list(spec.base_blocks) + [inf_block], spec.multipliers
     )
-    out = search_rotational(padded, SearchSpec(uniform(5), node_budget=400))
+    message = (
+        r"^27 base blocks have 675 images under 25 maps x -> m\*x \+ s, "
+        r"expected 650$"
+    )
+    search._spec_cache.clear()
+    calls = []
+    monkeypatch.setattr(search._SplitEngine, "run", lambda engine, spec: calls.append("run"))
+    for target in (complete_uniform(), uniform(5), minimum_uniform()):
+        for _ in range(2):  # the spec's first call, then a repeat
+            with pytest.raises(InconsistentSpecError, match=message):
+                search_rotational(padded, SearchSpec(target, node_budget=400))
+    assert calls == []
+
+
+def test_fixed_point_multiplicity_is_derived():
+    # a certified spec's census forces (v-2)/6 on every pair through the
+    # fixed point, the multiplicity its orbit problem sets without a count
+    names = ("ro20", "ro26", "ro38", "ro62", "bool32")
+    specs = [catalog_get(name).payload for name in names]
+    specs += [_stripped_spec(name) for name in names]
+    specs.append(orbit_spec(boolean_rotational_design(5), {1, 2, 4, 8, 16}))
+    for spec in specs:
+        forced = (spec.v - 2) // 6
+        assert difference_census(spec).inf_count == forced
+        assert search._orbit_problem(spec).mu == forced
+    # and a target off it is refused with the forced value
+    out = search_rotational(_stripped_spec("ro26"), SearchSpec(uniform(5)))
     assert out.status == "refused"
     assert out.stats.nodes == 0
-    assert "260 ND-pairs" in out.reason
+    assert out.reason == (
+        "pairs through the fixed point are forced to multiplicity 4, target needs 5"
+    )
 
 
 def _rotational_result(spec, search_spec):
@@ -517,15 +549,17 @@ def test_engine_runs_leave_the_tables_unchanged():
         spec = _stripped_spec(name)
         out = search_rotational(spec, SearchSpec(complete_uniform(), node_budget=0))
         assert out.status == "budget-exceeded"
-        entry = search._spec_classes(spec)
-        before = _engine_snapshot(entry.engine), list(entry.splits), copy.deepcopy(entry.rows)
+        problem = search._orbit_problem(spec)
+        before = (
+            _engine_snapshot(problem.engine), list(problem.splits), copy.deepcopy(problem.rows)
+        )
         for seed, budget, status in runs:
             out = search_rotational(
                 spec, SearchSpec(complete_uniform(), node_budget=budget, seed=seed)
             )
             assert out.status == status
-            assert (_engine_snapshot(entry.engine), entry.splits, entry.rows) == before
-            assert _steps_share_watch(entry.engine)
+            assert (_engine_snapshot(problem.engine), problem.splits, problem.rows) == before
+            assert _steps_share_watch(problem.engine)
     # a pinned support adds the open-cell tallies, which runs copy too
     blocks = [b[0] + b[1] for b in boolean_sqs(4).blocks]
     contribs, _, n_cells = _engine_input(
@@ -577,13 +611,13 @@ def test_image_pairs_count_the_expanded_pairs(monkeypatch):
     # the post-check's pairs of every pinned witness, made cold and warm
     search._spec_cache.clear()
     counted = []
-    pairs = search._SpecClasses.pairs
+    pairs = search._OrbitProblem.pairs
 
-    def spy(entry, chosen):
-        counted.append(pairs(entry, chosen))
+    def spy(problem, chosen):
+        counted.append(pairs(problem, chosen))
         return counted[-1]
 
-    monkeypatch.setattr(search._SpecClasses, "pairs", spy)
+    monkeypatch.setattr(search._OrbitProblem, "pairs", spy)
     found = [row for row in ROTATIONAL_PINS if row[4] == "found"]
     assert len(found) == 9
     for name, target, seed, budget, *_ in found + found:
@@ -596,12 +630,12 @@ def test_image_pairs_count_the_expanded_pairs(monkeypatch):
     for name in ("ro20", "ro26", "ro38", "ro62", "bool32"):
         spec, stripped = catalog_get(name).payload, _stripped_spec(name)
         search_rotational(stripped, SearchSpec(complete_uniform(), node_budget=0))
-        entry = search._spec_classes(stripped)
+        problem = search._orbit_problem(stripped)
         chosen = [
-            3 * i + entry.splits[3 * i:3 * i + 3].index(blk)
+            3 * i + problem.splits[3 * i:3 * i + 3].index(blk)
             for i, blk in enumerate(spec.base_blocks)
         ]
-        assert pairs(entry, chosen) == _expanded_pairs(spec)
+        assert pairs(problem, chosen) == _expanded_pairs(spec)
 
 
 @pytest.mark.parametrize(
