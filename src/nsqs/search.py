@@ -104,6 +104,7 @@ class SearchStats:
     prunes: Counter = field(default_factory=Counter)
     moves: int = 0
     elapsed: float = 0.0
+    stop: Optional[str] = None  # found | exhausted | node-budget | time-budget | refused
 
 
 @dataclass
@@ -112,6 +113,10 @@ class SearchOutcome:
     witness: object = None  # NestedDesign or RotationalSpec when found
     reason: Optional[str] = None
     stats: SearchStats = field(default_factory=SearchStats)
+
+
+def _refused(reason: str) -> SearchOutcome:
+    return SearchOutcome(status="refused", reason=reason, stats=SearchStats(stop="refused"))
 
 
 @dataclass(frozen=True)
@@ -168,6 +173,9 @@ def _check_band(what: str, lo: Optional[int], hi: Optional[int]) -> None:
 # ---------------------------------------------------------------------------
 # the split-assignment engine
 
+_CLOCK_STRIDE = 4096  # nodes from one read of the clock to the next
+
+
 class _SplitEngine:
     """The split-assignment engine on one input: the tables that do not
     depend on the order in which a unit's options are tried, built once,
@@ -180,11 +188,12 @@ class _SplitEngine:
     free; all of them makes every cell live from the start).  With
     ``unliftable`` a move is also pruned when one of its unit's cells
     sits below mu_lo and the unassigned units can no longer lift it.
-    The options that a count change flips are listed once per cell and
-    increment, for every count the change can start from, and each
-    option keeps its shared steps ``(cell, increment, flips)``.  A run
-    works on copies of the mutable tables, so an engine serves any
-    number of runs, each with its own seed.
+    ``tally`` is False where the deficit prune cannot fire, and runs then
+    keep no deficit.  The options that a count change flips are listed
+    once per cell and increment, for every count the change can start
+    from, and each option keeps its shared steps ``(cell, increment,
+    flips)``.  A run works on copies of the mutable tables, so an engine
+    serves any number of runs, each with its own seed.
     """
 
     def __init__(
@@ -207,7 +216,8 @@ class _SplitEngine:
         self.pinned = pinned = nd_cells is not None and not complete
         self.max_new = max_new = max(map(len, contribs), default=0)
         # no unassigned unit can lower the deficit by more than this
-        self.capacity = max((sum(inc for _, inc in con) for con in contribs), default=0)
+        totals = [sum(inc for _, inc in con) for con in contribs]
+        self.capacity = max(totals, default=0)
 
         # lifts[i]: the cells unit i touches, each repeated as often as
         # the most unit i can add to it (built for the unliftable prune
@@ -228,6 +238,13 @@ class _SplitEngine:
             for cl, inc in span.items():
                 reach[cl] += inc
         mu_hi = max(0, min(mu_hi, max(reach, default=0)))
+        # With every cell live and no count above mu_hi == mu_lo, the
+        # deficit is n_cells * mu_lo less what the assigned units add.  If
+        # each unit's options add one total and all units reach n_cells *
+        # mu_lo, it stays within capacity * n_free and is 0 at every leaf:
+        # run keeps no deficit tally and never tests it.
+        self.tally = not (complete and mu_hi == mu_lo and n_cells * mu_lo <= sum(totals[::3])
+                          and totals[::3] == totals[1::3] == totals[2::3])
 
         # Domains.  over[o] counts the cells option o would push past
         # mu_hi, so o is feasible iff over[o] == 0 (and the support pin
@@ -302,10 +319,12 @@ class _SplitEngine:
         updates only the options of free units that watch a cell whose
         count it changed, and C-level scans of a bytearray of feasible
         counts give the fail-first choice without scoring every unit.
-        Applying or undoing an option walks, for each of its steps, the
-        one crossing list of the count the change starts or ends at, so
-        no threshold is tested on the way.  ``stats.nodes`` never
-        exceeds ``spec.node_budget``.
+        Applying an option walks, for each of its steps, the one crossing
+        list of the count the change starts at, so no threshold is tested
+        on the way, and keeps on its frame the trail of watchers whose
+        ``over`` it raised, which its undo replays.  ``stats.nodes`` never
+        exceeds ``spec.node_budget``; the clock is read at the first fresh
+        node and then once per ``_CLOCK_STRIDE`` nodes.
         """
         units = [[o, o + 1, o + 2] for o in range(0, 3 * self.n_units, 3)]
         if spec.seed is not None:
@@ -314,7 +333,7 @@ class _SplitEngine:
                 shuffle(order)
         # the tables a run changes are copied; every table is a local
         steps, n_cells, n_units = self.steps, self.n_cells, self.n_units
-        mu_lo, nd_cells, unliftable = self.mu_lo, self.nd_cells, self.unliftable
+        mu_lo, nd_cells, unliftable, tally = self.mu_lo, self.nd_cells, self.unliftable, self.tally
         complete, pinned, max_new = self.complete, self.pinned, self.max_new
         capacity, lifts, touch, gap = self.capacity, self.lifts, self.touch, self.gap
         reach = self.reach[:] if unliftable else self.reach
@@ -327,38 +346,41 @@ class _SplitEngine:
         # exact: units leave and re-enter in stack order, so a unit is
         # free both when an option is applied and when it is undone, or
         # assigned both times, and the skipped updates would have
-        # cancelled.  When the unit is popped, the counts are back to
-        # their values at its branch, so its frozen entries are correct
-        # again.  nfeas[i] and within[s][i] are recomputed when unit i is
-        # popped; a unit on the stack holds 4 in them, above any count.
-        # So ``0 in nfeas`` is a dead end, and otherwise the first of
-        # nfeas.find(1), find(2), find(3) to hit is the lowest unit among
-        # the fewest feasible options; within[slack] answers the same
-        # while the pinned slack binds.
+        # cancelled; so an undo reverses exactly its apply's trail.  When
+        # the unit is popped, the counts are back to their values at its
+        # branch, so its frozen entries are correct again.  nfeas[i] and
+        # within[s][i] are recomputed when unit i is popped; a unit on the
+        # stack holds 4 in them, above any count.  So ``0 in nfeas`` is a
+        # dead end, and otherwise the first of nfeas.find(1), find(2),
+        # find(3) to hit is the lowest unit among the fewest feasible
+        # options; within[slack] answers the same while the pinned slack
+        # binds.
         free = [True] * n_units  # not on the stack
         counts = [0] * n_cells
-        deficit = gap[0] * n_cells
+        deficit = gap[0] * n_cells if tally else 0
 
         budget = spec.node_budget
         time_budget = spec.time_budget
-        nodes = no_split = over_capacity = unliftable_cell = 0
+        nodes = no_split = over_capacity = unliftable_cell = clock_at = 0
         start = time.monotonic()
         chosen = [0] * n_units
         n_free = n_units
-        # [unit, its feasible options, how many, next position]
+        # [unit, its feasible options, how many, next position, trail]
         stack: list[list] = []
-        status = None
-        while status is None:
+        stop = None
+        while stop is None:
             # a fresh node: a leaf, a budget stop, or a branch on the
             # lowest unit among those with the fewest feasible options
             if not n_free:
                 if deficit == 0 and (nd_cells is None or n_cells - counts.count(0) == nd_cells):
-                    status = "found"
+                    stop = "found"
                     break
-            elif nodes >= budget or time.monotonic() - start > time_budget:
-                status = "budget-exceeded"
+            elif nodes >= budget or nodes >= clock_at and time.monotonic() - start > time_budget:
+                stop = "node-budget" if nodes >= budget else "time-budget"
                 break
             else:
+                if nodes >= clock_at:  # the clock was read: the next read is a stride on
+                    clock_at = nodes + _CLOCK_STRIDE
                 if pinned and (slack := nd_cells - n_cells + counts.count(0)) < max_new:
                     least = min(within[slack])
                     if least:
@@ -390,28 +412,29 @@ class _SplitEngine:
                     if unliftable:
                         for cl in lifts[i]:
                             reach[cl] -= 1
-                    stack.append([i, opts, least, 0])
+                    stack.append([i, opts, least, 0, []])
                 else:
                     no_split += 1
             # undo the last option tried and apply the next untried one
             while stack:
                 frame = stack[-1]
-                i, opts, n_opts, pos = frame
+                i, opts, n_opts, pos, trail = frame
                 if pos:
-                    for cl, inc, flips in steps[opts[pos - 1]]:
-                        c2 = counts[cl]
-                        c = c2 - inc
+                    for o2 in trail:
+                        n = over[o2] - 1
+                        over[o2] = n
+                        if not n:  # o2 fits again
+                            j = o2 // 3
+                            nfeas[j] += 1
+                            if pinned:
+                                for s in range(new[o2], max_new):
+                                    within[s][j] += 1
+                    trail.clear()
+                    for cl, inc, _ in steps[opts[pos - 1]]:
+                        c = counts[cl] - inc
                         counts[cl] = c
-                        deficit += gap[c] - gap[c2]
-                        for o2, j in flips[c]:
-                            if free[j]:
-                                n = over[o2] - 1
-                                over[o2] = n
-                                if not n:  # o2 fits again
-                                    nfeas[j] += 1
-                                    if pinned:
-                                        for s in range(new[o2], max_new):
-                                            within[s][j] += 1
+                        if tally:
+                            deficit += gap[c] - gap[c + inc]
                         if pinned and not c:  # the cell closes
                             for o2, j in touch[cl]:
                                 if free[j]:
@@ -433,21 +456,23 @@ class _SplitEngine:
                             reach[cl] += 1
                     continue
                 if nodes >= budget:  # siblings count against the budget too
-                    status = "budget-exceeded"
+                    stop = "node-budget"
                     break
                 frame[3] = pos + 1
                 nodes += 1
                 o = opts[pos]
                 chosen[i] = o
+                push = trail.append
                 for cl, inc, flips in steps[o]:
                     c = counts[cl]
-                    c2 = c + inc
-                    counts[cl] = c2
-                    deficit += gap[c2] - gap[c]
+                    counts[cl] = c + inc
+                    if tally:
+                        deficit += gap[c + inc] - gap[c]
                     for o2, j in flips[c]:
                         if free[j]:
                             n = over[o2]
                             over[o2] = n + 1
+                            push(o2)
                             if not n:  # o2 stopped fitting
                                 nfeas[j] -= 1
                                 if pinned:
@@ -460,7 +485,7 @@ class _SplitEngine:
                                 new[o2] = n
                                 if n < max_new and not over[o2]:
                                     within[n][j] += 1
-                if deficit > capacity * n_free:
+                if tally and deficit > capacity * n_free:
                     over_capacity += 1
                     continue
                 if unliftable:
@@ -476,9 +501,9 @@ class _SplitEngine:
                     continue
                 break
             else:
-                status = "exhausted"
+                stop = "exhausted"
 
-        stats = SearchStats(nodes=nodes, elapsed=time.monotonic() - start)
+        stats = SearchStats(nodes=nodes, elapsed=time.monotonic() - start, stop=stop)
         for name, n in (
             ("no-feasible-split", no_split),
             ("deficit-exceeds-capacity", over_capacity),
@@ -486,6 +511,7 @@ class _SplitEngine:
         ):
             if n:
                 stats.prunes[name] = n
+        status = stop if stop in ("found", "exhausted") else "budget-exceeded"
         return status, chosen, stats
 
 
@@ -505,7 +531,7 @@ def search_nesting(blocks, spec: SearchSpec) -> SearchOutcome:
 
     res = _resolve_target(spec.target, v)
     if isinstance(res, str):
-        return SearchOutcome(status="refused", reason=res)
+        return _refused(res)
 
     splits = [opt for opts in choices for opt in opts]
     cell_of: dict[tuple[int, int], int] = {}
@@ -629,17 +655,14 @@ def search_rotational(spec: RotationalSpec, search: SearchSpec) -> SearchOutcome
     problem = _orbit_problem(spec)
     res = _resolve_target(search.target, spec.v)
     if isinstance(res, str):
-        return SearchOutcome(status="refused", reason=res)
+        return _refused(res)
     if not res.exact:
         raise NsqsError("rotational search supports exact uniform targets only")
     mu = res.mu_lo
     if mu != problem.mu:
-        return SearchOutcome(
-            status="refused",
-            reason=(
-                f"pairs through the fixed point are forced to multiplicity "
-                f"{problem.mu}, target needs {mu}"
-            ),
+        return _refused(
+            f"pairs through the fixed point are forced to multiplicity "
+            f"{problem.mu}, target needs {mu}"
         )
 
     status, chosen, stats = problem.engine.run(search)

@@ -71,10 +71,21 @@ def _stripped_spec(name):
     )
 
 
+# the stop cause a search with the default time budget reports for
+# each outcome status
+STOPS = {
+    "found": "found",
+    "exhausted": "exhausted",
+    "budget-exceeded": "node-budget",
+    "refused": "refused",
+}
+
+
 def test_refusal_uniform3_on_sqs10():
     out = search_nesting(_point_sets("sqs10"), SearchSpec(uniform(3)))
     assert out.status == "refused"
     assert out.stats.nodes == 0
+    assert out.stats.stop == "refused"
     assert "v^2/4" in out.reason
     assert "25" in out.reason
 
@@ -160,6 +171,27 @@ def test_search_budget_exceeded():
     out = search_nesting(_point_sets("sqs10"), SearchSpec(uniform(2), node_budget=3))
     assert out.status == "budget-exceeded"
     assert out.stats.nodes == 3
+    assert out.stats.stop == "node-budget"
+
+
+@pytest.mark.parametrize("level", ["block", "orbit"])
+def test_zero_time_budget_stops_before_the_first_node(level):
+    spec = SearchSpec(uniform(2) if level == "block" else complete_uniform(), time_budget=0)
+    if level == "block":
+        out = search_nesting(_point_sets("sqs10"), spec)
+    else:
+        out = search_rotational(_stripped_spec("ro20"), spec)
+    assert (out.status, out.stats.nodes, out.stats.stop) == ("budget-exceeded", 0, "time-budget")
+
+
+def test_time_budget_stops_a_long_search():
+    # the clock is read once per _CLOCK_STRIDE nodes, so a search far
+    # from its node budget still stops soon after its time budget
+    spec = SearchSpec(complete_uniform(), node_budget=10**7, time_budget=0.05)
+    out = search_nesting(_point_sets("ro38"), spec)
+    assert (out.status, out.stats.stop) == ("budget-exceeded", "time-budget")
+    assert 0 < out.stats.nodes < 10**7
+    assert out.stats.elapsed < 1
 
 
 @pytest.mark.parametrize(
@@ -245,6 +277,7 @@ def test_search_nesting_pinned(
     goal, kind = BLOCK_TARGETS[target]
     out = search_nesting(blocks, SearchSpec(goal, node_budget=budget, seed=seed))
     assert out.status == status
+    assert out.stats.stop == STOPS[status]
     assert out.stats.nodes == nodes
     assert dict(out.stats.prunes) == prunes
     if witness is None:
@@ -315,6 +348,7 @@ def test_rotational_search_pinned(
     )
     out = search_rotational(_stripped_spec(name), spec)
     assert out.status == status
+    assert out.stats.stop == STOPS[status]
     assert out.stats.nodes == nodes
     assert dict(out.stats.prunes) == prunes
     if witness is None:
@@ -1196,6 +1230,21 @@ def _synthetic_increment_cases():
         yield contribs, 16, lo, hi, nd, 4000, None
 
 
+def _complete_short_cases():
+    """20 units over 16 cells, every cell live and mu_lo == mu_hi == 4,
+    each unit's options adding one total (2 or 4), but all units together
+    add 60, less than the 64 the cells need: the deficit tally stays on,
+    and its prune fires once nine units of total 2 are assigned."""
+    rng = random.Random(5)
+    contribs = []
+    for i in range(3 * 20):
+        con = set()
+        while len(con) < 2 + 2 * (i // 3 % 2):
+            con.add(int(rng.random() * 16))
+        contribs.append(tuple((cl, 1) for cl in sorted(con)))
+    yield contribs, 16, 4, 4, 16, 4000, None
+
+
 ENGINE_SWEEP = {
     f"{n}-{lv}": functools.partial(_sweep_cases, n, lv, seeds)
     for n, lv, seeds in ENGINE_INPUTS
@@ -1204,6 +1253,62 @@ ENGINE_SWEEP["ro38-block-complete"] = _ro38_complete_cases
 ENGINE_SWEEP["bool4-block-minimum"] = _bool4_minimum_cases
 ENGINE_SWEEP["synthetic-320"] = _synthetic_cases
 ENGINE_SWEEP["synthetic-increments"] = _synthetic_increment_cases
+ENGINE_SWEEP["complete-short"] = _complete_short_cases
+
+
+def _flat_engine(name, target):
+    """The engine search_nesting builds for the target on a catalog
+    design, or on boolean_sqs(n) for the name bool<n>."""
+    if name.startswith("bool"):
+        blocks = [b[0] + b[1] for b in boolean_sqs(int(name[4:])).blocks]
+    else:
+        blocks = _point_sets(name)
+    contribs, _, n_cells = _engine_input(
+        search_nesting, blocks, SearchSpec(band(0, 1), node_budget=0)
+    )
+    res = search._resolve_target(target, max(map(max, blocks)) + 1)
+    return search._SplitEngine(contribs, n_cells, res.mu_lo, res.mu_hi, res.nd_pairs, True)
+
+
+def test_deficit_tally_is_kept_only_where_its_prune_can_fire():
+    # off: every cell live, mu_lo == mu_hi, one total per unit and all
+    # units reaching n_cells * mu_lo, so the deficit never exceeds what
+    # the free units can add
+    search._spec_cache.clear()
+    off = [
+        search._orbit_problem(catalog_get(name).payload).engine
+        for name in ("ro20", "ro26", "ro38", "ro62", "bool32")
+    ]
+    off += [_flat_engine(name, complete_uniform()) for name in ("sqs8uniform", "ro20", "ro38")]
+    assert [engine.tally for engine in off] == [False] * 8
+    for engine in off:
+        # the reference, which always tallies, makes the same search and
+        # never prunes on the deficit
+        spec = SearchSpec(complete_uniform(), node_budget=1000)
+        got = engine.run(spec)
+        want = reference_assign_splits(
+            engine.contribs, engine.n_cells, engine.mu_lo, engine.mu_lo,
+            engine.nd_cells, engine.unliftable, spec,
+        )
+        assert "deficit-exceeds-capacity" not in want[2].prunes
+        assert (got[0], got[1], got[2].nodes, got[2].prunes) == (
+            want[0], want[1], want[2].nodes, want[2].prunes
+        )
+    # on: a band, a pinned support, and a complete exact input whose
+    # units add less than its cells need
+    on = [
+        _flat_engine("bool4", quasi_uniform(2)),
+        _flat_engine("bool5", band(4, 6)),
+        _flat_engine("bool4", minimum_uniform()),
+    ]
+    contribs, n_cells, lo, hi, nd, budget, _ = next(_complete_short_cases())
+    short = search._SplitEngine(contribs, n_cells, lo, hi, nd, False)
+    assert short.complete and lo == hi
+    on.append(short)
+    assert [engine.tally for engine in on] == [True] * 4
+    spec = SearchSpec(complete_uniform(), node_budget=budget)
+    want = reference_assign_splits(contribs, n_cells, lo, hi, nd, False, spec)
+    assert want[2].prunes["deficit-exceeds-capacity"] > 0
 
 
 def test_engine_follows_the_unit_orders():
@@ -1252,6 +1357,7 @@ def test_engine_matches_reference(case):
             got = search._SplitEngine(contribs, n_cells, lo, hi, nd, unliftable).run(spec)
             want = reference_assign_splits(contribs, n_cells, lo, hi, nd, unliftable, spec)
             assert got[2].nodes <= budget
+            assert got[2].stop == STOPS[got[0]]
             # chosen at a budget stop pins the node order
             assert (got[0], got[1], got[2].nodes, got[2].prunes) == (
                 want[0], want[1], want[2].nodes, want[2].prunes
