@@ -19,8 +19,6 @@ from .analysis import (
     half_partition,
     min_nd_pairs,
     min_nd_pairs_raised,
-    quasi_uniform_collapse_check,
-    validate_bounds,
 )
 from .catalog import CatalogEntry, catalog_get, catalog_names
 from .constructions import (

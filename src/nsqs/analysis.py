@@ -126,10 +126,6 @@ def census_violations(census: PairCensus) -> list[str]:
     return out
 
 
-def validate_bounds(design: NestedDesign) -> list[str]:
-    return census_violations(pair_census(design))
-
-
 # ---------------------------------------------------------------------------
 # classification
 
@@ -447,13 +443,3 @@ def cyclotomic_cosets(m: int) -> CosetSet:
             y = (2 * y) % m
         cosets.append(tuple(coset))
     return CosetSet(modulus=m, cosets=tuple(cosets))
-
-
-def quasi_uniform_collapse_check(v: int, k: int) -> bool:
-    """True iff any quasi-uniform nesting with exactly k ND-pairs must be
-    uniform, i.e. k divides the total pair count."""
-    if not min_nd_pairs(v) <= k <= comb(v, 2):
-        raise NsqsError(
-            f"k={k} outside [{min_nd_pairs(v)}, {comb(v, 2)}] for v={v}"
-        )
-    return total_pair_slots(v) % k == 0

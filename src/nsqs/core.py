@@ -72,7 +72,7 @@ def alternative_splits(points: Iterable[int]) -> list[NestedBlock]:
     pts = sorted(points)
     if len(pts) == 2 and isinstance(pts[0], tuple):  # a nested block
         pts = sorted(pts[0] + pts[1])
-    if len(pts) != 4 or len(set(pts)) != 4:
+    if len(pts) != 4 or not pts[0] < pts[1] < pts[2] < pts[3]:  # sorted, so distinct
         raise InvalidBlockError(f"need 4 distinct points, got {pts}")
     a, b, c, d = pts
     return [((a, b), (c, d)), ((a, c), (b, d)), ((a, d), (b, c))]

@@ -28,8 +28,9 @@ import random
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, islice
 from math import comb
+from operator import itemgetter
 from typing import Optional
 
 from .analysis import min_nd_pairs, split_classes, uniform_obstruction
@@ -187,7 +188,8 @@ class _SplitEngine:
     ``nd_cells`` pins how many cells end up nonzero (None leaves it
     free; all of them makes every cell live from the start).  With
     ``unliftable`` a move is also pruned when one of its unit's cells
-    sits below mu_lo and the unassigned units can no longer lift it.
+    sits below mu_lo and the unassigned units can no longer lift it,
+    tested from per-cell potentials on the cells a move lowers or opens.
     ``tally`` is False where the deficit prune cannot fire, and runs then
     keep no deficit.  The options that a count change flips are listed
     once per cell and increment, for every count the change can start
@@ -216,28 +218,37 @@ class _SplitEngine:
         self.pinned = pinned = nd_cells is not None and not complete
         self.max_new = max_new = max(map(len, contribs), default=0)
         # no unassigned unit can lower the deficit by more than this
-        totals = [sum(inc for _, inc in con) for con in contribs]
+        inc_of = itemgetter(1)
+        totals = [sum(map(inc_of, con)) for con in contribs]
         self.capacity = max(totals, default=0)
 
-        # lifts[i]: the cells unit i touches, each repeated as often as
-        # the most unit i can add to it (built for the unliftable prune
-        # only); reach[cell]: the most the unassigned units can still add
-        # to it.  No count ever passes its cell's initial reach, so
-        # capping mu_hi at the largest one changes no test and keeps the
-        # tables below small.
-        self.lifts = lifts = []
-        self.reach = reach = [0] * n_cells
-        for o in range(0, len(contribs), 3):
-            span: dict[int, int] = {}
-            for con in contribs[o:o + 3]:
-                for cl, inc in con:
-                    if inc > span.get(cl, 0):
-                        span[cl] = inc
-            if unliftable:
-                lifts.append(tuple(cl for cl, inc in span.items() for _ in range(inc)))
+        # pot[cell]: its count plus the spans of the free units (a unit's
+        # span: its largest increment on each cell), at the root the
+        # cell's reach.  Option o lowers it by losses[o] = ((cell, span
+        # less o's increment), ...); when the options share no cell, by the
+        # other two's entries.  No count ever passes its cell's reach, so
+        # capping mu_hi at the largest one changes no test and keeps the tables small.
+        self.pot, self.losses = pot, losses = [0] * n_cells, []
+        units = iter(contribs)
+        for a, b, c in zip(units, units, units):
+            span = dict(whole := a + b + c)
+            if len(span) < len(whole):  # the options share a cell
+                for cl, inc in whole:
+                    span[cl] = max(span[cl], inc)
+                if unliftable:
+                    losses += [tuple((cl, m - own.get(cl, 0)) for cl, m in span.items()
+                                     if m > own.get(cl, 0)) for own in map(dict, (a, b, c))]
+            elif unliftable:
+                losses += (b + c, a + c, a + b)
             for cl, inc in span.items():
-                reach[cl] += inc
-        mu_hi = max(0, min(mu_hi, max(reach, default=0)))
+                pot[cl] += inc
+        # with every cell live, one whose reach is below mu_lo fails from
+        # the root on: each option of a unit spanning it lists it at loss 0
+        low = [r < mu_lo for r in pot] if unliftable and complete else []
+        for o in range(len(contribs) if any(low) else 0):
+            unit = dict(chain.from_iterable(contribs[o - o % 3:o - o % 3 + 3]))
+            losses[o] += tuple((cl, 0) for cl in unit if low[cl])
+        mu_hi = max(0, min(mu_hi, max(pot, default=0)))
         # With every cell live and no count above mu_hi == mu_lo, the
         # deficit is n_cells * mu_lo less what the assigned units add.  If
         # each unit's options add one total and all units reach n_cells *
@@ -256,27 +267,26 @@ class _SplitEngine:
         self.watch = watch = [[[] for _ in range(mu_hi)] for _ in range(n_cells)]
         self.over = over = [0] * len(contribs)
         for o, con in enumerate(contribs):
+            w = (o, o // 3)
             for cl, inc in con:
                 if inc > mu_hi:
                     over[o] += 1
                 else:
-                    watch[cl][mu_hi - inc].append((o, o // 3))
+                    watch[cl][mu_hi - inc].append(w)
         # Crossing lists.  steps[o] holds one step (cell, inc, flips) per
         # entry of contribs[o], shared by every option with that entry:
         # flips[c] lists the watchers of the thresholds c .. c+inc-1, the
         # ones a count moving between c and c + inc crosses.  An option is
         # applied only while it fits, so c never passes mu_hi - inc.  For
         # inc == 1, flips is the cell's watch list itself.
-        interned: dict[tuple[int, int], tuple] = {}
-        for con in contribs:
-            for key in con:
-                if key not in interned:
-                    cl, inc = key
-                    ws = watch[cl]
-                    interned[key] = (cl, inc, ws if inc == 1 else [
-                        tuple(chain.from_iterable(ws[c:c + inc])) for c in range(mu_hi - inc + 1)
-                    ])
-        self.steps = [tuple(map(interned.__getitem__, con)) for con in contribs]
+        interned = {(cl, inc): (cl, inc, watch[cl] if inc == 1 else [
+            tuple(chain.from_iterable(watch[cl][c:c + inc])) for c in range(mu_hi - inc + 1)
+        ]) for cl, inc in dict.fromkeys(chain.from_iterable(contribs))}
+        steps = map(interned.__getitem__, chain.from_iterable(contribs))
+        if max_new == min(map(len, contribs), default=0) > 0:  # regroup them at C speed
+            self.steps = list(zip(*[steps] * max_new))
+        else:
+            self.steps = [tuple(islice(steps, len(con))) for con in contribs]
         self.nfeas = bytearray((not over[o]) + (not over[o + 1]) + (not over[o + 2])
                                for o in range(0, len(contribs), 3))
 
@@ -335,8 +345,9 @@ class _SplitEngine:
         steps, n_cells, n_units = self.steps, self.n_cells, self.n_units
         mu_lo, nd_cells, unliftable, tally = self.mu_lo, self.nd_cells, self.unliftable, self.tally
         complete, pinned, max_new = self.complete, self.pinned, self.max_new
-        capacity, lifts, touch, gap = self.capacity, self.lifts, self.touch, self.gap
-        reach = self.reach[:] if unliftable else self.reach
+        capacity, losses, touch, gap = self.capacity, self.losses, self.touch, self.gap
+        pot = self.pot[:] if unliftable else self.pot
+        opens = pinned or unliftable and not complete  # an opening cell is tallied or tested
         over = self.over[:]
         nfeas = self.nfeas[:]
         new = self.new[:]
@@ -409,9 +420,6 @@ class _SplitEngine:
                             w[i] = 4
                     free[i] = False
                     n_free -= 1
-                    if unliftable:
-                        for cl in lifts[i]:
-                            reach[cl] -= 1
                     stack.append([i, opts, least, 0, []])
                 else:
                     no_split += 1
@@ -430,7 +438,11 @@ class _SplitEngine:
                                 for s in range(new[o2], max_new):
                                     within[s][j] += 1
                     trail.clear()
-                    for cl, inc, _ in steps[opts[pos - 1]]:
+                    o = opts[pos - 1]
+                    if unliftable:
+                        for cl, d in losses[o]:
+                            pot[cl] += d
+                    for cl, inc, _ in steps[o]:
                         c = counts[cl] - inc
                         counts[cl] = c
                         if tally:
@@ -451,9 +463,6 @@ class _SplitEngine:
                     if pinned:
                         for s, w in enumerate(within):
                             w[i] = sum(not over[o2] and new[o2] <= s for o2 in (o, o + 1, o + 2))
-                    if unliftable:
-                        for cl in lifts[i]:
-                            reach[cl] += 1
                     continue
                 if nodes >= budget:  # siblings count against the budget too
                     stop = "node-budget"
@@ -463,6 +472,13 @@ class _SplitEngine:
                 o = opts[pos]
                 chosen[i] = o
                 push = trail.append
+                if unliftable:
+                    # a live cell that the move lowers below mu_lo fails
+                    fail = False
+                    for cl, d in losses[o]:
+                        pot[cl] = p = pot[cl] - d
+                        if p < mu_lo and (complete or counts[cl]):
+                            fail = True
                 for cl, inc, flips in steps[o]:
                     c = counts[cl]
                     counts[cl] = c + inc
@@ -478,26 +494,21 @@ class _SplitEngine:
                                 if pinned:
                                     for s in range(new[o2], max_new):
                                         within[s][j] -= 1
-                    if pinned and not c:  # the cell opens
-                        for o2, j in touch[cl]:
-                            if free[j]:
-                                n = new[o2] - 1
-                                new[o2] = n
-                                if n < max_new and not over[o2]:
-                                    within[n][j] += 1
+                    if opens and not c:  # the cell opens
+                        if unliftable and pot[cl] < mu_lo:
+                            fail = True
+                        if pinned:
+                            for o2, j in touch[cl]:
+                                if free[j]:
+                                    n = new[o2] - 1
+                                    new[o2] = n
+                                    if n < max_new and not over[o2]:
+                                        within[n][j] += 1
                 if tally and deficit > capacity * n_free:
                     over_capacity += 1
                     continue
-                if unliftable:
-                    # prune when one of the unit's cells sits below mu_lo
-                    # out of reach of the unassigned units
-                    for cl in lifts[i]:
-                        c = counts[cl]
-                        if c + reach[cl] < mu_lo and (complete or c):
-                            unliftable_cell += 1
-                            break
-                    else:
-                        break
+                if unliftable and fail:
+                    unliftable_cell += 1
                     continue
                 break
             else:
@@ -533,15 +544,13 @@ def search_nesting(blocks, spec: SearchSpec) -> SearchOutcome:
     if isinstance(res, str):
         return _refused(res)
 
-    splits = [opt for opts in choices for opt in opts]
-    cell_of: dict[tuple[int, int], int] = {}
-    contribs = [
-        tuple((cell_of.setdefault(pr, len(cell_of)), 1) for pr in opt)
-        for opt in splits
-    ]
-    engine = _SplitEngine(
-        contribs, len(cell_of), res.mu_lo, res.mu_hi, res.nd_pairs, unliftable=True
-    )
+    # the pairs are the cells, numbered in the order first seen
+    splits = list(chain.from_iterable(choices))
+    pairs = list(chain.from_iterable(splits))
+    entry_of = {pr: (cl, 1) for cl, pr in enumerate(dict.fromkeys(pairs))}
+    entries = map(entry_of.__getitem__, pairs)
+    engine = _SplitEngine(list(zip(entries, entries)), len(entry_of), res.mu_lo, res.mu_hi,
+                          res.nd_pairs, unliftable=True)
     status, chosen, stats = engine.run(spec)
     if status != "found":
         return SearchOutcome(status=status, stats=stats)
@@ -593,9 +602,9 @@ class _OrbitProblem:
         # whatever the choice, and every pair is an ND-pair.  So the only
         # reachable target is complete-uniform, every class is a cell
         # that must end at mu, and one engine serves every call.  The
-        # unliftable prune stays off at orbit level: searches with it find
-        # the same witnesses in a quarter fewer nodes, but its cost per
-        # node makes them about 17% slower for a fixed node count
+        # unliftable prune stays off here, as it changes seeded results: 80
+        # seeded ro26 and ro38 runs of 2 500 nodes find 46 witnesses in
+        # 106 530 nodes with it, 33 in 140 342 without, in 10% less time
         self.mu = mu = (spec.v - 2) // 6
         self.engine = _SplitEngine(contribs, p // 2, mu, mu, p // 2, unliftable=False)
 

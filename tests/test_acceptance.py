@@ -16,6 +16,7 @@ from nsqs import (
     block_points,
     boolean_sqs,
     catalog_get,
+    census_violations,
     classify,
     complete_uniform,
     difference_census,
@@ -32,7 +33,6 @@ from nsqs import (
     search_nesting,
     search_rotational,
     uniform,
-    validate_bounds,
     verify_steiner,
 )
 import random
@@ -221,7 +221,7 @@ def test_criterion_10_property_suites():
                 design = repartition(
                     design, i, rng.choice(alternative_splits(pts))
                 )
-            assert validate_bounds(design) == [], name
+            assert census_violations(pair_census(design)) == [], name
 
         for name in ("ro20", "ro26", "ro38", "ro62", "bool32"):
             spec = catalog_get(name).payload

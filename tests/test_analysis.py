@@ -27,11 +27,9 @@ from nsqs import (
     min_nd_pairs,
     min_nd_pairs_raised,
     pair_census,
-    quasi_uniform_collapse_check,
     repartition,
     rotational_expand,
     total_pair_slots,
-    validate_bounds,
 )
 from nsqs.analysis import (
     KNOWN_UNIFORM,
@@ -83,7 +81,7 @@ def test_bounds_profile_rejects_inadmissible():
 def test_catalog_satisfies_all_bounds():
     for name in catalog_names():
         design = catalog_get(name).design()
-        assert validate_bounds(design) == [], name
+        assert census_violations(pair_census(design)) == [], name
 
 
 def test_census_violations_detects_bad_total():
@@ -384,7 +382,7 @@ def test_difference_census_inf_count_forced():
 
 
 # ---------------------------------------------------------------------------
-# cosets and collapse
+# cosets
 
 def test_cyclotomic_cosets_mod7():
     cosets = cyclotomic_cosets(7)
@@ -410,13 +408,6 @@ def test_cyclotomic_cosets_refuses_huge_modulus(m):
         cyclotomic_cosets(m)
 
 
-def test_quasi_uniform_collapse_check():
-    assert quasi_uniform_collapse_check(10, 30)  # 30 | 60 -> must be uniform
-    assert not quasi_uniform_collapse_check(16, 71)  # 71 does not divide 280
-    with pytest.raises(Exception):
-        quasi_uniform_collapse_check(16, 121)  # outside the support range
-
-
 # ---------------------------------------------------------------------------
 # randomized bound invariants (acceptance criterion 10 backs onto this)
 
@@ -428,4 +419,4 @@ def test_random_repartitions_respect_bounds():
             i = rng.randrange(len(design.blocks))
             pts = block_points(design.blocks[i])
             design = repartition(design, i, rng.choice(alternative_splits(pts)))
-            assert validate_bounds(design) == []
+            assert census_violations(pair_census(design)) == []

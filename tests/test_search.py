@@ -601,7 +601,7 @@ def test_engine_runs_leave_the_tables_unchanged():
     )
     res = search._resolve_target(minimum_uniform(), 16)
     engine = search._SplitEngine(contribs, n_cells, res.mu_lo, res.mu_hi, res.nd_pairs, True)
-    assert engine.pinned and engine.within
+    assert engine.pinned and engine.within and engine.losses
     before = _engine_snapshot(engine)
     for budget, status in ((10**5, "found"), (500, "budget-exceeded")):
         assert engine.run(SearchSpec(minimum_uniform(), node_budget=budget))[0] == status
@@ -1245,6 +1245,29 @@ def _complete_short_cases():
     yield contribs, 16, 4, 4, 16, 4000, None
 
 
+def _unliftable_edge_cases():
+    """24 units over 14 cells whose options add 1, 2 or 3 to their
+    cells; only units 3 and 9 touch cells 12 and 13, whose reach is 4
+    and 6, so that with the support free or pinned an option opens a
+    cell below mu_lo.  The last case, every cell live, adds a cell 14
+    that each option of unit 5 raises by 1 and no other unit touches:
+    it fails at the root, and since no option of unit 5 lowers its
+    potential, only its entries at a loss of 0 test it."""
+    rng = random.Random(0)
+    contribs = []
+    for o in range(3 * 24):
+        con = {}
+        while len(con) < 2 + (rng.random() < 0.5):
+            con[int(rng.random() * 12)] = 1 + int(rng.random() * 3)
+        if o // 3 in (3, 9):
+            con[12 + o % 2] = 1 + o % 3
+        contribs.append(tuple(sorted(con.items())))
+    for lo, hi, nd in ((4, 6, None), (5, 6, None), (4, 6, 11), (4, 6, 14)):
+        yield contribs, 14, lo, hi, nd, 4000, None
+    rooted = [con + ((14, 1),) if o // 3 == 5 else con for o, con in enumerate(contribs)]
+    yield rooted, 15, 4, 6, 15, 4000, None
+
+
 ENGINE_SWEEP = {
     f"{n}-{lv}": functools.partial(_sweep_cases, n, lv, seeds)
     for n, lv, seeds in ENGINE_INPUTS
@@ -1254,6 +1277,7 @@ ENGINE_SWEEP["bool4-block-minimum"] = _bool4_minimum_cases
 ENGINE_SWEEP["synthetic-320"] = _synthetic_cases
 ENGINE_SWEEP["synthetic-increments"] = _synthetic_increment_cases
 ENGINE_SWEEP["complete-short"] = _complete_short_cases
+ENGINE_SWEEP["unliftable-edges"] = _unliftable_edge_cases
 
 
 def _flat_engine(name, target):
@@ -1268,6 +1292,42 @@ def _flat_engine(name, target):
     )
     res = search._resolve_target(target, max(map(max, blocks)) + 1)
     return search._SplitEngine(contribs, n_cells, res.mu_lo, res.mu_hi, res.nd_pairs, True)
+
+
+def _spans(contribs):
+    """Each unit's span: its largest increment on every cell it touches."""
+    spans = []
+    for o in range(0, len(contribs), 3):
+        span = Counter()
+        for cl, inc in chain(*contribs[o:o + 3]):
+            span[cl] = max(span[cl], inc)
+        spans.append(span)
+    return spans
+
+
+def test_engine_losses_are_the_spans_less_each_option():
+    # pot starts at each cell's reach, the sum of the spans; option o
+    # loses its unit's span less its own entries, and with every cell
+    # live, a cell whose reach is below mu_lo at a loss of 0 as well
+    engines = [_flat_engine("ro38", complete_uniform()), _flat_engine("bool4", minimum_uniform())]
+    engines += [
+        search._SplitEngine(*case[:5], True)
+        for case in chain(_synthetic_increment_cases(), _unliftable_edge_cases())
+    ]
+    failing = 0
+    for engine in engines:
+        spans = _spans(engine.contribs)
+        reach = Counter()
+        for span in spans:
+            reach.update(span)
+        assert engine.pot == [reach[cl] for cl in range(engine.n_cells)]
+        for o, con in enumerate(engine.contribs):
+            span = spans[o // 3]
+            low = [(cl, 0) for cl in span if engine.complete and reach[cl] < engine.mu_lo]
+            want = [*(span - Counter(dict(con))).items(), *low]
+            assert sorted(engine.losses[o]) == sorted(want), o
+            failing += len(low)
+    assert failing  # the unliftable edges fail a cell at the root
 
 
 def test_deficit_tally_is_kept_only_where_its_prune_can_fire():
