@@ -5,7 +5,6 @@ from .analysis import (
     Candidate,
     Classification,
     CosetSet,
-    DifferenceCensus,
     Exclusion,
     FeasibilityRow,
     admissible,
@@ -13,7 +12,6 @@ from .analysis import (
     census_violations,
     classify,
     cyclotomic_cosets,
-    difference_census,
     feasibility_row,
     feasibility_table,
     half_partition,
@@ -46,7 +44,6 @@ from .core import (
     canonical_block,
     canonical_pair,
     expected_block_count,
-    find_block,
     nested_design,
     pair_census,
     relabel,

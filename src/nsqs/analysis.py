@@ -16,13 +16,11 @@ from typing import Optional
 from .core import (
     NestedBlock,
     NestedDesign,
-    Pair,
     PairCensus,
     pair_census,
     total_pair_slots,
 )
 from .errors import InvalidModulusError, InvalidOrderError, NsqsError
-from .constructions import RotationalSpec
 
 
 def admissible(v: int) -> bool:
@@ -360,33 +358,7 @@ def feasibility_table(v_min: int, v_max: int) -> list[FeasibilityRow]:
 
 
 # ---------------------------------------------------------------------------
-# difference censuses and cyclotomic cosets
-
-@dataclass(frozen=True)
-class DifferenceCensus:
-    """Predicted ND-pair multiplicities of an expanded rotational spec.
-
-    Finite pairs are keyed by their difference class min(d, p-d); every
-    pair in a class gets the same multiplicity under shift expansion.
-    Pairs through the fixed point all share ``inf_count``.
-    """
-
-    p: int
-    inf_count: int
-    class_counts: dict[int, int]
-
-    def predicted_pair_counts(self) -> dict[Pair, int]:
-        p = self.p
-        counts: dict[Pair, int] = {}
-        for d, c in self.class_counts.items():
-            for x in range(p):
-                a, b = x, (x + d) % p
-                counts[(a, b) if a < b else (b, a)] = c
-        if self.inf_count:
-            for x in range(p):
-                counts[(x, p)] = self.inf_count
-        return counts
-
+# difference classes and cyclotomic cosets
 
 def split_classes(split: NestedBlock, p: int, multipliers) -> list[int]:
     """The difference class min(d, p - d), d = m * (b - a) mod p, of each
@@ -396,28 +368,10 @@ def split_classes(split: NestedBlock, p: int, multipliers) -> list[int]:
     return [min(d, p - d) for d in diffs]
 
 
-def difference_census(spec: RotationalSpec) -> DifferenceCensus:
-    spec.validate()
-    p = spec.p
-    class_counts: dict[int, int] = {}
-    for block in spec.base_blocks:
-        for key in split_classes(block, p, spec.multipliers):
-            class_counts[key] = class_counts.get(key, 0) + 1
-    inf_pairs = sum(p in pair for block in spec.base_blocks for pair in block)
-    inf_count = len(spec.multipliers) * inf_pairs
-    return DifferenceCensus(p=p, inf_count=inf_count, class_counts=class_counts)
-
-
 @dataclass(frozen=True)
 class CosetSet:
     modulus: int
     cosets: tuple[tuple[int, ...], ...]
-
-    def coset_of(self, x: int) -> tuple[int, ...]:
-        for coset in self.cosets:
-            if x % self.modulus in coset:
-                return coset
-        raise NsqsError(f"{x} has no coset mod {self.modulus}")
 
 
 # every residue is held at once: 2^20 - 1 takes about 0.5 s and 90 MB

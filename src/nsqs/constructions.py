@@ -30,7 +30,6 @@ from .core import (
 from .errors import (
     InconsistentSpecError,
     InvalidOrderError,
-    NsqsError,
     PreconditionError,
 )
 from .gf2n import Gf2nField
@@ -222,45 +221,44 @@ def rotational_spec(
 
 
 def rotational_expand(spec: RotationalSpec) -> NestedDesign:
-    """Apply every multiplier and shift to every base block.
+    """Apply every multiplier and shift to every base block: the one
+    certification of a spec.
 
-    Images that number exactly the blocks of an SQS(v) and pass the
-    Steiner check are the design.  Otherwise they are deduplicated by
-    canonical form, in image order: a block reached with two different
-    splits, a wrong final block count, or a failed Steiner check all
-    raise InconsistentSpecError carrying a witness, in that order.
+    The spec is validated, then refused with InconsistentSpecError
+    unless its images (one per base block, multiplier and shift) number
+    the blocks of an SQS(v), before any image is built.  The images are
+    then built once, a degenerate base block raising at its first image,
+    and must cover every triple once, else InconsistentSpecError carries
+    a witness triple.
     """
+    spec.validate()
     v = spec.v
-    images = _expand_images(spec)
+    maps = len(spec.multipliers) * spec.p
     expected = expected_block_count(v)
+    if len(spec.base_blocks) * maps != expected:
+        raise InconsistentSpecError(
+            f"{len(spec.base_blocks)} base blocks have "
+            f"{len(spec.base_blocks) * maps} images under {maps} maps "
+            f"x -> m*x + s, expected {expected}"
+        )
+    images = _expand_images(spec)
     # verify_steiner reads the blocks in any order, so the images need no
-    # sort to be checked.  When they number the blocks and every triple
-    # is covered once, no two share a point set, so deduplication would
-    # keep every image
-    if len(images) != expected or not verify_steiner(
-        NestedDesign(v, tuple(images), uses_infinity=True)
-    ).ok:
-        images = _distinct_images(images)
-        if len(images) != expected:
-            raise InconsistentSpecError(
-                f"expansion produced {len(images)} distinct blocks, expected {expected}"
-            )
-        report = verify_steiner(NestedDesign(v, tuple(images), uses_infinity=True))
-        if not report.ok:
-            raise InconsistentSpecError(
-                f"expansion is not a quadruple system; witness triple "
-                f"{report.witness} covered {report.witness_coverage} times"
-            )
+    # sort to be checked
+    report = verify_steiner(NestedDesign(v, tuple(images), uses_infinity=True))
+    if not report.ok:
+        raise InconsistentSpecError(
+            f"expansion is not a quadruple system; witness triple "
+            f"{report.witness} covered {report.witness_coverage} times"
+        )
     return design_from_canonical(v, images, uses_infinity=True)
 
 
 def _image_rows(spec: RotationalSpec) -> Iterator[tuple[list[Pair], int, list[Pair], int]]:
-    """Validate the spec, then yield ``(row, x, row2, x2)`` for each base
-    block and then each of ``sorted(multipliers)``, in image order: the
+    """Yield ``(row, x, row2, x2)`` for each base block of a validated
+    spec and then each of ``sorted(multipliers)``, in image order: the
     images of its first pair under the shifts 0..p-1, in order, are
     ``row[x:] + row[:x]``, and likewise of its second pair.  A degenerate
     base block raises at its shift-0 image, before it is yielded."""
-    spec.validate()
     p = spec.p
     rows: dict[int, list[Pair]] = {}
 
@@ -299,39 +297,17 @@ def _image_rows(spec: RotationalSpec) -> Iterator[tuple[list[Pair], int, list[Pa
 
 
 def _expand_images(spec: RotationalSpec) -> list[NestedBlock]:
-    """Every image of every base block, in image order (base block, then
-    ``sorted(multipliers)``, then shift), unchecked but for a degenerate
-    base block, which raises after any conflict among earlier images."""
+    """Every image of every base block of a validated spec, in image
+    order (base block, then ``sorted(multipliers)``, then shift),
+    unchecked but for a degenerate base block, which raises."""
     images: list[NestedBlock] = []
-    try:
-        for r, x, r2, x2 in _image_rows(spec):
-            # disjoint pairs order by their least points
-            images += [
-                (e, f) if e < f else (f, e)
-                for e, f in zip(r[x:] + r[:x], r2[x2:] + r2[:x2])
-            ]
-    except NsqsError:
-        # image by image, a conflict among the earlier images raised first
-        _distinct_images(images)
-        raise
+    for r, x, r2, x2 in _image_rows(spec):
+        # disjoint pairs order by their least points
+        images += [
+            (e, f) if e < f else (f, e)
+            for e, f in zip(r[x:] + r[:x], r2[x2:] + r2[:x2])
+        ]
     return images
-
-
-def _distinct_images(images: list[NestedBlock]) -> list[NestedBlock]:
-    """The images less repeats, in first-seen order; a point set reached
-    with two different splits raises InconsistentSpecError."""
-    seen: dict[frozenset[int], NestedBlock] = {}
-    for nb in images:
-        pts = block_points(nb)
-        prev = seen.get(pts)
-        if prev is None:
-            seen[pts] = nb
-        elif prev != nb:
-            raise InconsistentSpecError(
-                f"block {sorted(pts)} reached with conflicting splits "
-                f"{prev} and {nb}"
-            )
-    return list(seen.values())
 
 
 def orbit_spec(design: NestedDesign, multipliers) -> RotationalSpec:

@@ -335,15 +335,6 @@ def repartition(design: NestedDesign, index: int, split: NestedBlock) -> NestedD
     return nested_design(design.v, blocks, design.uses_infinity)
 
 
-def find_block(design: NestedDesign, points: Iterable[int]) -> int:
-    """Index of the block covering exactly the given 4-set of points."""
-    target = frozenset(points)
-    for i, blk in enumerate(design.blocks):
-        if block_points(blk) == target:
-            return i
-    raise InvalidBlockError(f"no block with point set {sorted(target)}")
-
-
 def relabel(design: NestedDesign, perm: Sequence[int]) -> NestedDesign:
     """Apply a point bijection consistently to every block and split."""
     v = design.v

@@ -15,10 +15,11 @@ Both front ends list each unit's three splits in canonical order, build
 one engine over them and call its ``run`` with the search spec, whose
 seed orders every unit's options the same way for both.  Each certifies
 its input before it reads the target: the blocks must form an SQS, and
-a spec's images must be the blocks of one, or the input is refused with
-an error whatever the target.  Targets that violate a counting or
-divisibility necessary condition are then refused before any node is
-expanded, with the failing condition in the outcome's ``reason``.
+a spec must pass :func:`~nsqs.constructions.rotational_expand`, the one
+certification of a spec, or the input is refused with an error whatever
+the target.  Targets that violate a counting or divisibility necessary
+condition are then refused before any node is expanded, with the
+failing condition in the outcome's ``reason``.
 """
 
 from __future__ import annotations
@@ -39,12 +40,11 @@ from .core import (
     NestedDesign,
     alternative_splits,
     design_from_canonical,
-    expected_block_count,
     nested_design,
     total_pair_slots,
     verify_steiner,
 )
-from .errors import InconsistentSpecError, NsqsError, PreconditionError
+from .errors import NsqsError, PreconditionError
 
 
 @dataclass(frozen=True)
@@ -566,19 +566,9 @@ class _OrbitProblem:
     the engine over the splits' class contributions."""
 
     def __init__(self, spec: RotationalSpec) -> None:
-        # certify the spec: one image per base block, multiplier and
-        # shift, as many as the blocks of an SQS(v), which they must form
-        spec.validate()
-        p = spec.p
-        maps = len(spec.multipliers) * p
-        expected = expected_block_count(spec.v)
-        if len(spec.base_blocks) * maps != expected:
-            raise InconsistentSpecError(
-                f"{len(spec.base_blocks)} base blocks have "
-                f"{len(spec.base_blocks) * maps} images under {maps} maps "
-                f"x -> m*x + s, expected {expected}"
-            )
+        # certify the spec: its images must be the blocks of an SQS(v)
         rotational_expand(spec)
+        p = spec.p
         self.splits = splits = [
             opt for blk in spec.base_blocks for opt in alternative_splits(blk)
         ]
@@ -648,10 +638,11 @@ def search_rotational(spec: RotationalSpec, search: SearchSpec) -> SearchOutcome
     predictions of the expanded census.  The p pairs through the fixed
     point are not a cell: their multiplicity is forced to (v-2)/6.
 
-    The spec is certified before the target is read: its images must
-    number the blocks of an SQS(v) and expand to one
-    (:func:`rotational_expand` and its errors), or InconsistentSpecError
-    is raised, whatever the target.  Seeded restarts on one spec repeat
+    The spec is certified before the target is read, by
+    :func:`rotational_expand`, whose errors it raises whatever the
+    target: a spec whose images do not number the blocks of an SQS(v)
+    is refused before any image is built, and one whose images are not
+    an SQS(v) by a witness triple.  Seeded restarts on one spec repeat
     only the per-call work: the target, one run of the engine and the
     post-check of the witness.  The certification, the splits, their
     class contributions, their shift rows and the engine's tables are

@@ -6,6 +6,7 @@ under plain pytest they appear in captured output.
 
 import contextlib
 import time
+from collections import Counter
 
 import pytest
 
@@ -19,11 +20,9 @@ from nsqs import (
     census_violations,
     classify,
     complete_uniform,
-    difference_census,
     doubling_a,
     doubling_b,
     feasibility_table,
-    find_block,
     local_balance,
     nested_design,
     pair_census,
@@ -35,6 +34,7 @@ from nsqs import (
     uniform,
     verify_steiner,
 )
+from nsqs.analysis import split_classes
 import random
 
 
@@ -129,8 +129,8 @@ def test_criterion_6_repartition_script():
         for step in (1, 2):
             for i in range(8):
                 j = (i + step) % 8
-                pts = {i, i + v, j, j + v}
-                idx = find_block(design, pts)
+                index = {block_points(b): k for k, b in enumerate(design.blocks)}
+                idx = index[frozenset({i, i + v, j, j + v})]
                 design = repartition(design, idx, ((min(i, j), max(i, j)),
                                                    (min(i, j) + v, max(i, j) + v)))
         assert pair_census(design).histogram() == {2: 80, 3: 40}
@@ -141,7 +141,8 @@ def test_criterion_6_repartition_script():
         design = base
         for x in range(8):
             for y in range(x + 1, 8):
-                idx = find_block(design, {x, x + v, y, y + v})
+                index = {block_points(b): k for k, b in enumerate(design.blocks)}
+                idx = index[frozenset({x, x + v, y, y + v})]
                 design = repartition(design, idx, ((x, y + v), (y, x + v)))
         census = pair_census(design)
         assert census.histogram() == {2: 56, 3: 56}
@@ -224,8 +225,18 @@ def test_criterion_10_property_suites():
             assert census_violations(pair_census(design)) == [], name
 
         for name in ("ro20", "ro26", "ro38", "ro62", "bool32"):
+            # each difference class has one multiplicity, and each pair
+            # through the fixed point (v-2)/6
             spec = catalog_get(name).payload
-            predicted = difference_census(spec).predicted_pair_counts()
+            p = spec.p
+            classes = Counter(
+                c for b in spec.base_blocks for c in split_classes(b, p, spec.multipliers)
+            )
+            predicted = {(x, p): (spec.v - 2) // 6 for x in range(p)}
+            for d, c in classes.items():
+                for x in range(p):
+                    y = (x + d) % p
+                    predicted[min(x, y), max(x, y)] = c
             actual = pair_census(rotational_expand(spec)).counts
             assert predicted == dict(actual), name
 

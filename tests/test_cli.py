@@ -18,6 +18,7 @@ from nsqs import (
     serialize_base_spec,
     serialize_design,
 )
+from nsqs import constructions
 from nsqs.cli import main
 
 
@@ -351,6 +352,56 @@ def test_search_refuses_a_non_sqs_base_file_for_every_target(
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def _base_file_text(name):
+    """A base file that is not an SQS: ro20 with an orbit repeated or
+    dropped, p=7 with no block or one orbit listed twice, or a huge p
+    with one block."""
+    spec = catalog_get("ro20").payload
+    blocks = list(spec.base_blocks)
+    if name == "ro20-repeated":
+        return serialize_base_spec(rotational_spec(spec.p, blocks + blocks[3:4], spec.multipliers))
+    if name == "ro20-dropped":
+        return serialize_base_spec(rotational_spec(spec.p, blocks[:-1], spec.multipliers))
+    if name == "p7-empty":
+        return "nsqs-base p=7 multipliers=1\n"
+    if name == "p7-twice":
+        return "nsqs-base p=7 multipliers=1\ninf 0 | 1 3\ninf 0 | 1 3\n"
+    return "nsqs-base p=1000000007 multipliers=1\n0 1 | 2 3\n"
+
+
+# the one refusal of each base file: by image count before any image is
+# built, or by the witness triple of the Steiner check
+BASE_FILE_REFUSALS = {
+    "ro20-repeated": "16 base blocks have 304 images under 19 maps x -> m*x + s, expected 285",
+    "ro20-dropped": "14 base blocks have 266 images under 19 maps x -> m*x + s, expected 285",
+    "p7-empty": "0 base blocks have 0 images under 7 maps x -> m*x + s, expected 14",
+    "p7-twice": "expansion is not a quadruple system; witness triple (0, 1, 3) covered 2 times",
+    "huge-p": (
+        "1 base blocks have 1000000007 images under 1000000007 maps x -> m*x + s, "
+        "expected 41666667541666672750000014"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BASE_FILE_REFUSALS))
+def test_expand_and_search_refuse_a_base_file_alike(capsys, tmp_path, monkeypatch, name):
+    base = tmp_path / f"{name}.base"
+    base.write_text(_base_file_text(name))
+    rows = []
+    image_rows = constructions._image_rows
+
+    def spy(spec):
+        rows.append(spec.p)
+        return image_rows(spec)
+
+    monkeypatch.setattr(constructions, "_image_rows", spy)
+    expand = run(capsys, "expand", "--base", str(base))
+    searched = run(capsys, "search", str(base), "--target", "complete-uniform")
+    assert expand == searched == (2, "", f"error: {BASE_FILE_REFUSALS[name]}\n")
+    if "images under" in BASE_FILE_REFUSALS[name]:
+        assert rows == []
+
+
 def test_cosets(capsys):
     code, out, _ = run(capsys, "cosets", "--mod", "7")
     assert code == 0
@@ -518,17 +569,16 @@ def test_census_and_classify_of_huge_v_warn(capsys, tmp_path, command, first_lin
     assert "Traceback" not in err
 
 
-def test_expand_huge_base_header_refused_by_count(capsys, tmp_path):
+def test_expand_huge_base_header_refused_by_count(capsys, tmp_path, monkeypatch):
     # the shifts of one base block take memory linear in p, so a huge p
-    # ends in the block-count refusal rather than a MemoryError
+    # is refused by its image count before any row of shifts is built
     path = tmp_path / "huge.nsqs"
-    path.write_text("nsqs-base p=100003 multipliers=1\n0 1 | 2 3\n")
+    path.write_text(_base_file_text("huge-p"))
+    monkeypatch.setattr(constructions, "_image_rows", lambda spec: pytest.fail("expanded"))
     code, out, err = run(capsys, "expand", "--base", str(path))
-    assert code == 2
-    assert out == ""
-    assert err == (
-        "error: expansion produced 100003 distinct blocks, expected 41670416775001\n"
-    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: 1 base blocks have 1000000007 images")
+    assert err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------

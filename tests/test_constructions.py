@@ -42,7 +42,6 @@ from nsqs import (
     verify_steiner,
 )
 from nsqs.catalog import BOOL32_POLY
-from nsqs.constructions import _distinct_images
 from nsqs.core import design_from_canonical
 
 BOOL32_MULTIPLIERS = (1, 2, 4, 8, 16)
@@ -125,8 +124,10 @@ def test_rotational_expand_detects_wrong_block_count():
     short = rotational_spec(spec.p, spec.base_blocks[:-1], spec.multipliers)
     with pytest.raises(InconsistentSpecError) as info:
         rotational_expand(short)
-    # the text of the version that deduplicated image by image
-    assert str(info.value) == "expansion produced 266 distinct blocks, expected 285"
+    # refused by its image count, before any image is built
+    assert str(info.value) == (
+        "14 base blocks have 266 images under 19 maps x -> m*x + s, expected 285"
+    )
 
 
 # sha256 of serialize_design of each rotational catalog expansion,
@@ -162,7 +163,6 @@ _RO20_RESPLIT = ((0, 1), (8, 19))  # base block 0 is ((0, 8), (1, 19))
 @pytest.mark.parametrize(
     "blocks",
     [
-        pytest.param(_RO20_BASE + [_RO20_BASE[0]], id="repeated"),
         pytest.param([((19, 1), (8, 0))] + _RO20_BASE[1:], id="noncanonical"),
     ],
 )
@@ -170,15 +170,37 @@ def test_rotational_expand_equivalent_specs_give_ro20(blocks):
     assert _expansion_digest(_ro20_variant(blocks)) == EXPANSION_PINS["ro20"]
 
 
-# errors of bad specs, recorded from the version that mapped and
-# deduplicated image by image: (id, base blocks, error class, message)
+# the image-count refusal of a ro20 variant with n base blocks
+def _ro20_count_error(n):
+    return f"{n} base blocks have {19 * n} images under 19 maps x -> m*x + s, expected 285"
+
+
+# errors of bad specs: the image count is refused first, before any
+# image is built, then a degenerate base block at its first image, then
+# a failed Steiner check by its witness triple (id, base blocks, error
+# class, message)
 EXPANSION_ERRORS = [
+    (
+        # an orbit listed twice is refused, not deduplicated
+        "repeated",
+        _RO20_BASE + [_RO20_BASE[0]],
+        InconsistentSpecError,
+        _ro20_count_error(16),
+    ),
     (
         "resplit",
         _RO20_BASE + [_RO20_RESPLIT],
         InconsistentSpecError,
-        "block [0, 1, 8, 19] reached with conflicting splits "
-        "((0, 8), (1, 19)) and ((0, 1), (8, 19))",
+        _ro20_count_error(16),
+    ),
+    (
+        # the right block count: the orbit reached with two splits covers
+        # its triples twice
+        "resplit-in-place",
+        _RO20_BASE[:-1] + [_RO20_RESPLIT],
+        InconsistentSpecError,
+        "expansion is not a quadruple system; witness triple (0, 1, 8) "
+        "covered 2 times",
     ),
     (
         # the right block count, but not a quadruple system
@@ -197,16 +219,20 @@ EXPANSION_ERRORS = [
     (
         "degenerate-pair",
         _RO20_BASE[:3] + [((4, 4), (1, 5))] + _RO20_BASE[3:],
+        InconsistentSpecError,
+        _ro20_count_error(16),
+    ),
+    (
+        "degenerate-pair-in-place",
+        _RO20_BASE[:3] + [((4, 4), (1, 5))] + _RO20_BASE[4:],
         InvalidPairError,
         "pair needs two distinct points, got 4 twice",
     ),
     (
-        # the conflict comes before the degenerate block in image order
         "resplit-then-degenerate",
         [_RO20_BASE[0], _RO20_RESPLIT, ((0, 1), (1, 5))],
         InconsistentSpecError,
-        "block [0, 1, 8, 19] reached with conflicting splits "
-        "((0, 8), (1, 19)) and ((0, 1), (8, 19))",
+        _ro20_count_error(3),
     ),
 ]
 
@@ -223,12 +249,15 @@ def test_rotational_expand_error_pinned(blocks, error, message):
 
 
 def test_rotational_expand_short_orbit():
-    # {1, 12, 2, 11} split (1, 12) / (2, 11) is fixed by negation, so
-    # its 26 images hold 13 distinct blocks
+    # {1, 12, 2, 11} split (1, 12) / (2, 11) is fixed by negation, so its
+    # 26 images hold 13 distinct blocks; a spec counts 26, and 26 images
+    # are not the 91 blocks of an SQS(14)
     spec = RotationalSpec(13, (((1, 12), (2, 11)),), frozenset({1, 12}))
     with pytest.raises(InconsistentSpecError) as info:
         rotational_expand(spec)
-    assert str(info.value) == "expansion produced 13 distinct blocks, expected 91"
+    assert str(info.value) == (
+        "1 base blocks have 26 images under 26 maps x -> m*x + s, expected 91"
+    )
 
 
 def test_rotational_spec_validates_multiplier_closure():
@@ -282,10 +311,26 @@ def test_orbit_spec_refuses_boolean_even_n():
 def test_no_consistent_class_nesting_for_n3():
     """Both orbits at n=3 have order-3 stabilizers under {1, 2, 4} that
     move every split, so no orbit-consistent nesting exists at all."""
+    maps = [(m, s) for m in (1, 2, 4) for s in range(7)]
+
+    def image(pts, m, s):
+        return frozenset(x if x == 7 else (m * x + s) % 7 for x in pts)
+
+    for pts in ((0, 1, 2, 5), (0, 1, 3, 7)):
+        stabilizer = [(m, s) for m, s in maps if image(pts, m, s) == set(pts)]
+        assert len(stabilizer) == 3
+        for split in alternative_splits(pts):
+            moved = {frozenset(image(pair, m, s) for pair in split) for m, s in stabilizer}
+            assert len(moved) == 3
+    # a spec expresses only orbits of 21 images, so every choice of
+    # splits is refused by its image count
     for s0 in alternative_splits((0, 1, 2, 5)):
         for s1 in alternative_splits((0, 1, 3, 7)):
-            with pytest.raises(InconsistentSpecError, match="conflicting splits"):
+            with pytest.raises(InconsistentSpecError) as info:
                 rotational_expand(rotational_spec(7, [s0, s1], (1, 2, 4)))
+            assert str(info.value) == (
+                "2 base blocks have 42 images under 21 maps x -> m*x + s, expected 14"
+            )
 
 
 def test_orbit_spec_boolean_n5():
@@ -320,8 +365,12 @@ def test_orbit_spec_rejects_foreign_split():
     base = list(_bool32_orbit_spec().base_blocks)
     # a second split from the first orbit in place of the second orbit's
     base[1] = alternative_splits(block_points(base[0]))[1]
-    with pytest.raises(InconsistentSpecError, match="conflicting splits"):
+    with pytest.raises(InconsistentSpecError) as info:
         rotational_expand(rotational_spec(31, base, BOOL32_MULTIPLIERS))
+    # the first orbit, reached with two splits, covers its triples twice
+    assert str(info.value) == (
+        "expansion is not a quadruple system; witness triple (0, 1, 2) covered 2 times"
+    )
 
 
 def test_negation_does_not_preserve_blocks():
@@ -441,51 +490,46 @@ def reference_boolean_sqs(n):
 
 
 def reference_rotational_images(spec):
-    """The images of rotational_expand as they were built and checked:
-    each image built from four shifted points, its pairs new tuples."""
+    """The images of rotational_expand, checked in its order: validation,
+    the image count, each image built from four shifted points (its
+    pairs new tuples), then the Steiner check."""
     spec.validate()
     p = spec.p
     v = spec.v
+    maps = len(spec.multipliers) * p
+    expected = expected_block_count(v)
+    if len(spec.base_blocks) * maps != expected:
+        raise InconsistentSpecError(
+            f"{len(spec.base_blocks)} base blocks have "
+            f"{len(spec.base_blocks) * maps} images under {maps} maps "
+            f"x -> m*x + s, expected {expected}"
+        )
     cycle = list(range(p)) * 2
     fixed = [p] * p
 
     def shifts(x):
         return fixed if x == p else cycle[x:x + p]
 
-    multipliers = sorted(spec.multipliers)
     images = []
-    try:
-        for (a, b), (c, d) in spec.base_blocks:
-            for m in multipliers:
-                ra, rb, rc, rd = (
-                    shifts(pt if pt == p else m * pt % p) for pt in (a, b, c, d)
-                )
-                canonical_block((ra[0], rb[0]), (rc[0], rd[0]))
-                for w, x, y, z in zip(ra, rb, rc, rd):
-                    if w > x:
-                        w, x = x, w
-                    if y > z:
-                        y, z = z, y
-                    images.append(((w, x), (y, z)) if w < y else ((y, z), (w, x)))
-    except NsqsError:
-        _distinct_images(images)
-        raise
-    expected = expected_block_count(v)
-    if len(images) == expected:
-        if verify_steiner(NestedDesign(v, tuple(images), uses_infinity=True)).ok:
-            return images
-    distinct = _distinct_images(images)
-    if len(distinct) != expected:
-        raise InconsistentSpecError(
-            f"expansion produced {len(distinct)} distinct blocks, expected {expected}"
-        )
-    report = verify_steiner(NestedDesign(v, tuple(distinct), uses_infinity=True))
+    for (a, b), (c, d) in spec.base_blocks:
+        for m in sorted(spec.multipliers):
+            ra, rb, rc, rd = (
+                shifts(pt if pt == p else m * pt % p) for pt in (a, b, c, d)
+            )
+            canonical_block((ra[0], rb[0]), (rc[0], rd[0]))
+            for w, x, y, z in zip(ra, rb, rc, rd):
+                if w > x:
+                    w, x = x, w
+                if y > z:
+                    y, z = z, y
+                images.append(((w, x), (y, z)) if w < y else ((y, z), (w, x)))
+    report = verify_steiner(NestedDesign(v, tuple(images), uses_infinity=True))
     if not report.ok:
         raise InconsistentSpecError(
             f"expansion is not a quadruple system; witness triple "
             f"{report.witness} covered {report.witness_coverage} times"
         )
-    return distinct
+    return images
 
 
 def reference_doubling_a(design, factorization=None):
@@ -620,7 +664,6 @@ def _differential_specs():
     specs = [(name, catalog_get(name).payload) for name in ROTATIONAL_NAMES]
     specs += [(i, _ro20_variant(b)) for i, b, _, _ in EXPANSION_ERRORS]
     specs += [
-        ("repeated", _ro20_variant(_RO20_BASE + [_RO20_BASE[0]])),
         ("noncanonical", _ro20_variant([((19, 1), (8, 0))] + _RO20_BASE[1:])),
         ("short-orbit", RotationalSpec(13, (((1, 12), (2, 11)),), frozenset({1, 12}))),
     ]

@@ -23,7 +23,6 @@ from nsqs import (
     doubling_a,
     doubling_b,
     expected_block_count,
-    find_block,
     nested_design,
     pair_census,
     parse_design,
@@ -304,25 +303,6 @@ def test_repartition_rejects_wrong_points():
     )
     with pytest.raises(InvalidSplitError):
         repartition(d, 0, wrong)
-
-
-def test_find_block():
-    d = catalog_get("sqs10").design()
-    for i, blk in enumerate(d.blocks):
-        assert find_block(d, block_points(blk)) == i
-    # the triple {0,1,2} lies in exactly one block; any other completion
-    # of it is guaranteed absent
-    (w,) = block_points(d.blocks[find_block_of_triple(d)]) - {0, 1, 2}
-    x = next(x for x in range(10) if x not in {0, 1, 2, w})
-    with pytest.raises(InvalidBlockError):
-        find_block(d, {0, 1, 2, x})
-
-
-def find_block_of_triple(d):
-    for i, blk in enumerate(d.blocks):
-        if {0, 1, 2} <= set(block_points(blk)):
-            return i
-    raise AssertionError("triple uncovered")
 
 
 def test_relabel_preserves_verification_and_census_shape():

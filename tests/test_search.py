@@ -25,7 +25,6 @@ from nsqs import (
     catalog_get,
     classify,
     complete_uniform,
-    difference_census,
     doubling_b,
     local_balance,
     minimum_uniform,
@@ -403,7 +402,7 @@ def test_rotational_search_certifies_before_the_target(monkeypatch):
 
 
 def test_fixed_point_multiplicity_is_derived():
-    # a certified spec's census forces (v-2)/6 on every pair through the
+    # a certified spec's expansion has (v-2)/6 on every pair through the
     # fixed point, the multiplicity its orbit problem sets without a count
     names = ("ro20", "ro26", "ro38", "ro62", "bool32")
     specs = [catalog_get(name).payload for name in names]
@@ -411,7 +410,8 @@ def test_fixed_point_multiplicity_is_derived():
     specs.append(orbit_spec(boolean_rotational_design(5), {1, 2, 4, 8, 16}))
     for spec in specs:
         forced = (spec.v - 2) // 6
-        assert difference_census(spec).inf_count == forced
+        counts = pair_census(rotational_expand(spec)).counts
+        assert [counts[(x, spec.p)] for x in range(spec.p)] == [forced] * spec.p
         assert search._orbit_problem(spec).mu == forced
     # and a target off it is refused with the forced value
     out = search_rotational(_stripped_spec("ro26"), SearchSpec(uniform(5)))
@@ -527,7 +527,7 @@ def test_rotational_search_certifies_the_image_count(monkeypatch, edit, n_base):
     )
     search._spec_cache.clear()
     calls = []
-    monkeypatch.setattr(search, "rotational_expand", lambda spec: calls.append("expand"))
+    monkeypatch.setattr(constructions, "_image_rows", lambda spec: calls.append("expand"))
     monkeypatch.setattr(search._SplitEngine, "run", lambda engine, spec: calls.append("run"))
     spec = _ro20_miscounted(edit)
     for seed in (None, 1):  # the spec's first call, then a repeat
