@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 from typing import Iterator
@@ -191,7 +192,7 @@ class RotationalSpec:
         if 1 not in self.multipliers:
             raise InconsistentSpecError("multiplier group must contain 1")
         for m in self.multipliers:
-            if not 0 < m < self.p:
+            if not 0 < m < self.p or math.gcd(m, self.p) != 1:
                 raise InconsistentSpecError(f"multiplier {m} not a unit mod {self.p}")
             for m2 in self.multipliers:
                 if (m * m2) % self.p not in self.multipliers:

@@ -194,8 +194,10 @@ class _SplitEngine:
     keep no deficit.  The options that a count change flips are listed
     once per cell and increment, for every count the change can start
     from, and each option keeps its shared steps ``(cell, increment,
-    flips)``.  A run works on copies of the mutable tables, so an engine
-    serves any number of runs, each with its own seed.
+    flips)``.  A branched unit's feasible counts are not recounted when
+    it is popped: the pop restores the counts it had at the branch.  A
+    run works on copies of the mutable tables, so an engine serves any
+    number of runs, each with its own seed.
     """
 
     def __init__(
@@ -332,7 +334,10 @@ class _SplitEngine:
         Applying an option walks, for each of its steps, the one crossing
         list of the count the change starts at, so no threshold is tested
         on the way, and keeps on its frame the trail of watchers whose
-        ``over`` it raised, which its undo replays.  ``stats.nodes`` never
+        ``over`` it raised, which its undo replays.  Popping a unit
+        restores the feasible counts saved at its branch, and with the
+        support pinned the slack is kept from a running count of the
+        nonzero cells, so neither is recounted.  ``stats.nodes`` never
         exceeds ``spec.node_budget``; the clock is read at the first fresh
         node and then once per ``_CLOCK_STRIDE`` nodes.
         """
@@ -359,15 +364,20 @@ class _SplitEngine:
         # assigned both times, and the skipped updates would have
         # cancelled; so an undo reverses exactly its apply's trail.  When
         # the unit is popped, the counts are back to their values at its
-        # branch, so its frozen entries are correct again.  nfeas[i] and
-        # within[s][i] are recomputed when unit i is popped; a unit on the
-        # stack holds 4 in them, above any count.  So ``0 in nfeas`` is a
-        # dead end, and otherwise the first of nfeas.find(1), find(2),
-        # find(3) to hit is the lowest unit among the fewest feasible
-        # options; within[slack] answers the same while the pinned slack
-        # binds.
+        # branch, so its frozen entries are correct again, and so are the
+        # counts of them taken at its branch, which the pop restores
+        # rather than recounts.  Without a pinned support a branch takes
+        # every feasible option, so nfeas[i] is the number on the frame;
+        # with one, the branch keeps nfeas[i] and each within[s][i] on
+        # ``saved``.  A unit on the stack holds 4 in them, above any count.
+        # So ``0 in nfeas`` is a dead end, and otherwise the first of
+        # nfeas.find(1), find(2), find(3) to hit is the lowest unit among
+        # the fewest feasible options; within[slack] answers the same
+        # while the pinned slack binds.
         free = [True] * n_units  # not on the stack
+        saved: list[tuple[int, bytes]] = []  # pinned: (nfeas[i], within[s][i]) per frame
         counts = [0] * n_cells
+        n_open = 0  # pinned: the nonzero cells
         deficit = gap[0] * n_cells if tally else 0
 
         budget = spec.node_budget
@@ -392,7 +402,7 @@ class _SplitEngine:
             else:
                 if nodes >= clock_at:  # the clock was read: the next read is a stride on
                     clock_at = nodes + _CLOCK_STRIDE
-                if pinned and (slack := nd_cells - n_cells + counts.count(0)) < max_new:
+                if pinned and (slack := nd_cells - n_open) < max_new:
                     least = min(within[slack])
                     if least:
                         i = within[slack].find(least)
@@ -414,10 +424,11 @@ class _SplitEngine:
                             least, i = 3, nfeas.find(3)
                             opts = units[i]
                 if least:
-                    nfeas[i] = 4
                     if pinned:
+                        saved.append((nfeas[i], bytes([w[i] for w in within])))
                         for w in within:
                             w[i] = 4
+                    nfeas[i] = 4
                     free[i] = False
                     n_free -= 1
                     stack.append([i, opts, least, 0, []])
@@ -448,6 +459,7 @@ class _SplitEngine:
                         if tally:
                             deficit += gap[c] - gap[c + inc]
                         if pinned and not c:  # the cell closes
+                            n_open -= 1
                             for o2, j in touch[cl]:
                                 if free[j]:
                                     n = new[o2]
@@ -458,11 +470,12 @@ class _SplitEngine:
                     stack.pop()
                     free[i] = True
                     n_free += 1
-                    o = 3 * i
-                    nfeas[i] = (not over[o]) + (not over[o + 1]) + (not over[o + 2])
                     if pinned:
-                        for s, w in enumerate(within):
-                            w[i] = sum(not over[o2] and new[o2] <= s for o2 in (o, o + 1, o + 2))
+                        nfeas[i], column = saved.pop()
+                        for w, n in zip(within, column):
+                            w[i] = n
+                    else:
+                        nfeas[i] = n_opts
                     continue
                 if nodes >= budget:  # siblings count against the budget too
                     stop = "node-budget"
@@ -471,7 +484,6 @@ class _SplitEngine:
                 nodes += 1
                 o = opts[pos]
                 chosen[i] = o
-                push = trail.append
                 if unliftable:
                     # a live cell that the move lowers below mu_lo fails
                     fail = False
@@ -488,7 +500,7 @@ class _SplitEngine:
                         if free[j]:
                             n = over[o2]
                             over[o2] = n + 1
-                            push(o2)
+                            trail.append(o2)
                             if not n:  # o2 stopped fitting
                                 nfeas[j] -= 1
                                 if pinned:
@@ -498,6 +510,7 @@ class _SplitEngine:
                         if unliftable and pot[cl] < mu_lo:
                             fail = True
                         if pinned:
+                            n_open += 1
                             for o2, j in touch[cl]:
                                 if free[j]:
                                     n = new[o2] - 1

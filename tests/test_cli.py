@@ -354,8 +354,9 @@ def test_search_refuses_a_non_sqs_base_file_for_every_target(
 
 def _base_file_text(name):
     """A base file that is not an SQS: ro20 with an orbit repeated or
-    dropped, p=7 with no block or one orbit listed twice, or a huge p
-    with one block."""
+    dropped, p=7 with no block or one orbit listed twice, p=55 under a
+    multiplier that is not a unit with as many blocks as an SQS(56)
+    needs, or a huge p with one block."""
     spec = catalog_get("ro20").payload
     blocks = list(spec.base_blocks)
     if name == "ro20-repeated":
@@ -366,16 +367,20 @@ def _base_file_text(name):
         return "nsqs-base p=7 multipliers=1\n"
     if name == "p7-twice":
         return "nsqs-base p=7 multipliers=1\ninf 0 | 1 3\ninf 0 | 1 3\n"
+    if name == "p55-non-unit":
+        return "nsqs-base p=55 multipliers=1,11\n" + "0 11 | 5 inf\n" * 63
     return "nsqs-base p=1000000007 multipliers=1\n0 1 | 2 3\n"
 
 
-# the one refusal of each base file: by image count before any image is
-# built, or by the witness triple of the Steiner check
+# the one refusal of each base file: by its multipliers or by image
+# count before any image is built, or by the witness triple of the
+# Steiner check
 BASE_FILE_REFUSALS = {
     "ro20-repeated": "16 base blocks have 304 images under 19 maps x -> m*x + s, expected 285",
     "ro20-dropped": "14 base blocks have 266 images under 19 maps x -> m*x + s, expected 285",
     "p7-empty": "0 base blocks have 0 images under 7 maps x -> m*x + s, expected 14",
     "p7-twice": "expansion is not a quadruple system; witness triple (0, 1, 3) covered 2 times",
+    "p55-non-unit": "multiplier 11 not a unit mod 55",
     "huge-p": (
         "1 base blocks have 1000000007 images under 1000000007 maps x -> m*x + s, "
         "expected 41666667541666672750000014"
@@ -398,7 +403,7 @@ def test_expand_and_search_refuse_a_base_file_alike(capsys, tmp_path, monkeypatc
     expand = run(capsys, "expand", "--base", str(base))
     searched = run(capsys, "search", str(base), "--target", "complete-uniform")
     assert expand == searched == (2, "", f"error: {BASE_FILE_REFUSALS[name]}\n")
-    if "images under" in BASE_FILE_REFUSALS[name]:
+    if "images under" in BASE_FILE_REFUSALS[name] or "multiplier" in BASE_FILE_REFUSALS[name]:
         assert rows == []
 
 

@@ -265,6 +265,20 @@ def test_rotational_spec_validates_multiplier_closure():
         rotational_spec(19, [((19, 1), (0, 9))], (1, 2)).validate()
 
 
+def test_rotational_spec_rejects_a_multiplier_that_is_not_a_unit():
+    # 6 and 11 share a factor with p, though each group is closed; the
+    # p=55 spec's 63 * 2 * 55 images number the 6930 blocks of an
+    # SQS(56), so without the unit check it reached its image blocks
+    with pytest.raises(InconsistentSpecError, match="^multiplier 6 not a unit mod 15$"):
+        rotational_spec(15, [((0, 5), (10, 15))], (1, 6))
+    base = (((0, 11), (5, 55)),) * 63
+    assert len(base) * 2 * 55 == expected_block_count(56)
+    with pytest.raises(InconsistentSpecError, match="^multiplier 11 not a unit mod 55$"):
+        rotational_spec(55, base, (1, 11))
+    with pytest.raises(InconsistentSpecError, match="^multiplier 11 not a unit mod 55$"):
+        rotational_expand(RotationalSpec(55, base, frozenset({1, 11})))
+
+
 def test_rotational_spec_rejects_point_out_of_range():
     with pytest.raises(InconsistentSpecError, match="point 9 out of range 0..7"):
         rotational_spec(7, [((0, 1), (2, 9))])

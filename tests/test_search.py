@@ -1268,6 +1268,27 @@ def _unliftable_edge_cases():
     yield rooted, 15, 4, 6, 15, 4000, None
 
 
+def _pinned_churn_cases():
+    """30 units over 18 cells whose options open one to three cells,
+    adding 1 or 2 to each, with the support pinned two to four cells
+    below all 18, unseeded and seeded.  The slack falls below the three
+    cells one option may open and climbs back past it hundreds of times
+    within the budget under mu_lo = 1 and 2, mu_hi = 3, so the running
+    count of open cells, the pinned tallies and their saved columns are
+    taken down and restored at every depth."""
+    rng = random.Random(7)
+    contribs = []
+    for _ in range(3 * 30):
+        con = {}
+        while len(con) < 1 + int(rng.random() * 3):
+            con[int(rng.random() * 18)] = 1 + (rng.random() < 0.25)
+        contribs.append(tuple(sorted(con.items())))
+    for seed in (None, 4):
+        seeded = _seeded(contribs, _unit_orders(30, seed))
+        for lo, hi, nd in ((2, 4, 15), (1, 3, 16), (2, 3, 14)):
+            yield seeded, 18, lo, hi, nd, 4000, seed
+
+
 ENGINE_SWEEP = {
     f"{n}-{lv}": functools.partial(_sweep_cases, n, lv, seeds)
     for n, lv, seeds in ENGINE_INPUTS
@@ -1278,6 +1299,7 @@ ENGINE_SWEEP["synthetic-320"] = _synthetic_cases
 ENGINE_SWEEP["synthetic-increments"] = _synthetic_increment_cases
 ENGINE_SWEEP["complete-short"] = _complete_short_cases
 ENGINE_SWEEP["unliftable-edges"] = _unliftable_edge_cases
+ENGINE_SWEEP["pinned-churn"] = _pinned_churn_cases
 
 
 def _flat_engine(name, target):
