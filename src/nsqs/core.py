@@ -113,25 +113,34 @@ def nested_design(
 ) -> NestedDesign:
     """Canonicalize blocks, validate point ranges, and build a design."""
     blocks = list(blocks)
-    if not _all_canonical(blocks):
-        blocks = itertools.starmap(canonical_block, blocks)
+    if not _all_canonical(blocks, v):
+        given, blocks = blocks, []
+        for nb in itertools.starmap(canonical_block, given):
+            (a, b), (c, d) = nb
+            # a canonical block's least point is a, its greatest b or d
+            if a < 0 or b >= v or d >= v:
+                p = next(p for p in (a, b, c, d) if not 0 <= p < v)
+                raise InvalidBlockError(f"point {p} out of range for v={v}")
+            blocks.append(nb)
     return design_from_canonical(v, blocks, uses_infinity)
 
 
-def _all_canonical(blocks: list) -> bool:
+def _all_canonical(blocks: list, v: int) -> bool:
     """Whether every block is a tuple of two tuples ``((a, b), (c, d))``
-    with a < b, c < d, a < c, and b neither c nor d.
+    with 0 <= a < b < v, c < d < v, a < c, and b neither c nor d.
 
     :func:`canonical_block` returns such a block as an equal tuple over
     the same points, so the block itself can stand in for it.
     """
-    # the types first: unpacking would consume a block given as an iterator
-    pairs = itertools.chain.from_iterable(blocks)
-    if {*map(type, blocks)} - {tuple} or {*map(type, pairs)} - {tuple}:
-        return False
     try:
-        for (a, b), (c, d) in blocks:
-            if not (a < b and c < d and a < c and b != c and b != d):
+        for nb in blocks:
+            if type(nb) is not tuple:  # unpacking would consume an iterator
+                return False
+            p, q = nb
+            if type(p) is not tuple or type(q) is not tuple:
+                return False
+            (a, b), (c, d) = p, q
+            if not (0 <= a < b < v and c < d < v and a < c and b != c and b != d):
                 return False
     except (TypeError, ValueError):  # not two pairs of two, or no order
         return False
@@ -143,16 +152,10 @@ def design_from_canonical(
     blocks: Iterable[NestedBlock],
     uses_infinity: bool = False,
 ) -> NestedDesign:
-    """Validate point ranges and build a design from blocks that are
-    already canonical, as :func:`canonical_block` returns them."""
-    canon = []
-    for nb in blocks:
-        (a, b), (c, d) = nb
-        # a canonical block's least point is a, its greatest b or d
-        if a < 0 or b >= v or d >= v:
-            p = next(p for p in (a, b, c, d) if not 0 <= p < v)
-            raise InvalidBlockError(f"point {p} out of range for v={v}")
-        canon.append(nb)
+    """Sort canonical blocks over 0..v-1, as :func:`canonical_block` makes
+    them, into a design.  Nothing else is checked: the callers (parser,
+    builders, relabel, local_balance, nested_design) guarantee the rest."""
+    canon = list(blocks)
 
     def key(nb: NestedBlock) -> int:
         # with every point in 0..v-1 this orders like the nested tuples
@@ -341,7 +344,7 @@ def relabel(design: NestedDesign, perm: Sequence[int]) -> NestedDesign:
     if sorted(perm) != list(range(v)):
         raise InvalidBlockError("perm is not a bijection on the point set")
     blocks = list(design.blocks)
-    if _all_canonical(blocks):
+    if _all_canonical(blocks, v):
         firsts = list(map(operator.itemgetter(0), blocks))
         seconds = list(map(operator.itemgetter(1), blocks))
         # each distinct pair is mapped once, to one new tuple; perm is a
@@ -350,21 +353,18 @@ def relabel(design: NestedDesign, perm: Sequence[int]) -> NestedDesign:
         for pair in set(firsts + seconds):
             a, b = pair
             x, y = perm[a], perm[b]
-            if a < 0:  # perm[a] is perm[v + a]
-                break
             image[pair] = (x, y) if x < y else (y, x)
-        else:
-            # the pairs of a canonical block are disjoint, and so are
-            # their images, which order by their least points
-            relabeled = [
-                (p, q) if p < q else (q, p)
-                for p, q in zip(
-                    map(image.__getitem__, firsts), map(image.__getitem__, seconds)
-                )
-            ]
-            return design_from_canonical(v, relabeled, design.uses_infinity)
+        # the pairs of a canonical block are disjoint, and so are their
+        # images, which order by their least points
+        relabeled = [
+            (p, q) if p < q else (q, p)
+            for p, q in zip(
+                map(image.__getitem__, firsts), map(image.__getitem__, seconds)
+            )
+        ]
+        return design_from_canonical(v, relabeled, design.uses_infinity)
     # block by block, as before, for a block that is not canonical or a
-    # negative point: the same errors, or the same design
+    # point outside 0..v-1: the same errors, or the same design
     blocks = [
         canonical_block(
             (perm[p1[0]], perm[p1[1]]), (perm[p2[0]], perm[p2[1]])

@@ -15,6 +15,8 @@ from nsqs import (
     NestedDesign,
     alternative_splits,
     block_points,
+    boolean_rotational_design,
+    boolean_sqs,
     canonical_block,
     canonical_pair,
     VerificationReport,
@@ -23,6 +25,7 @@ from nsqs import (
     doubling_a,
     doubling_b,
     expected_block_count,
+    local_balance,
     nested_design,
     pair_census,
     parse_design,
@@ -388,15 +391,40 @@ def test_relabel_perm_matches_reference(v, perm):
         reference_relabel, design, perm
     )
 
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        (((0, 1), (2, 8)), ((0, 2.5), (3, 4))),  # a point past v - 1 first
+        (((0, 2.5), (3, 4)), ((0, 1), (2, 8))),  # a fractional point first
+        (((1, 9), (2, 3)), ((0, 1.5), (4, 5))),
+        (((0, 1.5), (4, 5)), ((1, 9), (2, 3))),
+    ],
+)
+def test_relabel_raises_for_the_first_bad_block_in_order(bad):
+    sqs8 = catalog_get("sqs8uniform").design()
+    design = NestedDesign(8, bad + sqs8.blocks[2:])
+    perm = [3, 0, 7, 5, 1, 6, 2, 4]
+    assert _relabel_outcome(relabel, design, perm) == _relabel_outcome(
+        reference_relabel, design, perm
+    )
+
+
 # ---------------------------------------------------------------------------
 # nested_design keeps canonical blocks: the same design as canonicalizing
 
 
 def reference_nested_design(v, blocks, uses_infinity=False):
-    """nested_design as it was: canonical_block on every block."""
-    return design_from_canonical(
-        v, itertools.starmap(canonical_block, blocks), uses_infinity
-    )
+    """nested_design as it was: canonical_block on every block, each
+    followed by the range check that design_from_canonical once made."""
+    canon = []
+    for nb in itertools.starmap(canonical_block, blocks):
+        (a, b), (c, d) = nb
+        if a < 0 or b >= v or d >= v:
+            p = next(p for p in (a, b, c, d) if not 0 <= p < v)
+            raise InvalidBlockError(f"point {p} out of range for v={v}")
+        canon.append(nb)
+    return design_from_canonical(v, canon, uses_infinity)
 
 
 def _outcome(build, v, blocks, uses_infinity=False):
@@ -449,6 +477,11 @@ def test_nested_design_matches_canonicalizing_reference(name):
 
 
 _NamedPair = namedtuple("_NamedPair", "lo hi")
+_NamedBlock = namedtuple("_NamedBlock", "first second")
+
+# canonical blocks over 0..7, which the one pass keeps, ahead of the
+# block that sends it to canonical_block
+_VALID = [((0, 1), (2, 3)), ((4, 5), (6, 7)), ((0, 2), (5, 7))]
 
 NESTING_EDGE_CASES = {
     "lists": [[[0, 1], [2, 3]], [[4, 5], [6, 7]]],
@@ -478,6 +511,16 @@ NESTING_EDGE_CASES = {
     "b equals d": [((0, 2), (1, 2))],
     "duplicate blocks": [((0, 1), (2, 3)), ((0, 1), (2, 3))],
     "namedtuple pair": [(_NamedPair(0, 1), (2, 3))],
+    "namedtuple block": [_NamedBlock((0, 1), (2, 3))],
+    "namedtuple block after valid": _VALID + [_NamedBlock((4, 5), (6, 7))],
+    "list pair after valid": _VALID + [((1, 3), [4, 6])],
+    "bool points after valid": _VALID + [((False, True), (2, 3))],
+    "negative after valid": _VALID + [((-1, 1), (2, 3))],
+    "negative then overlap": _VALID + [((-2, 3), (4, 5)), ((0, 1), (1, 2))],
+    "first pair out of range": [((0, 8), (2, 3))],
+    "out of range after 1000 valid": (_VALID * 334)[:1000] + [((0, 1), (2, 8))],
+    "out of order and range after 1000 valid": (_VALID * 334)[:1000] + [((1, 0), (8, 2))],
+    "both pairs out of range": [((0, 9), (2, 8))],
     "empty": [],
 }
 
@@ -492,6 +535,44 @@ def test_nested_design_of_iterator_blocks_matches_reference():
         return (iter(pairs) for pairs in [((1, 0), (2, 3)), ((4, 5), (6, 7))])
 
     assert nested_design(8, blocks()) == reference_nested_design(8, blocks())
+
+
+@pytest.mark.parametrize("late", [((3, 1), (6, 4)), ((0, 1), (2, 8))])
+def test_nested_design_of_iterator_block_after_valid_matches_reference(late):
+    # the pass stops at the iterator block without consuming it
+    def blocks():
+        return _VALID + [iter(late)] + _VALID[:1]
+
+    got = _outcome(nested_design, 8, blocks())
+    assert got == _outcome(reference_nested_design, 8, blocks())
+
+
+def _contract_designs():
+    """Every design a producer that skips the range check hands back."""
+    designs = {name: _build(name) for name in _NESTING_INPUTS}
+    designs.update({f"boolean{n}": boolean_sqs(n) for n in (4, 5, 6)})
+    designs["boolean-rotational5"] = boolean_rotational_design(5)
+    for name in sorted(catalog_names()):
+        design = catalog_get(name).design()
+        perm = list(range(design.v))
+        random.Random(name).shuffle(perm)
+        designs[f"relabel:{name}"] = relabel(design, perm)
+        designs[f"parse:{name}"] = parse_design(serialize_design(design))
+    designs["parse:ro62.b"] = parse_design(serialize_design(designs["ro62.b"]))
+    outcome = local_balance(boolean_sqs(5), 4, 6, max_moves=20)
+    assert outcome.stats.moves > 0
+    designs["local-balance:boolean5"] = outcome.witness
+    return designs
+
+
+def test_producers_hand_back_canonical_blocks_in_range():
+    # design_from_canonical trusts its callers: each must give canonical
+    # blocks over 0..v-1, so that nested_design keeps the same design
+    for name, design in _contract_designs().items():
+        again = nested_design(design.v, design.blocks, design.uses_infinity)
+        assert again == design, name
+        pairs = itertools.chain.from_iterable(design.blocks)
+        assert set(itertools.chain.from_iterable(pairs)) <= set(range(design.v)), name
 
 
 def test_parsed_v128_design_shares_one_tuple_per_pair():
