@@ -242,16 +242,15 @@ def rotational_expand(spec: RotationalSpec) -> NestedDesign:
             f"{len(spec.base_blocks) * maps} images under {maps} maps "
             f"x -> m*x + s, expected {expected}"
         )
-    images = _expand_images(spec)
-    # verify_steiner reads the blocks in any order, so the images need no
-    # sort to be checked
-    report = verify_steiner(NestedDesign(v, tuple(images), uses_infinity=True))
+    design = design_from_canonical(v, _expand_images(spec), uses_infinity=True)
+    # the design keeps this report, so doubling it checks it no more
+    report = verify_steiner(design)
     if not report.ok:
         raise InconsistentSpecError(
             f"expansion is not a quadruple system; witness triple "
             f"{report.witness} covered {report.witness_coverage} times"
         )
-    return design_from_canonical(v, images, uses_infinity=True)
+    return design
 
 
 def _image_rows(spec: RotationalSpec) -> Iterator[tuple[list[Pair], int, list[Pair], int]]:

@@ -13,6 +13,7 @@ be dict keys and set members in the hot loops.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from collections import Counter, defaultdict
@@ -105,6 +106,36 @@ class NestedDesign:
     def block_count(self) -> int:
         return len(self.blocks)
 
+    def __getstate__(self):
+        # a memo (see _with_memo) is no part of the value, so a pickle or
+        # a copy holds the fields alone
+        state = self.__dict__.copy()
+        state.pop("_memo", None)
+        return state
+
+
+def _with_memo(design: NestedDesign) -> NestedDesign:
+    """Give a design the library built a private memo, so that its
+    Steiner report and pair census are each worked out once.
+
+    The memo is no field, so ``==``, ``hash``, ``repr``,
+    ``dataclasses.replace`` and pickling do not see it.  A design a caller
+    builds with ``NestedDesign(...)`` has none, and its facts are worked
+    out at every call.
+    """
+    object.__setattr__(design, "_memo", {})
+    return design
+
+
+def _memoized(design: NestedDesign, fact: str, work_out):
+    """``work_out(design)``, kept in the design's memo if it has one."""
+    memo = getattr(design, "_memo", None)
+    if memo is None:
+        return work_out(design)
+    if fact not in memo:
+        memo[fact] = work_out(design)
+    return memo[fact]
+
 
 def nested_design(
     v: int,
@@ -113,7 +144,8 @@ def nested_design(
 ) -> NestedDesign:
     """Canonicalize blocks, validate point ranges, and build a design."""
     blocks = list(blocks)
-    if not _all_canonical(blocks, v):
+    keys = _canonical_keys(blocks, v)
+    if keys is None:
         given, blocks = blocks, []
         for nb in itertools.starmap(canonical_block, given):
             (a, b), (c, d) = nb
@@ -122,29 +154,39 @@ def nested_design(
                 p = next(p for p in (a, b, c, d) if not 0 <= p < v)
                 raise InvalidBlockError(f"point {p} out of range for v={v}")
             blocks.append(nb)
-    return design_from_canonical(v, blocks, uses_infinity)
+        return design_from_canonical(v, blocks, uses_infinity)
+    if not all(map(operator.lt, keys, itertools.islice(keys, 1, None))):
+        # list.sort calls its key once per block, in list order, so each
+        # call hands back that block's key: a stable sort by the keys
+        blocks.sort(key=functools.partial(next, iter(keys)))
+    return _with_memo(NestedDesign(v, tuple(blocks), uses_infinity))
 
 
-def _all_canonical(blocks: list, v: int) -> bool:
-    """Whether every block is a tuple of two tuples ``((a, b), (c, d))``
-    with 0 <= a < b < v, c < d < v, a < c, and b neither c nor d.
+def _canonical_keys(blocks: list, v: int) -> Optional[list]:
+    """The key ``((a*v + b)*v + c)*v + d`` of every block, in one pass,
+    if each block is a tuple of two tuples ``((a, b), (c, d))`` with
+    0 <= a < b < v, c < d < v, a < c, and b neither c nor d; else None.
 
     :func:`canonical_block` returns such a block as an equal tuple over
-    the same points, so the block itself can stand in for it.
+    the same points, so the block itself can stand in for it.  With every
+    point in 0..v-1 the keys order like the blocks.
     """
+    keys: list = []
+    append = keys.append
     try:
         for nb in blocks:
             if type(nb) is not tuple:  # unpacking would consume an iterator
-                return False
+                return None
             p, q = nb
             if type(p) is not tuple or type(q) is not tuple:
-                return False
+                return None
             (a, b), (c, d) = p, q
             if not (0 <= a < b < v and c < d < v and a < c and b != c and b != d):
-                return False
+                return None
+            append(((a * v + b) * v + c) * v + d)
     except (TypeError, ValueError):  # not two pairs of two, or no order
-        return False
-    return True
+        return None
+    return keys
 
 
 def design_from_canonical(
@@ -166,7 +208,7 @@ def design_from_canonical(
     # checking that costs less than the key sort
     if not all(map(operator.le, canon, itertools.islice(canon, 1, None))):
         canon.sort(key=key)
-    return NestedDesign(v=v, blocks=tuple(canon), uses_infinity=uses_infinity)
+    return _with_memo(NestedDesign(v=v, blocks=tuple(canon), uses_infinity=uses_infinity))
 
 
 @dataclass(frozen=True)
@@ -196,7 +238,14 @@ def _triples(v: int) -> Iterator[tuple[int, int, int]]:
 
 
 def verify_steiner(design: NestedDesign) -> VerificationReport:
-    """Check that every 3-subset of points is covered by exactly one block."""
+    """Check that every 3-subset of points is covered by exactly one block.
+
+    A design the library built keeps its report, so it is checked once.
+    """
+    return _memoized(design, "report", _steiner_report)
+
+
+def _steiner_report(design: NestedDesign) -> VerificationReport:
     v = design.v
     blocks = design.blocks
     n_cells = v * v * v
@@ -315,9 +364,15 @@ class PairCensus:
 
 
 def pair_census(design: NestedDesign) -> PairCensus:
-    # pairs enter in block order, first pair then second, as keys
-    counts = Counter(itertools.chain.from_iterable(design.blocks))
+    """The census of the design's pairs, each a key in block order, first
+    pair then second.  A design the library built keeps its counts, and
+    each call gets a copy of them."""
+    counts = _memoized(design, "census", _pair_counts)
     return PairCensus(v=design.v, counts=dict(counts))
+
+
+def _pair_counts(design: NestedDesign) -> Counter:
+    return Counter(itertools.chain.from_iterable(design.blocks))
 
 
 def repartition(design: NestedDesign, index: int, split: NestedBlock) -> NestedDesign:
@@ -344,7 +399,12 @@ def relabel(design: NestedDesign, perm: Sequence[int]) -> NestedDesign:
     if sorted(perm) != list(range(v)):
         raise InvalidBlockError("perm is not a bijection on the point set")
     blocks = list(design.blocks)
-    if _all_canonical(blocks, v):
+    keys = _canonical_keys(blocks, v)
+    # a point that is not an int (2.0, say) makes its block's key no int;
+    # its pair could merge below with an equal pair of ints and take that
+    # pair's image, so such a design goes block by block, where perm is
+    # read at each point as given
+    if keys is not None and {int}.issuperset(map(type, keys)):
         firsts = list(map(operator.itemgetter(0), blocks))
         seconds = list(map(operator.itemgetter(1), blocks))
         # each distinct pair is mapped once, to one new tuple; perm is a

@@ -1,6 +1,10 @@
 """Core data model: pairs, splits, designs, census, verification."""
 
+import copy
+import dataclasses
+import functools
 import itertools
+import pickle
 import random
 from collections import Counter, namedtuple
 from math import comb
@@ -22,6 +26,7 @@ from nsqs import (
     VerificationReport,
     catalog_get,
     catalog_names,
+    classify,
     doubling_a,
     doubling_b,
     expected_block_count,
@@ -31,10 +36,12 @@ from nsqs import (
     parse_design,
     relabel,
     repartition,
+    rotational_expand,
     serialize_design,
     total_pair_slots,
     verify_steiner,
 )
+from nsqs import core
 from nsqs.core import design_from_canonical
 
 
@@ -617,3 +624,190 @@ def test_verify_steiner_missing_witness_is_first_in_order():
         )
         report = verify_steiner(NestedDesign(v=10, blocks=blocks))
         assert report.witness == first_missing
+
+
+# ---------------------------------------------------------------------------
+# a design the library built works out its report and census once
+
+
+def _fresh(design):
+    """An equal design as a caller builds it, with no memo."""
+    return NestedDesign(design.v, design.blocks, design.uses_infinity)
+
+
+def _facts(design):
+    census = pair_census(design)
+    return verify_steiner(design), list(census.counts.items()), classify(design)
+
+
+def _renested(design, seed):
+    parsed = parse_design(serialize_design(design))
+    shuffled = list(parsed.blocks)
+    random.Random(seed).shuffle(shuffled)
+    return nested_design(parsed.v, shuffled, parsed.uses_infinity)
+
+
+def _memo_designs():
+    for name in sorted(catalog_names()):
+        yield name, lambda name=name: catalog_get(name).design()
+        yield name + ".a", lambda name=name: doubling_a(catalog_get(name).design())
+        if name in _COMPLETE:
+            yield name + ".b", lambda name=name: doubling_b(catalog_get(name).design())
+        yield name + " renested", lambda name=name: _renested(
+            catalog_get(name).design(), name
+        )
+
+
+@pytest.mark.parametrize(
+    "build", [pytest.param(build, id=name) for name, build in _memo_designs()]
+)
+def test_memoized_facts_equal_a_fresh_designs(build):
+    design = build()
+    want = _facts(_fresh(design))
+    assert _facts(design) == want  # the memo filled
+    assert _facts(design) == want  # and read back
+
+
+@pytest.fixture
+def work_outs(monkeypatch):
+    """How often a Steiner report and a pair census are worked out."""
+    calls = Counter()
+    for fact in ("_steiner_report", "_pair_counts"):
+        work_out = getattr(core, fact)
+
+        def counted(design, fact=fact, work_out=work_out):
+            calls[fact] += 1
+            return work_out(design)
+
+        monkeypatch.setattr(core, fact, counted)
+    return calls
+
+
+def test_library_built_design_works_out_each_fact_once(work_outs):
+    design = doubling_a(catalog_get("sqs10").design())
+    for _ in range(3):
+        verify_steiner(design)
+        pair_census(design)
+        classify(design)
+    assert work_outs == {"_steiner_report": 1, "_pair_counts": 1}
+
+
+def test_mutating_a_census_leaves_the_next_one_unchanged():
+    design = _renested(catalog_get("ro20").design(), 20)
+    census = pair_census(design)
+    want = list(census.counts.items())
+    census.counts[(0, 1)] = 99
+    census.counts[(-1, -2)] = 1
+    assert list(pair_census(design).counts.items()) == want
+    pair_census(design).counts.clear()
+    assert list(pair_census(design).counts.items()) == want
+    assert classify(design) == classify(_fresh(design))
+
+
+def test_caller_built_designs_and_copies_are_never_memoized(work_outs):
+    design = catalog_get("ro26").design()
+    for other in (
+        _fresh(design),
+        dataclasses.replace(design),
+        copy.copy(design),
+        pickle.loads(pickle.dumps(design)),
+    ):
+        work_outs.clear()
+        for _ in range(2):
+            verify_steiner(other)
+            pair_census(other)
+        assert work_outs == {"_steiner_report": 2, "_pair_counts": 2}
+
+
+def test_memo_is_no_part_of_a_designs_value():
+    design = catalog_get("ro38").design()
+    fresh = _fresh(design)
+    before = pickle.dumps(design)
+    verify_steiner(design)
+    pair_census(design)
+    for other in (fresh, dataclasses.replace(design)):
+        assert design == other and hash(design) == hash(other)
+        assert repr(design) == repr(other)
+    assert pickle.dumps(design) == before == pickle.dumps(fresh)
+
+
+@pytest.mark.parametrize(
+    "name",
+    [n for n in sorted(catalog_names()) if catalog_get(n).kind == "rotational-spec"],
+)
+def test_rotational_expand_hands_over_its_report(name, work_outs):
+    design = rotational_expand(catalog_get(name).payload)
+    assert work_outs == {"_steiner_report": 1}
+    report = verify_steiner(design)
+    assert work_outs == {"_steiner_report": 1}
+    assert report == verify_steiner(_fresh(design))
+
+
+# nested_design sorts by the keys of its one checking pass
+
+
+def _v128():
+    return doubling_a(doubling_a(catalog_get("bool32").design()))
+
+
+def _v124():
+    return doubling_b(catalog_get("ro62").design())
+
+
+@pytest.mark.parametrize("build", [_v124, _v128])
+def test_nested_design_sorts_shuffled_v124_and_v128_by_its_keys(build):
+    design = build()
+    blocks = list(parse_design(serialize_design(design)).blocks)
+    rng = random.Random(design.v)
+    # equal blocks as other tuples, some twice, among the shuffled blocks
+    repeats = [(b[0], b[1]) for b in rng.sample(blocks, 50)]
+    for blocks in (blocks, blocks + repeats + repeats[:10]):
+        blocks = blocks[:]
+        rng.shuffle(blocks)
+        got = assert_nests_like_reference(design.v, blocks, design.uses_infinity)
+        # the caller's blocks are kept, duplicates in input order: the
+        # stable sort of the blocks themselves
+        assert list(map(id, got[1].blocks)) == list(map(id, sorted(blocks)))
+    assert got[1] != design and len(got[1].blocks) == len(design.blocks) + 60
+
+
+@pytest.mark.parametrize(
+    "items",
+    [[], [7], list(range(20)), list(range(20))[::-1], [3, 1, 3, 2, 1, 3] * 5,
+     random.Random(0).sample(range(10**6), 5000)],
+)
+def test_list_sort_calls_its_key_once_per_item_in_list_order(items):
+    # nested_design sorts with key=partial(next, iter(keys)), which holds
+    # only if list.sort calls its key once per item, in list order
+    items = [(x,) for x in items]
+    given = items[:]
+    called = []
+
+    def key(item):
+        called.append(item)
+        return item
+
+    items.sort(key=key)
+    assert list(map(id, called)) == list(map(id, given))
+    keys = [x for (x,) in given]
+    assert sorted(given, key=functools.partial(next, iter(keys))) == sorted(given)
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize(
+    "blocks",
+    [
+        [((1, 2), (4, 5)), ((1, 2.0), (6, 7))],
+        [((1, 2.0), (4, 5)), ((1, 2), (6, 7))],
+    ],
+)
+def test_relabel_of_a_float_pair_equal_to_an_int_pair_matches_reference(blocks, reverse):
+    # the two pairs are equal but for the type of one point; the fast
+    # path must not map the float one through the int one's image
+    design = nested_design(8, blocks)
+    if reverse:
+        design = NestedDesign(8, design.blocks[::-1])
+    perm = list(range(8))
+    got = _relabel_outcome(relabel, design, perm)
+    assert got == _relabel_outcome(reference_relabel, design, perm)
+    assert got[0] is TypeError
