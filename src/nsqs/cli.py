@@ -235,7 +235,7 @@ def _cmd_search(args) -> int:
         target, node_budget=args.budget, seed=args.seed
     )
     # the first line, stripped as the parsers strip their header line
-    if next(fileio._lines(text), "").strip().startswith("nsqs-base"):
+    if "".join(fileio._head(text)).strip().startswith("nsqs-base"):
         base = fileio.parse_base_spec(text)
         out = search.search_rotational(base, spec)
         serialize = fileio.serialize_base_spec

@@ -20,10 +20,11 @@ from .core import (
     NestedBlock,
     NestedDesign,
     Pair,
+    _design,
+    _in_order,
     block_points,
     canonical_block,
     canonical_pair,
-    design_from_canonical,
     expected_block_count,
     pair_census,
     verify_steiner,
@@ -141,7 +142,7 @@ def boolean_sqs(n: int, poly: int | None = None) -> NestedDesign:
     _check_boolean_order(n)
     if poly is not None:
         Gf2nField(n, poly)
-    return NestedDesign(1 << n, tuple(_boolean_split_blocks(n)))
+    return _design(1 << n, _boolean_split_blocks(n), ordered=True)
 
 
 def boolean_to_rotational(field: Gf2nField) -> dict[int, int]:
@@ -167,7 +168,7 @@ def boolean_rotational_design(n: int, poly: int | None = None) -> NestedDesign:
     for (x, y), (z, w) in _boolean_split_blocks(n):
         a, b, c, d = sorted((rot[x], rot[y], rot[z], rot[w]))
         blocks.append((table[a * size + b], table[c * size + d]))
-    return design_from_canonical(size, blocks, uses_infinity=True)
+    return _design(size, blocks, uses_infinity=True)
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +243,7 @@ def rotational_expand(spec: RotationalSpec) -> NestedDesign:
             f"{len(spec.base_blocks) * maps} images under {maps} maps "
             f"x -> m*x + s, expected {expected}"
         )
-    design = design_from_canonical(v, _expand_images(spec), uses_infinity=True)
+    design = _design(v, _expand_images(spec), uses_infinity=True)
     # the design keeps this report, so doubling it checks it no more
     report = verify_steiner(design)
     if not report.ok:
@@ -402,7 +403,9 @@ def doubling_a(
     side0 = list(zip(map(to_low.__getitem__, firsts), map(to_low.__getitem__, seconds)))
     side1 = zip(map(to_high.__getitem__, firsts), map(to_high.__getitem__, seconds))
     # in sorted order for a sorted input: by first pair (x, y), the side-0
-    # copies, then the Type II blocks; last the side-1 copies
+    # copies, then the Type II blocks; last the side-1 copies.  So the
+    # order of a library-built (so canonical) input proves the output's.
+    ordered = hasattr(design, "_memo") and _in_order(design.blocks)
     blocks: list[NestedBlock] = []
     j = 0
     for i, e in enumerate(low):
@@ -413,7 +416,7 @@ def doubling_a(
             blocks += zip(itertools.repeat(e), partners[i])
     blocks += side0[j:]
     blocks += side1
-    return design_from_canonical(2 * v, blocks)
+    return _design(2 * v, blocks, ordered=ordered)
 
 
 def doubling_b(design: NestedDesign) -> NestedDesign:
@@ -427,14 +430,12 @@ def doubling_b(design: NestedDesign) -> NestedDesign:
     v = design.v
     if not verify_steiner(design).ok:
         raise PreconditionError("doubling-b input is not a Steiner quadruple system")
-    census = pair_census(design)
-    for a in range(v):
-        for b in range(a + 1, v):
-            if (a, b) not in census.counts:
-                raise PreconditionError(
-                    f"doubling-b needs all pairs to be ND-pairs; "
-                    f"pair ({a}, {b}) is not"
-                )
+    counts = pair_census(design).counts
+    pair = next((p for p in itertools.combinations(range(v), 2) if p not in counts), None)
+    if pair is not None:
+        raise PreconditionError(
+            f"doubling-b needs all pairs to be ND-pairs; pair {pair} is not"
+        )
 
     n = 2 * v
     table = _pair_table(n)
@@ -464,4 +465,4 @@ def doubling_b(design: NestedDesign) -> NestedDesign:
         ]
     # Type II: x < y, so both pairs and their order are canonical
     blocks += itertools.combinations([table[x * n + x + v] for x in range(v)], 2)
-    return design_from_canonical(2 * v, blocks)
+    return _design(2 * v, blocks)

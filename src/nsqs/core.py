@@ -13,12 +13,13 @@ be dict keys and set members in the hot loops.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import operator
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import (
     InvalidBlockError,
@@ -107,24 +108,11 @@ class NestedDesign:
         return len(self.blocks)
 
     def __getstate__(self):
-        # a memo (see _with_memo) is no part of the value, so a pickle or
+        # a memo (see _design) is no part of the value, so a pickle or
         # a copy holds the fields alone
         state = self.__dict__.copy()
         state.pop("_memo", None)
         return state
-
-
-def _with_memo(design: NestedDesign) -> NestedDesign:
-    """Give a design the library built a private memo, so that its
-    Steiner report and pair census are each worked out once.
-
-    The memo is no field, so ``==``, ``hash``, ``repr``,
-    ``dataclasses.replace`` and pickling do not see it.  A design a caller
-    builds with ``NestedDesign(...)`` has none, and its facts are worked
-    out at every call.
-    """
-    object.__setattr__(design, "_memo", {})
-    return design
 
 
 def _memoized(design: NestedDesign, fact: str, work_out):
@@ -154,12 +142,32 @@ def nested_design(
                 p = next(p for p in (a, b, c, d) if not 0 <= p < v)
                 raise InvalidBlockError(f"point {p} out of range for v={v}")
             blocks.append(nb)
-        return design_from_canonical(v, blocks, uses_infinity)
-    if not all(map(operator.lt, keys, itertools.islice(keys, 1, None))):
+    return _design(v, blocks, uses_infinity, keys)
+
+
+def _design(
+    v: int, blocks: list, uses_infinity: bool = False, keys=None, ordered: bool = False
+) -> NestedDesign:
+    """The library's one constructor, of a list of canonical blocks over
+    0..v-1 (nothing else is checked).  Unless ``ordered`` (the caller's
+    proof), the list is sorted in place by ``keys``, or by the same keys
+    worked out here, when not in order.  The design gets a private memo
+    that keeps its Steiner report and pair census; it is no field, so
+    ``==``, ``repr``, ``dataclasses.replace`` and pickling do not see it.
+    A caller's ``NestedDesign(...)`` has none."""
+    if not ordered and not _in_order(blocks if keys is None else keys):
+        if keys is None:
+            keys = [((a * v + b) * v + c) * v + d for (a, b), (c, d) in blocks]
         # list.sort calls its key once per block, in list order, so each
         # call hands back that block's key: a stable sort by the keys
         blocks.sort(key=functools.partial(next, iter(keys)))
-    return _with_memo(NestedDesign(v, tuple(blocks), uses_infinity))
+    design = NestedDesign(v, tuple(blocks), uses_infinity)
+    object.__setattr__(design, "_memo", {})
+    return design
+
+
+def _in_order(items) -> bool:
+    return all(map(operator.le, items, itertools.islice(items, 1, None)))
 
 
 def _canonical_keys(blocks: list, v: int) -> Optional[list]:
@@ -189,28 +197,6 @@ def _canonical_keys(blocks: list, v: int) -> Optional[list]:
     return keys
 
 
-def design_from_canonical(
-    v: int,
-    blocks: Iterable[NestedBlock],
-    uses_infinity: bool = False,
-) -> NestedDesign:
-    """Sort canonical blocks over 0..v-1, as :func:`canonical_block` makes
-    them, into a design.  Nothing else is checked: the callers (parser,
-    builders, relabel, local_balance, nested_design) guarantee the rest."""
-    canon = list(blocks)
-
-    def key(nb: NestedBlock) -> int:
-        # with every point in 0..v-1 this orders like the nested tuples
-        (a, b), (c, d) = nb
-        return ((a * v + b) * v + c) * v + d
-
-    # blocks read back from a serialized design already come in order;
-    # checking that costs less than the key sort
-    if not all(map(operator.le, canon, itertools.islice(canon, 1, None))):
-        canon.sort(key=key)
-    return _with_memo(NestedDesign(v=v, blocks=tuple(canon), uses_infinity=uses_infinity))
-
-
 @dataclass(frozen=True)
 class VerificationReport:
     """Outcome of a Steiner-property check.
@@ -228,21 +214,23 @@ class VerificationReport:
     violations: int = 0
 
 
-def _triples(v: int) -> Iterator[tuple[int, int, int]]:
-    """The triples a < b < c of 0..v-1 in lexicographic order, lazily:
-    ``itertools.combinations(range(v), 3)`` would copy the range."""
-    for a in range(v):
-        for b in range(a + 1, v):
-            for c in range(b + 1, v):
-                yield a, b, c
-
-
 def verify_steiner(design: NestedDesign) -> VerificationReport:
     """Check that every 3-subset of points is covered by exactly one block.
 
     A design the library built keeps its report, so it is checked once.
     """
     return _memoized(design, "report", _steiner_report)
+
+
+class _Multiples(dict):
+    """x -> x * k, worked out at the first lookup of each point x."""
+
+    def __init__(self, k: int):
+        self.k = k
+
+    def __missing__(self, x):
+        self[x] = y = x * self.k
+        return y
 
 
 def _steiner_report(design: NestedDesign) -> VerificationReport:
@@ -256,6 +244,10 @@ def _steiner_report(design: NestedDesign) -> VerificationReport:
     marks = bytearray(n_cells) if small else defaultdict(int)
     extra = []
     vv = v * v
+    if small and hasattr(design, "_memo"):  # library-built: points in 0..v-1
+        sq, lin = [x * vv for x in range(v)], [x * v for x in range(v)]
+    else:  # a huge v from a header, or a caller's points: those present
+        sq, lin = _Multiples(vv), _Multiples(v)
     for (a, b), (c, d) in blocks:
         # in canonical shape a is the least point, and where b falls
         # among c < d sorts the rest
@@ -268,8 +260,9 @@ def _steiner_report(design: NestedDesign) -> VerificationReport:
         else:
             a, b, c, d = sorted((a, b, c, d))
         # the four triples abc, abd, acd and bcd, unrolled
-        ab = a * vv + b * v
-        cd = c * v + d
+        x = sq[a]
+        ab = x + lin[b]
+        cd = lin[c] + d
         t = ab + c
         if marks[t]:
             extra.append(t)
@@ -280,12 +273,12 @@ def _steiner_report(design: NestedDesign) -> VerificationReport:
             extra.append(t)
         else:
             marks[t] = 1
-        t = a * vv + cd
+        t = x + cd
         if marks[t]:
             extra.append(t)
         else:
             marks[t] = 1
-        t = b * vv + cd
+        t = sq[b] + cd
         if marks[t]:
             extra.append(t)
         else:
@@ -303,10 +296,14 @@ def _steiner_report(design: NestedDesign) -> VerificationReport:
         witness, witness_cov = (t // (v * v), t // v % v, t % v), over[t]
     elif missing:
         # the blocks cover at most 4 * len(blocks) triples, so one of the
-        # first 4 * len(blocks) + 1 in order is uncovered
+        # first 4 * len(blocks) + 1 in order is uncovered; the triples
+        # come lazily, as itertools.combinations would copy range(v)
+        triples = (
+            (a, b, c) for a in range(v) for b in range(a + 1, v) for c in range(b + 1, v)
+        )
         witness = next(
             (a, b, c)
-            for a, b, c in itertools.islice(_triples(v), 4 * len(blocks) + 1)
+            for a, b, c in itertools.islice(triples, 4 * len(blocks) + 1)
             if not marks[(a * v + b) * v + c]
         )
     ok = violations == 0 and len(blocks) == expected_block_count(v)
@@ -389,8 +386,13 @@ def repartition(design: NestedDesign, index: int, split: NestedBlock) -> NestedD
             f"split {split} does not cover the points of block {old}"
         )
     blocks = list(design.blocks)
-    blocks[index] = split
-    return nested_design(design.v, blocks, design.uses_infinity)
+    if not hasattr(design, "_memo"):  # a caller's blocks: nest them anew
+        blocks[index] = split
+        return nested_design(design.v, blocks, design.uses_infinity)
+    # a library-built design holds canonical blocks in order: bisect the split
+    del blocks[index]
+    bisect.insort(blocks, split)
+    return _design(design.v, blocks, design.uses_infinity, ordered=True)
 
 
 def relabel(design: NestedDesign, perm: Sequence[int]) -> NestedDesign:
@@ -422,7 +424,7 @@ def relabel(design: NestedDesign, perm: Sequence[int]) -> NestedDesign:
                 map(image.__getitem__, firsts), map(image.__getitem__, seconds)
             )
         ]
-        return design_from_canonical(v, relabeled, design.uses_infinity)
+        return _design(v, relabeled, design.uses_infinity)
     # block by block, as before, for a block that is not canonical or a
     # point outside 0..v-1: the same errors, or the same design
     blocks = [

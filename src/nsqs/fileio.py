@@ -23,10 +23,11 @@ header::
 
 from __future__ import annotations
 
+import itertools
 import re
 
 from .constructions import RotationalSpec, rotational_spec
-from .core import NestedDesign, design_from_canonical
+from .core import NestedDesign, _design
 from .errors import ParseError
 
 _DESIGN_HEADER = re.compile(r"^nsqs v=(\d+) blocks=(\d+)$")
@@ -35,31 +36,23 @@ _BLOCK_LINE = re.compile(r"^(\S+) (\S+) \| (\S+) (\S+)$")
 _CHUNK = 1 << 16  # characters split into lines at a time
 
 
-def _lines(text: str):
-    """The lines of ``text`` as ``text.splitlines()`` gives them, split a
-    chunk at a time.  Each chunk but the last ends with a line feed, so no
-    line break spans two chunks."""
-    pos = 0
-    while pos < len(text):
-        end = text.find("\n", pos + _CHUNK) + 1 or len(text)
-        yield from text[pos:end].splitlines()
-        pos = end
+def _head(text: str) -> list[str]:
+    """The first line of ``text`` with its line break, as the first of
+    ``text.splitlines(True)``; none for an empty text."""
+    return text[: text.find("\n") + 1 or len(text)].splitlines(True)[:1]
 
 
 def _read_header(text: str, header: re.Pattern):
-    """Match the first line of ``text`` against ``header``.
-
-    Returns (match, lines), with ``lines`` the rest of the lines, from
-    line 2 on.
-    """
-    lines = _lines(text)
-    first = next(lines, None)
-    if first is None:
+    """Match the first line of ``text`` against ``header``.  Returns the
+    match and the index at which line 2 starts."""
+    head = _head(text)
+    if not head:
         raise ParseError("empty input")
+    first = head[0].splitlines()[0]
     m = header.match(first.strip())
     if not m:
         raise ParseError(f"line 1: bad header {first!r}")
-    return m, lines
+    return m, len(head[0])
 
 
 def _parse_point(token: str, inf_index: int, lineno: int) -> int:
@@ -74,9 +67,11 @@ def _parse_point(token: str, inf_index: int, lineno: int) -> int:
     return x
 
 
-def _parse_blocks(lines, inf_index):
-    """Parse the lines of a design or base file body, from line 2 on,
-    into canonical blocks with one shared tuple per distinct pair.
+def _parse_blocks(text, pos, inf_index):
+    """Parse the lines of a design or base file body, from line 2 on at
+    ``pos``, into canonical blocks with one shared tuple per distinct pair.
+    Lines are split a chunk at a time; each chunk but the last ends with a
+    line feed, so no line break spans two chunks.
 
     A pair text written as ``serialize_design`` writes it, such as
     ``3 inf`` (points ``str(x)`` or ``inf``, x < y), is read once; a line
@@ -90,6 +85,7 @@ def _parse_blocks(lines, inf_index):
     blocks = []
     saw_inf = False
     metadata: dict[str, str] = {}
+    skipped = 0  # blank and # lines so far: each other line is a block
 
     def enter(text):
         """The pair a plain pair text names, entered in ``pair_of``; None
@@ -106,35 +102,39 @@ def _parse_blocks(lines, inf_index):
         pair = pair_of[text] = pairs.setdefault((x, y), (x, y))
         return pair
 
-    for lineno, line in enumerate(lines, 2):
-        first, _, second = line.partition(" | ")
-        p = pair_of.get(first) or enter(first)
-        q = pair_of.get(second) or enter(second)
-        if p and q and p[0] < q[0] and p[1] != q[0] and p[1] != q[1]:
-            blocks.append((p, q))
-            continue
-        m = _BLOCK_LINE.match(line)
-        # a block line never starts blank, but "# 1 | 2 3" would match
-        if m is None or line[0] == "#":
-            if not line.strip():
+    while pos < len(text):
+        end = text.find("\n", pos + _CHUNK) + 1 or len(text)
+        lines = text[pos:end].splitlines()
+        pos = end
+        for first, bar, second in map(str.partition, lines, itertools.repeat(" | ")):
+            p = pair_of.get(first) or enter(first)
+            q = pair_of.get(second) or enter(second)
+            if p and q and p[0] < q[0] and p[1] != q[0] and p[1] != q[1]:
+                blocks.append((p, q))
                 continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if "=" not in body:
-                    raise ParseError(f"line {lineno}: metadata needs key=value")
-                key, _, value = body.partition("=")
-                metadata[key.strip()] = value.strip()
+            line = first + bar + second
+            lineno = 2 + len(blocks) + skipped
+            m = _BLOCK_LINE.match(line)
+            # a block line never starts blank, but "# 1 | 2 3" would match
+            if m is None or line[0] == "#":
+                if line.startswith("#"):
+                    key, eq, value = line[1:].strip().partition("=")
+                    if not eq:
+                        raise ParseError(f"line {lineno}: metadata needs key=value")
+                    metadata[key.strip()] = value.strip()
+                elif line.strip():
+                    raise ParseError(f"line {lineno}: malformed block line {line!r}")
+                skipped += 1
                 continue
-            raise ParseError(f"line {lineno}: malformed block line {line!r}")
-        tokens = m.groups()
-        saw_inf = saw_inf or "inf" in tokens
-        a, b, c, d = (_parse_point(t, inf_index, lineno) for t in tokens)
-        if a == b or c == d or a == c or a == d or b == c or b == d:
-            raise ParseError(f"line {lineno}: repeated point in block {line!r}")
-        p = (a, b) if a < b else (b, a)
-        q = (c, d) if c < d else (d, c)
-        p, q = pairs.setdefault(p, p), pairs.setdefault(q, q)
-        blocks.append((p, q) if p < q else (q, p))
+            tokens = m.groups()
+            saw_inf = saw_inf or "inf" in tokens
+            a, b, c, d = (_parse_point(t, inf_index, lineno) for t in tokens)
+            if a == b or c == d or a == c or a == d or b == c or b == d:
+                raise ParseError(f"line {lineno}: repeated point in block {line!r}")
+            p = (a, b) if a < b else (b, a)
+            q = (c, d) if c < d else (d, c)
+            p, q = pairs.setdefault(p, p), pairs.setdefault(q, q)
+            blocks.append((p, q) if p < q else (q, p))
     return blocks, saw_inf, metadata
 
 
@@ -145,19 +145,15 @@ def parse_design(text: str, strict_count: bool = True) -> NestedDesign:
     announcement (e.g. a truncated file), leaving the shortfall for
     verification to report.
     """
-    m, lines = _read_header(text, _DESIGN_HEADER)
+    m, pos = _read_header(text, _DESIGN_HEADER)
     v, count = int(m.group(1)), int(m.group(2))
-    blocks, saw_inf, metadata = _parse_blocks(lines, v - 1)
+    blocks, saw_inf, metadata = _parse_blocks(text, pos, v - 1)
     if strict_count and len(blocks) != count:
         raise ParseError(
             f"header announced {count} blocks, file contains {len(blocks)}"
         )
     uses_infinity = saw_inf or metadata.get("infinity") == "1"
-    return design_from_canonical(v, blocks, uses_infinity=uses_infinity)
-
-
-def _fmt_point(x: int, inf_index: int, uses_infinity: bool) -> str:
-    return "inf" if uses_infinity and x == inf_index else str(x)
+    return _design(v, blocks, uses_infinity=uses_infinity)
 
 
 def serialize_design(design: NestedDesign) -> str:
@@ -177,18 +173,18 @@ def serialize_design(design: NestedDesign) -> str:
 
 
 def parse_base_spec(text: str) -> RotationalSpec:
-    m, lines = _read_header(text, _BASE_HEADER)
+    m, pos = _read_header(text, _BASE_HEADER)
     p = int(m.group(1))
     multipliers = tuple(int(t) for t in m.group(2).split(","))
     # count is not in the header for base files; accept whatever is present
-    blocks, _, _ = _parse_blocks(lines, p)
+    blocks, _, _ = _parse_blocks(text, pos, p)
     return rotational_spec(p, blocks, multipliers)
 
 
 def serialize_base_spec(spec: RotationalSpec) -> str:
     mults = ",".join(str(m) for m in sorted(spec.multipliers))
     out = [f"nsqs-base p={spec.p} multipliers={mults}"]
-    for (a, b), (c, d) in spec.base_blocks:
-        pts = [_fmt_point(x, spec.p, True) for x in (a, b, c, d)]
-        out.append(f"{pts[0]} {pts[1]} | {pts[2]} {pts[3]}")
+    for block in spec.base_blocks:
+        a, b, c, d = ("inf" if x == spec.p else x for x in block[0] + block[1])
+        out.append(f"{a} {b} | {c} {d}")
     return "\n".join(out) + "\n"

@@ -38,8 +38,8 @@ from .analysis import min_nd_pairs, split_classes, uniform_obstruction
 from .constructions import RotationalSpec, _image_rows, rotational_expand
 from .core import (
     NestedDesign,
+    _design,
     alternative_splits,
-    design_from_canonical,
     nested_design,
     total_pair_slots,
     verify_steiner,
@@ -812,7 +812,7 @@ def local_balance(
         ids = splits[i]
         k = cur[i]
         blocks[i] = (divmod(ids[2 * k], v), divmod(ids[2 * k + 1], v))
-    result = design_from_canonical(v, blocks, design.uses_infinity)
+    result = _design(v, blocks, design.uses_infinity)
     if all(dist(c) == 0 for c in counts):
         return SearchOutcome(status="found", witness=result, stats=stats)
     return SearchOutcome(status="exhausted", witness=result, stats=stats)

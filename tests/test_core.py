@@ -42,7 +42,12 @@ from nsqs import (
     verify_steiner,
 )
 from nsqs import core
-from nsqs.core import design_from_canonical
+
+
+def sorted_design(v, blocks, uses_infinity=False):
+    """Canonical blocks sorted by tuple order into a design, independent
+    of the library's constructor (which orders them the same way)."""
+    return NestedDesign(v, tuple(sorted(blocks)), uses_infinity)
 
 
 def test_canonical_pair_sorts():
@@ -131,7 +136,7 @@ def test_nested_design_of_scrambled_blocks(name):
     late = list(design.blocks)
     late[-2:] = late[:-3:-1]
     for blocks in (design.blocks, design.blocks[::-1], shuffled, late):
-        again = design_from_canonical(design.v, blocks, design.uses_infinity)
+        again = core._design(design.v, list(blocks), design.uses_infinity)
         assert again == design
         assert serialize_design(again) == text
         flipped = [
@@ -423,7 +428,7 @@ def test_relabel_raises_for_the_first_bad_block_in_order(bad):
 
 def reference_nested_design(v, blocks, uses_infinity=False):
     """nested_design as it was: canonical_block on every block, each
-    followed by the range check that design_from_canonical once made."""
+    followed by the range check, then sorted."""
     canon = []
     for nb in itertools.starmap(canonical_block, blocks):
         (a, b), (c, d) = nb
@@ -431,7 +436,7 @@ def reference_nested_design(v, blocks, uses_infinity=False):
             p = next(p for p in (a, b, c, d) if not 0 <= p < v)
             raise InvalidBlockError(f"point {p} out of range for v={v}")
         canon.append(nb)
-    return design_from_canonical(v, canon, uses_infinity)
+    return sorted_design(v, canon, uses_infinity)
 
 
 def _outcome(build, v, blocks, uses_infinity=False):
@@ -573,7 +578,7 @@ def _contract_designs():
 
 
 def test_producers_hand_back_canonical_blocks_in_range():
-    # design_from_canonical trusts its callers: each must give canonical
+    # core._design trusts its callers: each must give canonical
     # blocks over 0..v-1, so that nested_design keeps the same design
     for name, design in _contract_designs().items():
         again = nested_design(design.v, design.blocks, design.uses_infinity)
@@ -811,3 +816,125 @@ def test_relabel_of_a_float_pair_equal_to_an_int_pair_matches_reference(blocks, 
     got = _relabel_outcome(relabel, design, perm)
     assert got == _relabel_outcome(reference_relabel, design, perm)
     assert got[0] is TypeError
+
+
+# ---------------------------------------------------------------------------
+# one constructor: each producer hands it blocks in order, or has it sort
+
+
+def _shuffled_text(design, seed):
+    """The serialization of a design with its block lines shuffled."""
+    head, *lines = serialize_design(design).splitlines()
+    body = [line for line in lines if not line.startswith("#")]
+    random.Random(seed).shuffle(body)
+    return "\n".join([head, *body, *lines[len(body):]]) + "\n"
+
+
+def _resplit(design, seed, moves=25):
+    rng = random.Random(seed)
+    for _ in range(moves):
+        i = rng.randrange(len(design.blocks))
+        design = repartition(design, i, rng.choice(alternative_splits(design.blocks[i])))
+    return design
+
+
+def _producer_designs():
+    for name in sorted(catalog_names()):
+        entry = catalog_get(name)
+        if entry.kind == "rotational-spec":
+            yield f"expand:{name}", lambda e=entry: rotational_expand(e.payload)
+    yield "doubling-a:bool32", lambda: doubling_a(catalog_get("bool32").design())
+    yield "doubling-a:bool32.a", _v128
+    yield "doubling-b:ro62", _v124
+    for n in range(2, 7):
+        yield f"boolean{n}", lambda n=n: boolean_sqs(n)
+    yield "relabel:ro26", lambda: relabel(
+        catalog_get("ro26").design(), random.Random(26).sample(range(26), 26)
+    )
+    yield "repartition:ro38", lambda: _resplit(catalog_get("ro38").design(), 38)
+    yield "local-balance:boolean5", lambda: local_balance(
+        boolean_sqs(5), 4, 6, max_moves=20
+    ).witness
+    for name in ("sqs8uniform", "ro20", "ro62"):
+        design = lambda name=name: catalog_get(name).design()  # noqa: E731
+        yield f"parse:{name}", lambda d=design: parse_design(serialize_design(d()))
+        yield f"parse-shuffled:{name}", lambda d=design, name=name: parse_design(
+            _shuffled_text(d(), name)
+        )
+
+
+@pytest.mark.parametrize(
+    "build", [pytest.param(build, id=name) for name, build in _producer_designs()]
+)
+def test_every_producer_builds_a_sorted_design_with_a_memo(build):
+    design = build()
+    assert hasattr(design, "_memo")
+    again = nested_design(design.v, reversed(design.blocks), design.uses_infinity)
+    assert again == design
+
+
+def test_doubling_a_of_an_unsorted_caller_design_is_sorted():
+    design = catalog_get("ro20").design()
+    shuffled = list(design.blocks)
+    random.Random(20).shuffle(shuffled)
+    for given in (NestedDesign(20, tuple(shuffled)), _fresh(design)):
+        got = doubling_a(given)
+        assert got.blocks == tuple(sorted(got.blocks))
+        assert got == doubling_a(design)
+
+
+def _call_outcome(fn, *args):
+    """fn's result, or the type and text of what it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # noqa: BLE001 - compared with the reference
+        return type(exc), str(exc)
+
+
+def reference_repartition(design, index, split):
+    """repartition as it was: the new split in place, then nested anew."""
+    split = canonical_block(*split)
+    old = design.blocks[index]
+    if block_points(split) != block_points(old):
+        raise InvalidSplitError(f"split {split} does not cover the points of block {old}")
+    blocks = list(design.blocks)
+    blocks[index] = split
+    return nested_design(design.v, blocks, design.uses_infinity)
+
+
+@pytest.mark.parametrize("name", ["sqs10", "ro26", "ro62"])
+def test_repartition_matches_renesting(name):
+    design = catalog_get(name).design()
+    rng = random.Random(name)
+    for _ in range(40):
+        n = len(design.blocks)
+        index = rng.randrange(-n, n)
+        (a, b), (c, d) = rng.choice(alternative_splits(design.blocks[index]))
+        split = rng.choice([((a, b), (c, d)), ((d, c), (b, a)), ((b, a), (c, d))])
+        got = repartition(design, index, split)
+        assert got == reference_repartition(design, index, split)
+        assert hasattr(got, "_memo")
+        wrong = ((a, b), (c, next(x for x in range(design.v) if x not in (a, b, c, d))))
+        assert _call_outcome(repartition, design, index, wrong) == _call_outcome(
+            reference_repartition, design, index, wrong
+        )
+        design = got
+
+
+@pytest.mark.parametrize(
+    "bad", [((0, 1), (2, 8)), ((1, 0), (3, 2)), ((0, 1), (1, 2)), ((-1, 1), (2, 3))]
+)
+@pytest.mark.parametrize("reverse", [False, True])
+def test_repartition_of_a_caller_design_matches_renesting(bad, reverse):
+    sqs8 = catalog_get("sqs8uniform").design()
+    blocks = (bad,) + sqs8.blocks[1:]
+    design = NestedDesign(8, blocks[::-1] if reverse else blocks)
+    index = 7
+    split = alternative_splits(design.blocks[index])[2]
+    got = _call_outcome(repartition, design, index, split)
+    assert got == _call_outcome(reference_repartition, design, index, split)
+    # an unsorted caller design with good blocks is sorted as before
+    design = NestedDesign(8, sqs8.blocks[::-1])
+    split = alternative_splits(design.blocks[index])[2]
+    got = repartition(design, index, split)
+    assert got == reference_repartition(design, index, split)

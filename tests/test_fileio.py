@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nsqs import (
+    NestedDesign,
     NsqsError,
     ParseError,
     catalog_get,
@@ -19,7 +20,12 @@ from nsqs import (
     serialize_design,
 )
 from nsqs.constructions import rotational_spec
-from nsqs.core import design_from_canonical
+
+
+def sorted_design(v, blocks, uses_infinity=False):
+    """Canonical blocks sorted by tuple order into a design, independent
+    of the library's constructor (which orders them the same way)."""
+    return NestedDesign(v, tuple(sorted(blocks)), uses_infinity)
 
 
 def test_single_block_example():
@@ -233,7 +239,7 @@ def reference_parse_design(text, strict_count=True):
     if len(blocks) != count:
         raise ParseError(f"header announced {count} blocks, file contains {len(blocks)}")
     uses_infinity = saw_inf or metadata.get("infinity") == "1"
-    return design_from_canonical(v, blocks, uses_infinity=uses_infinity)
+    return sorted_design(v, blocks, uses_infinity=uses_infinity)
 
 
 def reference_parse_base_spec(text):
@@ -348,6 +354,41 @@ def test_parse_of_multi_chunk_designs_matches_reference():
         for k, line in ((len(lines) - 3, "0 1 | 1 2"), (7000, "5 4 | 1 0")):
             broken = "\n".join(lines[:k] + [line] + lines[k + 1:])
             assert_parses_like_reference(broken)
+
+
+def _past_first_chunk(lines):
+    """The index of the first line that starts after the parser's first
+    64 KiB chunk of text."""
+    pos = 0
+    for i, line in enumerate(lines):
+        if pos > 65536:
+            return i
+        pos += len(line) + 1
+    raise AssertionError("text fits in one chunk")
+
+
+@pytest.mark.parametrize(
+    "late",
+    [
+        ["0 1 2 3"],
+        ["", "0 1 2 3"],
+        ["# note=x", "   ", "5 4 | 1 0", "0 1 | 2 99"],
+        ["", "# loose"],
+        ["# infinity=1", "", "0 1 | 1 2"],
+        ["", "# note=x"],
+    ],
+)
+def test_parse_errors_after_the_first_chunk_match_reference(late):
+    lines = serialize_design(catalog_get("ro62").design()).split("\n")
+    k = _past_first_chunk(lines)
+    # blank and # lines before and after the chunk boundary, then ``late``
+    body = lines[:100] + ["", "# note=x"] + lines[100:k] + ["   ", "# a=b"] + lines[k:]
+    j = k + 300
+    text = "\n".join(body[:j] + late + body[j:])
+    assert_parses_like_reference(text)
+    if late[-1] == "0 1 2 3":
+        with pytest.raises(ParseError, match=f"^line {j + len(late)}: malformed"):
+            parse_design(text)
 
 
 @pytest.mark.parametrize("newline", ["\r\n", "\r"])
