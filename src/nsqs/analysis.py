@@ -20,7 +20,7 @@ from .core import (
     pair_census,
     total_pair_slots,
 )
-from .errors import InvalidModulusError, InvalidOrderError, NsqsError
+from .errors import InvalidModulusError, InvalidOrderError, NsqsError, PreconditionError
 
 
 def admissible(v: int) -> bool:
@@ -353,7 +353,23 @@ def feasibility_row(v: int) -> FeasibilityRow:
     )
 
 
+# each row factors v, v-1 and v-2 by trial division up to sqrt(v), and
+# every row is held at once: the largest range accepted, 10 000 orders
+# ending at 10^6, takes about 0.8 s printed and 1.0 s as JSON through
+# the CLI on a 2-CPU Xeon host with CPython 3.11
+_TABLE_MAX_ORDER = 10**6
+_TABLE_MAX_ORDERS = 10**4
+
+
 def feasibility_table(v_min: int, v_max: int) -> list[FeasibilityRow]:
+    """The row of every admissible v in v_min..v_max.  A range past order
+    10^6, or of more than 10^4 orders, raises PreconditionError."""
+    if v_max > _TABLE_MAX_ORDER:
+        raise PreconditionError(f"need orders <= {_TABLE_MAX_ORDER}, got {v_max}")
+    if v_max - v_min >= _TABLE_MAX_ORDERS:
+        raise PreconditionError(
+            f"need at most {_TABLE_MAX_ORDERS} orders, got {v_max - v_min + 1}"
+        )
     return [feasibility_row(v) for v in range(v_min, v_max + 1) if admissible(v)]
 
 

@@ -574,9 +574,9 @@ def search_nesting(blocks, spec: SearchSpec) -> SearchOutcome:
 class _OrbitProblem:
     """What :func:`search_rotational` works out once per spec, built
     whole: the spec certified, the three splits of every base block
-    (split k of block i at 3i + k), the shift rows of every split, the
-    multiplicity ``mu`` forced on the pairs through the fixed point, and
-    the engine over the splits' class contributions."""
+    (split k of block i at 3i + k), the pair classes of every split's
+    shift rows, the multiplicity ``mu`` forced on the pairs through the
+    fixed point, and the engine over the splits' class contributions."""
 
     def __init__(self, spec: RotationalSpec) -> None:
         # certify the spec: its images must be the blocks of an SQS(v)
@@ -589,14 +589,45 @@ class _OrbitProblem:
             tuple(Counter(d - 1 for d in split_classes(opt, p, spec.multipliers)).items())
             for opt in splits
         ]
+        # A shift row lists the images of one pair under all p shifts, so
+        # it is one whole pair class: a difference class, or the p pairs
+        # through the fixed point.  Each row is keyed by its least pair,
+        # once per distinct row (_image_rows shares one list per
+        # difference), after a check that it holds p distinct pairs, the
+        # same pairs as every row keyed alike, and none of another class.
+        # A pair's multiplicity in the expansion of chosen splits is then
+        # the number of their rows keyed by its class.
+        # id(row) -> (row, key); holding the row keeps its id its own
+        known: dict[int, tuple[list, tuple]] = {}
+        classes: dict[tuple, set] = {}
+        covered: set = set()
+
+        def key_of(row: list) -> tuple:
+            hit = known.get(id(row))
+            if hit is None:
+                pairs = set(row)
+                if len(row) != p or len(pairs) != p:
+                    raise NsqsError(f"a shift row holds {len(pairs)} distinct pairs "
+                                    f"of {len(row)}, expected {p}")
+                key = min(pairs)
+                same = classes.setdefault(key, pairs)
+                if same is pairs:
+                    if not covered.isdisjoint(pairs):
+                        raise NsqsError(f"the shift row keyed {key} meets another pair class")
+                    covered.update(pairs)
+                elif same != pairs:
+                    raise NsqsError(f"two shift rows keyed {key} hold different pairs")
+                known[id(row)] = hit = (row, key)
+            return hit[1]
+
         # one pass over every split, so that all rows share one row table
-        rows = [
-            row
+        keys = [
+            key_of(row)
             for r, _, r2, _ in _image_rows(RotationalSpec(p, tuple(splits), spec.multipliers))
             for row in (r, r2)
         ]
         k = 2 * len(spec.multipliers)
-        self.rows = [tuple(rows[o:o + k]) for o in range(0, len(rows), k)]
+        self.classes = [tuple(keys[o:o + k]) for o in range(0, len(keys), k)]
         # The images are the blocks of an SQS(v), each once, so the
         # (v-1)(v-2)/6 blocks through the fixed point are images of the
         # base blocks through it.  Every split of such a block pairs the
@@ -611,12 +642,12 @@ class _OrbitProblem:
         self.mu = mu = (spec.v - 2) // 6
         self.engine = _SplitEngine(contribs, p // 2, mu, mu, p // 2, unliftable=False)
 
-    def pairs(self, chosen: list[int]) -> Counter:
-        """The pairs of the expansion of the chosen splits, with their
-        multiplicities: rows[o] holds the rows of split o's two pairs
-        under every multiplier, and a row lists a pair's images under
-        all p shifts."""
-        return Counter(chain.from_iterable(r for o in chosen for r in self.rows[o]))
+    def class_counts(self, chosen: list[int]) -> Counter:
+        """How many rows of the chosen splits each pair class holds, by
+        its least pair: classes[o] keys the rows of split o's two pairs
+        under every multiplier, and each pair of a class lies in one
+        image per row of it."""
+        return Counter(chain.from_iterable(map(self.classes.__getitem__, chosen)))
 
 
 # the specs seen last, oldest first, keyed on their values; each entry
@@ -658,12 +689,13 @@ def search_rotational(spec: RotationalSpec, search: SearchSpec) -> SearchOutcome
     an SQS(v) by a witness triple.  Seeded restarts on one spec repeat
     only the per-call work: the target, one run of the engine and the
     post-check of the witness.  The certification, the splits, their
-    class contributions, their shift rows and the engine's tables are
-    made once per spec (equal p, base blocks and multipliers), and kept
-    for the last few specs.  A witness has the certified spec's block
-    point sets, so its post-check counts the pairs of its expansion from
-    the kept rows of its chosen splits, without building an image block,
-    and tests them for the uniform multiplicity.
+    class contributions, the pair classes of their shift rows and the
+    engine's tables are made once per spec (equal p, base blocks and
+    multipliers), and kept for the last few specs.  A witness has the
+    certified spec's block point sets, so its post-check counts, for
+    each pair class, the shift rows of its chosen splits in that class,
+    without building an image block or a row, and tests every count for
+    the uniform multiplicity.
     """
     problem = _orbit_problem(spec)
     res = _resolve_target(search.target, spec.v)
@@ -686,10 +718,11 @@ def search_rotational(spec: RotationalSpec, search: SearchSpec) -> SearchOutcome
         base_blocks=tuple(problem.splits[o] for o in chosen),
         multipliers=spec.multipliers,
     )
-    # the class prediction is exact, but count the expanded pairs as a
-    # post-check: the images are those of the certified spec, resplit
-    pairs = problem.pairs(chosen)
-    if min(pairs.values()) != mu or max(pairs.values()) != mu:
+    # the class prediction is exact, but count the expanded pairs by
+    # their classes as a post-check: the images are those of the
+    # certified spec, resplit
+    counts = problem.class_counts(chosen).values()
+    if min(counts) != mu or max(counts) != mu:
         raise NsqsError("rotational search produced a non-uniform witness")
     return SearchOutcome(status=status, witness=witness, stats=stats)
 

@@ -11,6 +11,7 @@ import pytest
 from nsqs import (
     InvalidModulusError,
     InvalidOrderError,
+    PreconditionError,
     admissible,
     alternative_splits,
     block_points,
@@ -427,6 +428,28 @@ def test_cyclotomic_cosets_rejects_even():
 def test_cyclotomic_cosets_refuses_huge_modulus(m):
     with pytest.raises(InvalidModulusError, match=f"got {m}"):
         cyclotomic_cosets(m)
+
+
+@pytest.mark.parametrize(
+    "lo,hi,error",
+    [
+        (10**18, 10**18 + 10, r"^need orders <= 1000000, got 1000000000000000010$"),
+        (10**6 - 10**4 + 1, 10**6 + 1, r"^need orders <= 1000000, got 1000001$"),
+        (10**6 - 10**4, 10**6, r"^need at most 10000 orders, got 10001$"),
+        (-(10**18), 8, r"^need at most 10000 orders, got 1000000000000000009$"),
+    ],
+)
+def test_feasibility_table_bounds_its_work(lo, hi, error):
+    with pytest.raises(PreconditionError, match=error):
+        feasibility_table(lo, hi)
+
+
+def test_feasibility_table_edges_of_its_bounds():
+    # the largest order and the most orders are accepted; an empty range
+    # is an empty table, as before
+    assert [r.v for r in feasibility_table(10**6, 10**6)] == [10**6]
+    assert [r.v for r in feasibility_table(-9991, 8)] == [4, 8]
+    assert feasibility_table(64, 8) == []
 
 
 # ---------------------------------------------------------------------------

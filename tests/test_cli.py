@@ -3,6 +3,7 @@
 import hashlib
 import io
 import json
+import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -417,6 +418,45 @@ def test_cosets_refuses_huge_modulus(capsys):
     code, out, err = run(capsys, "cosets", "--mod", "1000000000000000001")
     assert (code, out) == (2, "")
     assert err == "error: need a modulus <= 1048576, got 1000000000000000001\n"
+
+
+@pytest.mark.parametrize(
+    "lo,hi,error",
+    [
+        ("1000000000000000000", "1000000000000000010",
+         "need orders <= 1000000, got 1000000000000000010"),
+        ("8", "100000000", "need orders <= 1000000, got 100000000"),
+        ("990000", "1000000", "need at most 10000 orders, got 10001"),
+        ("-1000000000000000000", "64", "need at most 10000 orders, got 1000000000000000065"),
+    ],
+)
+def test_table_refuses_unbounded_work(capsys, lo, hi, error):
+    # trial division to sqrt(v) per row and one held row per order: a
+    # request past either bound is one error line, before any row is made
+    start = time.perf_counter()
+    for extra in ((), ("--json",)):
+        code, out, err = run(capsys, "table", "--min", lo, "--max", hi, *extra)
+        assert (code, out, err) == (2, "", f"error: {error}\n")
+    assert time.perf_counter() - start < 1
+
+
+# sha256 of the table's stdout, as printed before its work was bounded
+TABLE_DIGESTS = {
+    ("19990", "20000"): "dfdc0c9776233513dd24e97f44977d68ee6dfcd315021023802e39629d56d9e7",
+    ("8", "130", "--json"): "d0f7f669ca1685d1847b21a9ae338523a50e8df58ad7aebe957e906e6c6709c5",
+    ("8", "64"): "d916f8c29fe0e41c837e7953fffd4d3031ab30f3e743181298324496acac087e",
+    ("8", "64", "--json"): "2c29e3fae2599940b0ec0cbe45b4811e7fb2858f544c47ce0637243bdb073b24",
+    ("500", "630"): "17310eee83bee32063dc79cf0ad07f99f97081e58408bd1bb3a8c22bbe86e098",
+    ("500", "630", "--json"): "0bae4738cebc9a7edbd133ad9520c499bb48f3b09a3448058e26a6ed14bbd16c",
+}
+
+
+@pytest.mark.parametrize("request_", sorted(TABLE_DIGESTS), ids="-".join)
+def test_table_within_its_bounds_is_unchanged(capsys, request_):
+    lo, hi, *extra = request_
+    code, out, err = run(capsys, "table", "--min", lo, "--max", hi, *extra)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == TABLE_DIGESTS[request_]
 
 
 def test_usage_error_exit_code():

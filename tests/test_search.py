@@ -585,14 +585,14 @@ def test_engine_runs_leave_the_tables_unchanged():
         assert out.status == "budget-exceeded"
         problem = search._orbit_problem(spec)
         before = (
-            _engine_snapshot(problem.engine), list(problem.splits), copy.deepcopy(problem.rows)
+            _engine_snapshot(problem.engine), list(problem.splits), list(problem.classes)
         )
         for seed, budget, status in runs:
             out = search_rotational(
                 spec, SearchSpec(complete_uniform(), node_budget=budget, seed=seed)
             )
             assert out.status == status
-            assert (_engine_snapshot(problem.engine), problem.splits, problem.rows) == before
+            assert (_engine_snapshot(problem.engine), problem.splits, problem.classes) == before
             assert _steps_share_watch(problem.engine)
     # a pinned support adds the open-cell tallies, which runs copy too
     blocks = [b[0] + b[1] for b in boolean_sqs(4).blocks]
@@ -641,24 +641,41 @@ def _expanded_pairs(spec):
     return Counter(chain.from_iterable(rotational_expand(spec).blocks))
 
 
+def _class_pairs(p, key):
+    """The pair class over Z_p + {p} whose least pair is ``key``: the p
+    pairs through p, or those whose points differ by +-d."""
+    a, d = key
+    assert a == 0 and 1 <= d <= p
+    if d == p:
+        return [(s, p) for s in range(p)]
+    assert 2 * d < p
+    return [tuple(sorted((s, (s + d) % p))) for s in range(p)]
+
+
+def _spread(p, counts):
+    """Class counts as the multiplicities of every pair of each class."""
+    return Counter({pr: n for key, n in counts.items() for pr in _class_pairs(p, key)})
+
+
 def test_image_pairs_count_the_expanded_pairs(monkeypatch):
-    # the post-check's pairs of every pinned witness, made cold and warm
+    # the post-check's class counts of every pinned witness, made cold
+    # and warm, spread over their classes' pairs
     search._spec_cache.clear()
     counted = []
-    pairs = search._OrbitProblem.pairs
+    class_counts = search._OrbitProblem.class_counts
 
     def spy(problem, chosen):
-        counted.append(pairs(problem, chosen))
+        counted.append(class_counts(problem, chosen))
         return counted[-1]
 
-    monkeypatch.setattr(search._OrbitProblem, "pairs", spy)
+    monkeypatch.setattr(search._OrbitProblem, "class_counts", spy)
     found = [row for row in ROTATIONAL_PINS if row[4] == "found"]
     assert len(found) == 9
     for name, target, seed, budget, *_ in found + found:
         witness = search_rotational(
             _stripped_spec(name), _rotational_pin_spec(target, budget, seed)
         ).witness
-        assert counted.pop() == _expanded_pairs(witness)
+        assert _spread(witness.p, counted.pop()) == _expanded_pairs(witness)
     assert not counted
     # and of each catalog spec, read as a choice of its stripped spec's splits
     for name in ("ro20", "ro26", "ro38", "ro62", "bool32"):
@@ -669,7 +686,61 @@ def test_image_pairs_count_the_expanded_pairs(monkeypatch):
             3 * i + problem.splits[3 * i:3 * i + 3].index(blk)
             for i, blk in enumerate(spec.base_blocks)
         ]
-        assert pairs(problem, chosen) == _expanded_pairs(spec)
+        assert _spread(spec.p, class_counts(problem, chosen)) == _expanded_pairs(spec)
+
+
+def _drop_pair(row, other):
+    return row[:-1]
+
+
+def _repeat_pair(row, other):
+    return row[:-1] + row[:1]
+
+
+def _overlap_another_class(row, other):
+    # the least pair swapped for another class's greatest: a new key,
+    # and the other p - 1 pairs still those of the row's class
+    least = min(row)
+    return [max(other) if pr == least else pr for pr in row]
+
+
+def _rekey_another_class(row, other):
+    # the last pair swapped for another class's least, which becomes the
+    # row's key: that class's key on other pairs
+    return row[:-1] + [min(other)]
+
+
+@pytest.mark.parametrize(
+    "corrupt,error",
+    [
+        (_drop_pair, r"^a shift row holds 18 distinct pairs of 18, expected 19$"),
+        (_repeat_pair, r"^a shift row holds 18 distinct pairs of 19, expected 19$"),
+        (_overlap_another_class, r"^the shift row keyed \(0, 17\) meets another pair class$"),
+        (_rekey_another_class, r"^two shift rows keyed \(0, 1\) hold different pairs$"),
+    ],
+    ids=["drop", "repeat", "overlap", "rekey"],
+)
+def test_orbit_rows_that_are_not_whole_classes_are_refused(monkeypatch, corrupt, error):
+    # the spec's own expansion certifies it first, so the corrupted rows
+    # reach only the orbit problem, which refuses them on the first call
+    search._spec_cache.clear()
+    image_rows = search._image_rows
+
+    def corrupted(spec):
+        # corrupt the first row of the last tuple, given a row of another class
+        rows = list(image_rows(spec))
+        r, x, r2, x2 = rows[-1]
+        other = next(row for row, _, _, _ in rows if set(row).isdisjoint(r))
+        rows[-1] = (corrupt(r, other), x, r2, x2)
+        return iter(rows)
+
+    monkeypatch.setattr(search, "_image_rows", corrupted)
+    spec = _stripped_spec("ro20")
+    with pytest.raises(NsqsError, match=error):
+        search_rotational(spec, SearchSpec(complete_uniform(), seed=1))
+    assert not search._spec_cache
+    monkeypatch.setattr(search, "_image_rows", image_rows)
+    assert search_rotational(spec, SearchSpec(complete_uniform(), seed=1)).status == "found"
 
 
 @pytest.mark.parametrize(
