@@ -17,6 +17,7 @@ from .core import (
     NestedBlock,
     NestedDesign,
     PairCensus,
+    expected_block_count,
     pair_census,
     total_pair_slots,
 )
@@ -68,7 +69,7 @@ def bounds_profile(v: int) -> BoundsProfile:
     raised = v % 12 in (2, 10)
     return BoundsProfile(
         v=v,
-        block_count=v * (v - 1) * (v - 2) // 24,
+        block_count=expected_block_count(v),
         total_pair_slots=total_pair_slots(v),
         max_mult=(v - 2) // 2,
         max_count_at_max=v // 2,

@@ -21,7 +21,9 @@ from .core import (
     NestedDesign,
     Pair,
     _design,
+    _fields_only,
     _in_order,
+    _with_memo,
     block_points,
     canonical_block,
     canonical_pair,
@@ -189,6 +191,9 @@ class RotationalSpec:
     def v(self) -> int:
         return self.p + 1
 
+    # a library-built spec keeps its orbit problem in a memo (see core._with_memo)
+    __getstate__ = _fields_only
+
     def validate(self) -> None:
         if 1 not in self.multipliers:
             raise InconsistentSpecError("multiplier group must contain 1")
@@ -213,11 +218,11 @@ def rotational_spec(
     base_blocks,
     multipliers=(1,),
 ) -> RotationalSpec:
-    spec = RotationalSpec(
+    spec = _with_memo(RotationalSpec(
         p=p,
         base_blocks=tuple(canonical_block(*b) for b in base_blocks),
         multipliers=frozenset(multipliers),
-    )
+    ))
     spec.validate()
     return spec
 
@@ -348,7 +353,7 @@ def orbit_spec(design: NestedDesign, multipliers) -> RotationalSpec:
             )
         covered |= orbit
         base.append(nb)
-    return RotationalSpec(p=p, base_blocks=tuple(base), multipliers=group)
+    return _with_memo(RotationalSpec(p=p, base_blocks=tuple(base), multipliers=group))
 
 
 # ---------------------------------------------------------------------------

@@ -90,6 +90,14 @@ def total_pair_slots(v: int) -> int:
     return v * (v - 1) * (v - 2) // 12
 
 
+def _fields_only(value) -> dict:
+    """The state of ``value`` without its memo (see _with_memo), so that
+    a pickle or a copy holds the fields alone."""
+    state = value.__dict__.copy()
+    state.pop("_memo", None)
+    return state
+
+
 @dataclass(frozen=True)
 class NestedDesign:
     """An SQS(v) with every block carrying a chosen split into two pairs.
@@ -107,21 +115,25 @@ class NestedDesign:
     def block_count(self) -> int:
         return len(self.blocks)
 
-    def __getstate__(self):
-        # a memo (see _design) is no part of the value, so a pickle or
-        # a copy holds the fields alone
-        state = self.__dict__.copy()
-        state.pop("_memo", None)
-        return state
+    __getstate__ = _fields_only
 
 
-def _memoized(design: NestedDesign, fact: str, work_out):
-    """``work_out(design)``, kept in the design's memo if it has one."""
-    memo = getattr(design, "_memo", None)
+def _with_memo(value):
+    """``value``, a frozen dataclass the library built, with an empty
+    private memo for :func:`_memoized`: no field, so ``==``, ``hash``,
+    ``repr`` and ``dataclasses.replace`` do not see it."""
+    object.__setattr__(value, "_memo", {})
+    return value
+
+
+def _memoized(value, fact: str, work_out):
+    """``work_out(value)``, kept in the memo of a design or spec if it
+    has one; a ``work_out`` that raises keeps nothing."""
+    memo = getattr(value, "_memo", None)
     if memo is None:
-        return work_out(design)
+        return work_out(value)
     if fact not in memo:
-        memo[fact] = work_out(design)
+        memo[fact] = work_out(value)
     return memo[fact]
 
 
@@ -152,18 +164,15 @@ def _design(
     0..v-1 (nothing else is checked).  Unless ``ordered`` (the caller's
     proof), the list is sorted in place by ``keys``, or by the same keys
     worked out here, when not in order.  The design gets a private memo
-    that keeps its Steiner report and pair census; it is no field, so
-    ``==``, ``repr``, ``dataclasses.replace`` and pickling do not see it.
-    A caller's ``NestedDesign(...)`` has none."""
+    (see _with_memo) that keeps its Steiner report and pair census.  A
+    caller's ``NestedDesign(...)`` has none."""
     if not ordered and not _in_order(blocks if keys is None else keys):
         if keys is None:
             keys = [((a * v + b) * v + c) * v + d for (a, b), (c, d) in blocks]
         # list.sort calls its key once per block, in list order, so each
         # call hands back that block's key: a stable sort by the keys
         blocks.sort(key=functools.partial(next, iter(keys)))
-    design = NestedDesign(v, tuple(blocks), uses_infinity)
-    object.__setattr__(design, "_memo", {})
-    return design
+    return _with_memo(NestedDesign(v, tuple(blocks), uses_infinity))
 
 
 def _in_order(items) -> bool:

@@ -19,7 +19,9 @@ a spec must pass :func:`~nsqs.constructions.rotational_expand`, the one
 certification of a spec, or the input is refused with an error whatever
 the target.  Targets that violate a counting or divisibility necessary
 condition are then refused before any node is expanded, with the
-failing condition in the outcome's ``reason``.
+failing condition in the outcome's ``reason``.  The module keeps no
+state between calls: an orbit search keeps its per-spec work in the
+memo of a library-built spec.
 """
 
 from __future__ import annotations
@@ -39,6 +41,8 @@ from .constructions import RotationalSpec, _image_rows, rotational_expand
 from .core import (
     NestedDesign,
     _design,
+    _memoized,
+    _with_memo,
     alternative_splits,
     nested_design,
     total_pair_slots,
@@ -650,29 +654,6 @@ class _OrbitProblem:
         return Counter(chain.from_iterable(map(self.classes.__getitem__, chosen)))
 
 
-# the specs seen last, oldest first, keyed on their values; each entry
-# holds O(base blocks), never an expanded design
-_SPEC_CACHE_SIZE = 16
-_spec_cache: dict[tuple, _OrbitProblem] = {}
-
-
-def _orbit_problem(spec: RotationalSpec) -> _OrbitProblem:
-    """The cached problem of a spec equal in p, base blocks and
-    multipliers, made (and the spec certified) on first sight.  A spec
-    whose blocks cannot be hashed gets a fresh problem that is not kept."""
-    key = (spec.p, tuple(spec.base_blocks), frozenset(spec.multipliers))
-    try:
-        problem = _spec_cache.get(key)
-    except TypeError:
-        return _OrbitProblem(spec)
-    if problem is None:
-        problem = _OrbitProblem(spec)
-        if len(_spec_cache) >= _SPEC_CACHE_SIZE:
-            del _spec_cache[next(iter(_spec_cache))]
-        _spec_cache[key] = problem
-    return problem
-
-
 def search_rotational(spec: RotationalSpec, search: SearchSpec) -> SearchOutcome:
     """Choose base-block splits only; the cells are the difference classes.
 
@@ -690,14 +671,14 @@ def search_rotational(spec: RotationalSpec, search: SearchSpec) -> SearchOutcome
     only the per-call work: the target, one run of the engine and the
     post-check of the witness.  The certification, the splits, their
     class contributions, the pair classes of their shift rows and the
-    engine's tables are made once per spec (equal p, base blocks and
-    multipliers), and kept for the last few specs.  A witness has the
-    certified spec's block point sets, so its post-check counts, for
-    each pair class, the shift rows of its chosen splits in that class,
-    without building an image block or a row, and tests every count for
-    the uniform multiplicity.
+    engine's tables are made once per spec the library built, and kept
+    in its memo; a caller's ``RotationalSpec(...)`` or a copy gets them
+    made afresh at every call.  A witness has the certified spec's block
+    point sets, so its post-check counts, for each pair class, the shift
+    rows of its chosen splits in that class, without building an image
+    block or a row, and tests every count for the uniform multiplicity.
     """
-    problem = _orbit_problem(spec)
+    problem = _memoized(spec, "problem", _OrbitProblem)
     res = _resolve_target(search.target, spec.v)
     if isinstance(res, str):
         return _refused(res)
@@ -713,11 +694,11 @@ def search_rotational(spec: RotationalSpec, search: SearchSpec) -> SearchOutcome
     status, chosen, stats = problem.engine.run(search)
     if status != "found":
         return SearchOutcome(status=status, stats=stats)
-    witness = RotationalSpec(
+    witness = _with_memo(RotationalSpec(
         p=spec.p,
         base_blocks=tuple(problem.splits[o] for o in chosen),
         multipliers=spec.multipliers,
-    )
+    ))
     # the class prediction is exact, but count the expanded pairs by
     # their classes as a post-check: the images are those of the
     # certified spec, resplit

@@ -21,6 +21,7 @@ from nsqs import (
     census_violations,
     classify,
     cyclotomic_cosets,
+    doubling_a,
     feasibility_row,
     feasibility_table,
     half_partition,
@@ -30,6 +31,7 @@ from nsqs import (
     repartition,
     rotational_expand,
     total_pair_slots,
+    verify_steiner,
 )
 from nsqs.analysis import (
     KNOWN_UNIFORM,
@@ -82,6 +84,27 @@ def test_catalog_satisfies_all_bounds():
     for name in catalog_names():
         design = catalog_get(name).design()
         assert census_violations(pair_census(design)) == [], name
+
+
+def test_every_known_table_cell_has_a_witness():
+    # each "known" cell (v, ND-pairs) of the feasibility table is
+    # certified by a Steiner system built here whose ND-pairs all share
+    # one multiplicity, and no witness names a cell the table lacks
+    designs = [
+        catalog_get(name).design()
+        for name in ("sqs8uniform", "sqs10", "ro20", "ro26", "ro38", "ro62", "bool32")
+    ]
+    designs += [
+        doubling_a(catalog_get(name).design())
+        for name in ("sqs8uniform", "ro20", "ro26", "bool32")
+    ]
+    cells = set()
+    for design in designs:
+        assert verify_steiner(design).ok
+        cls = classify(design)
+        assert cls.mu_min == cls.mu_max, (design.v, cls.kind)
+        cells.add((design.v, cls.nd_pairs))
+    assert cells == KNOWN_UNIFORM
 
 
 def test_census_violations_detects_bad_total():

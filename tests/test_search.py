@@ -1,8 +1,11 @@
 """Nesting search: refusal, backtracking, rotational, local balance."""
 
 import copy
+import dataclasses
 import functools
 import hashlib
+import operator
+import pickle
 import random
 import sys
 import time
@@ -30,6 +33,7 @@ from nsqs import (
     minimum_uniform,
     orbit_spec,
     pair_census,
+    parse_base_spec,
     quasi_uniform,
     rotational_expand,
     rotational_spec,
@@ -334,18 +338,37 @@ ROTATIONAL_PINS = [
 ]
 
 
+@pytest.fixture
+def problem_builds(monkeypatch):
+    """The specs an orbit problem is built for, in call order."""
+    built = []
+    init = search._OrbitProblem.__init__
+
+    def spy(problem, spec):
+        built.append(spec)
+        init(problem, spec)
+
+    monkeypatch.setattr(search._OrbitProblem, "__init__", spy)
+    return built
+
+
+def _same_objects(got, want):
+    return len(got) == len(want) and all(map(operator.is_, got, want))
+
+
 @pytest.mark.parametrize(
     "name,target,seed,budget,status,nodes,prunes,witness", ROTATIONAL_PINS
 )
 def test_rotational_search_pinned(
-    name, target, seed, budget, status, nodes, prunes, witness
+    problem_builds, name, target, seed, budget, status, nodes, prunes, witness
 ):
     spec = SearchSpec(
         complete_uniform() if target == "complete" else uniform(5),
         node_budget=budget or 10**8,
         seed=seed,
     )
-    out = search_rotational(_stripped_spec(name), spec)
+    first = _stripped_spec(name)
+    out = search_rotational(first, spec)
     assert out.status == status
     assert out.stats.stop == STOPS[status]
     assert out.stats.nodes == nodes
@@ -357,6 +380,11 @@ def test_rotational_search_pinned(
         design = rotational_expand(out.witness)
         assert verify_steiner(design).ok
         assert classify(design).kind == "complete-uniform"
+    # an equal but distinct spec builds its own problem, with the same result
+    twin = _stripped_spec(name)
+    assert twin == first and twin is not first
+    assert _rotational_result(twin, spec) == (status, nodes, prunes, witness)
+    assert _same_objects(problem_builds, [first, twin])
 
 
 def test_rotational_search_has_no_depth_limit():
@@ -391,7 +419,6 @@ def test_rotational_search_certifies_before_the_target(monkeypatch):
         r"^27 base blocks have 675 images under 25 maps x -> m\*x \+ s, "
         r"expected 650$"
     )
-    search._spec_cache.clear()
     calls = []
     monkeypatch.setattr(search._SplitEngine, "run", lambda engine, spec: calls.append("run"))
     for target in (complete_uniform(), uniform(5), minimum_uniform()):
@@ -412,7 +439,7 @@ def test_fixed_point_multiplicity_is_derived():
         forced = (spec.v - 2) // 6
         counts = pair_census(rotational_expand(spec)).counts
         assert [counts[(x, spec.p)] for x in range(spec.p)] == [forced] * spec.p
-        assert search._orbit_problem(spec).mu == forced
+        assert search._OrbitProblem(spec).mu == forced
     # and a target off it is refused with the forced value
     out = search_rotational(_stripped_spec("ro26"), SearchSpec(uniform(5)))
     assert out.status == "refused"
@@ -433,29 +460,62 @@ def _rotational_result(spec, search_spec):
     [row for row in ROTATIONAL_PINS if row[2] is not None],
 )
 def test_rotational_search_warm_cache_matches_cold(
-    name, target, seed, budget, status, nodes, prunes, witness
+    problem_builds, name, target, seed, budget, status, nodes, prunes, witness
 ):
-    # a spec's split classes and Steiner verdict are kept across calls
-    search._spec_cache.clear()
-    spec = SearchSpec(
-        complete_uniform() if target == "complete" else uniform(5),
-        node_budget=budget or 10**8,
-        seed=seed,
-    )
+    # a library-built spec keeps its orbit problem in its memo: a repeat
+    # call builds none and gives the cold call's result
+    spec = _rotational_pin_spec(target, budget, seed)
     stripped = _stripped_spec(name)
     cold = _rotational_result(stripped, spec)
     assert cold == (status, nodes, prunes, witness)
     assert _rotational_result(stripped, spec) == cold
-    assert _rotational_result(_stripped_spec(name), spec) == cold
-    # a list of base blocks and a set of multipliers make the spec
-    # unhashable, but its values still find the same entry
-    loose = RotationalSpec(
-        p=stripped.p,
-        base_blocks=list(stripped.base_blocks),
-        multipliers=set(stripped.multipliers),
-    )
-    assert _rotational_result(loose, spec) == cold
-    assert len(search._spec_cache) == 1
+    assert _same_objects(problem_builds, [stripped])
+    # a caller's spec, a copy and a spec made unhashable by a list of
+    # base blocks and a set of multipliers keep nothing: each call
+    # builds a fresh problem, with the same result
+    others = [
+        RotationalSpec(stripped.p, stripped.base_blocks, stripped.multipliers),
+        dataclasses.replace(stripped),
+        RotationalSpec(
+            p=stripped.p,
+            base_blocks=list(stripped.base_blocks),
+            multipliers=set(stripped.multipliers),
+        ),
+    ]
+    for other in others:
+        assert _rotational_result(other, spec) == cold
+        assert _rotational_result(other, spec) == cold
+    assert _same_objects(problem_builds, [stripped] + [o for o in others for _ in range(2)])
+
+
+def test_memo_is_no_part_of_a_specs_value():
+    spec = _stripped_spec("ro20")
+    before = pickle.dumps(spec)
+    assert search_rotational(spec, SearchSpec(complete_uniform(), seed=1)).status == "found"
+    assert isinstance(spec._memo["problem"], search._OrbitProblem)
+    for other in (
+        copy.copy(spec),
+        copy.deepcopy(spec),
+        pickle.loads(pickle.dumps(spec)),
+        dataclasses.replace(spec),
+    ):
+        assert other == spec and hash(other) == hash(spec)
+        assert repr(other) == repr(spec)
+        assert not hasattr(other, "_memo")
+    assert pickle.dumps(spec) == before
+
+
+def test_every_spec_producer_gives_a_memo():
+    stripped = _stripped_spec("ro26")
+    witness = search_rotational(stripped, SearchSpec(complete_uniform())).witness
+    for spec in (
+        stripped,
+        catalog_get("ro26").payload,
+        parse_base_spec(serialize_base_spec(stripped)),
+        orbit_spec(boolean_rotational_design(5), {1, 2, 4, 8, 16}),
+        witness,
+    ):
+        assert isinstance(spec._memo, dict)
 
 
 def _negated_first_block(spec):
@@ -470,7 +530,6 @@ def _negated_first_block(spec):
 
 
 def test_rotational_search_post_check_catches_a_bad_spec_when_warm():
-    search._spec_cache.clear()
     bad = _negated_first_block(_stripped_spec("ro20"))
     spec = SearchSpec(complete_uniform(), seed=1)
     message = (
@@ -481,14 +540,15 @@ def test_rotational_search_post_check_catches_a_bad_spec_when_warm():
         search_rotational(bad, spec)  # first call
     with pytest.raises(InconsistentSpecError, match=message):
         search_rotational(bad, spec)  # repeat call
-    assert search_rotational(_stripped_spec("ro20"), spec).status == "found"
-    assert search_rotational(_stripped_spec("ro20"), spec).status == "found"
+    ro20 = _stripped_spec("ro20")
+    assert search_rotational(ro20, spec).status == "found"
+    assert search_rotational(ro20, spec).status == "found"
     with pytest.raises(InconsistentSpecError, match=message):
         search_rotational(bad, spec)  # after the good spec passed
+    assert bad._memo == {}  # a refused spec keeps nothing
 
 
-def test_rotational_search_checks_steiner_once_per_spec(monkeypatch):
-    search._spec_cache.clear()
+def test_rotational_search_checks_steiner_once_per_spec(monkeypatch, problem_builds):
     calls = []
     verify = constructions.verify_steiner
 
@@ -501,7 +561,11 @@ def test_rotational_search_checks_steiner_once_per_spec(monkeypatch):
     for seed in (None, 1, 2, 3):
         assert search_rotational(ro20, SearchSpec(complete_uniform(), seed=seed)).witness
     assert search_rotational(ro26, SearchSpec(complete_uniform())).witness
+    assert search_rotational(ro20, SearchSpec(uniform(5))).status == "refused"
     assert calls == [20, 26]
+    # seeded calls on one spec object build its problem once, and keep it
+    assert _same_objects(problem_builds, [ro20, ro26])
+    assert list(ro20._memo) == ["problem"]
     # rotational_expand keeps its full check
     rotational_expand(ro20)
     assert calls == [20, 26, 20]
@@ -525,7 +589,6 @@ def test_rotational_search_certifies_the_image_count(monkeypatch, edit, n_base):
         rf"^{n_base} base blocks have {19 * n_base} images under 19 maps "
         r"x -> m\*x \+ s, expected 285$"
     )
-    search._spec_cache.clear()
     calls = []
     monkeypatch.setattr(constructions, "_image_rows", lambda spec: calls.append("expand"))
     monkeypatch.setattr(search._SplitEngine, "run", lambda engine, spec: calls.append("run"))
@@ -547,15 +610,15 @@ def _rotational_pin_spec(target, budget, seed):
 def test_rotational_search_interleaved_specs_match_pins():
     # each spec keeps its own engine: runs on other specs, and a target
     # refused after the spec's entry was made, change no seeded result
-    search._spec_cache.clear()
     rows = [row for row in ROTATIONAL_PINS if row[2] is not None]
+    specs = {name: _stripped_spec(name) for name in ["ro20", "ro38"] + [row[0] for row in rows]}
     for row in rows + rows[::-1]:
         name, target, seed, budget, status, nodes, prunes, witness = row
         other = "ro38" if name != "ro38" else "ro20"
-        refused = search_rotational(_stripped_spec(other), SearchSpec(uniform(5)))
+        refused = search_rotational(specs[other], SearchSpec(uniform(5)))
         assert refused.status == "refused"
         assert _rotational_result(
-            _stripped_spec(name), _rotational_pin_spec(target, budget, seed)
+            specs[name], _rotational_pin_spec(target, budget, seed)
         ) == (status, nodes, prunes, witness)
 
 
@@ -575,7 +638,6 @@ def _steps_share_watch(engine):
 
 
 def test_engine_runs_leave_the_tables_unchanged():
-    search._spec_cache.clear()
     for name, runs in (
         ("ro38", ((5, 3000, "found"), (1, 3000, "budget-exceeded"))),
         ("ro62", ((None, 10**8, "found"), (2, 10**8, "found"))),
@@ -583,7 +645,7 @@ def test_engine_runs_leave_the_tables_unchanged():
         spec = _stripped_spec(name)
         out = search_rotational(spec, SearchSpec(complete_uniform(), node_budget=0))
         assert out.status == "budget-exceeded"
-        problem = search._orbit_problem(spec)
+        problem = spec._memo["problem"]
         before = (
             _engine_snapshot(problem.engine), list(problem.splits), list(problem.classes)
         )
@@ -660,7 +722,6 @@ def _spread(p, counts):
 def test_image_pairs_count_the_expanded_pairs(monkeypatch):
     # the post-check's class counts of every pinned witness, made cold
     # and warm, spread over their classes' pairs
-    search._spec_cache.clear()
     counted = []
     class_counts = search._OrbitProblem.class_counts
 
@@ -671,9 +732,10 @@ def test_image_pairs_count_the_expanded_pairs(monkeypatch):
     monkeypatch.setattr(search._OrbitProblem, "class_counts", spy)
     found = [row for row in ROTATIONAL_PINS if row[4] == "found"]
     assert len(found) == 9
+    specs = {name: _stripped_spec(name) for name, *_ in found}
     for name, target, seed, budget, *_ in found + found:
         witness = search_rotational(
-            _stripped_spec(name), _rotational_pin_spec(target, budget, seed)
+            specs[name], _rotational_pin_spec(target, budget, seed)
         ).witness
         assert _spread(witness.p, counted.pop()) == _expanded_pairs(witness)
     assert not counted
@@ -681,7 +743,7 @@ def test_image_pairs_count_the_expanded_pairs(monkeypatch):
     for name in ("ro20", "ro26", "ro38", "ro62", "bool32"):
         spec, stripped = catalog_get(name).payload, _stripped_spec(name)
         search_rotational(stripped, SearchSpec(complete_uniform(), node_budget=0))
-        problem = search._orbit_problem(stripped)
+        problem = stripped._memo["problem"]
         chosen = [
             3 * i + problem.splits[3 * i:3 * i + 3].index(blk)
             for i, blk in enumerate(spec.base_blocks)
@@ -723,7 +785,6 @@ def _rekey_another_class(row, other):
 def test_orbit_rows_that_are_not_whole_classes_are_refused(monkeypatch, corrupt, error):
     # the spec's own expansion certifies it first, so the corrupted rows
     # reach only the orbit problem, which refuses them on the first call
-    search._spec_cache.clear()
     image_rows = search._image_rows
 
     def corrupted(spec):
@@ -738,7 +799,7 @@ def test_orbit_rows_that_are_not_whole_classes_are_refused(monkeypatch, corrupt,
     spec = _stripped_spec("ro20")
     with pytest.raises(NsqsError, match=error):
         search_rotational(spec, SearchSpec(complete_uniform(), seed=1))
-    assert not search._spec_cache
+    assert spec._memo == {}  # a refused spec keeps nothing
     monkeypatch.setattr(search, "_image_rows", image_rows)
     assert search_rotational(spec, SearchSpec(complete_uniform(), seed=1)).status == "found"
 
@@ -752,7 +813,6 @@ def test_orbit_rows_that_are_not_whole_classes_are_refused(monkeypatch, corrupt,
 )
 def test_image_pairs_refuse_a_degenerate_block_like_the_expansion(degenerate, error):
     # the spec is certified by its expansion before any row is built
-    search._spec_cache.clear()
     ro20 = catalog_get("ro20").payload
     spec = RotationalSpec(ro20.p, ro20.base_blocks[:-1] + (degenerate,), ro20.multipliers)
     with pytest.raises(NsqsError, match=error):
@@ -763,7 +823,6 @@ def test_image_pairs_refuse_a_degenerate_block_like_the_expansion(degenerate, er
 
 
 def test_rotational_search_post_check_catches_a_wrong_split_when_warm(monkeypatch):
-    search._spec_cache.clear()
     ro20 = _stripped_spec("ro20")
     run = search._SplitEngine.run
 
@@ -1195,7 +1254,6 @@ ENGINE_TARGETS = [
     "name,seeds", [(n, seeds) for n, lv, seeds in ENGINE_INPUTS if lv == "orbit"]
 )
 def test_orbit_engine_input_matches_reference(name, seeds):
-    search._spec_cache.clear()
     spec = _stripped_spec(name)
     for seed in seeds:
         want = reference_orbit_input(spec, seed)
@@ -1427,9 +1485,8 @@ def test_deficit_tally_is_kept_only_where_its_prune_can_fire():
     # off: every cell live, mu_lo == mu_hi, one total per unit and all
     # units reaching n_cells * mu_lo, so the deficit never exceeds what
     # the free units can add
-    search._spec_cache.clear()
     off = [
-        search._orbit_problem(catalog_get(name).payload).engine
+        search._OrbitProblem(catalog_get(name).payload).engine
         for name in ("ro20", "ro26", "ro38", "ro62", "bool32")
     ]
     off += [_flat_engine(name, complete_uniform()) for name in ("sqs8uniform", "ro20", "ro38")]
