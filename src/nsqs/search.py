@@ -4,7 +4,12 @@ One engine, two front ends, plus local rebalancing:
 
 * :class:`_SplitEngine` -- the engine: an explicit-stack depth-first
   search for one of three splits per *unit*, where each split adds to
-  the counts of *cells* that must end in the target band.
+  the counts of *cells* that must end in the target band.  It runs on
+  one of two kernels that make the same search: int masks over all
+  splits when there are at most 512 splits and the support is not
+  pinned, as in every orbit search, and crossing lists otherwise, as
+  in flat searches of large or pinned inputs, where whole masks cost
+  more than walking the splits a move flips.
 * :func:`search_nesting` -- units are whole blocks, cells are pairs.
 * :func:`search_rotational` -- units are rotational base blocks, cells
   are difference classes, so one node covers a whole orbit of blocks.
@@ -180,6 +185,17 @@ def _check_band(what: str, lo: Optional[int], hi: Optional[int]) -> None:
 
 _CLOCK_STRIDE = 4096  # nodes from one read of the clock to the next
 
+# The most options an input may have for the bit kernel, which answers
+# the fail-first question from whole-int masks and so pays per node for
+# every option; the list kernel pays only for the watchers a move
+# crosses.  Engine CPU per node on a 2-CPU Xeon host with CPython 3.11:
+# with 288 options (the Boolean SQS(128) orbit problem) the bit kernel
+# is 3.4-3.8x faster; with 855 (flat ro20 complete-uniform) the two are
+# even; with 6 327 (flat ro38 complete-uniform) the list kernel is 1.3x
+# faster.  The limit sits below the even point: an unpinned flat search
+# takes bits up to v = 16 (420 options) and the list kernel from v = 20.
+_BIT_OPTIONS = 512
+
 
 class _SplitEngine:
     """The split-assignment engine on one input: the tables that do not
@@ -195,12 +211,28 @@ class _SplitEngine:
     sits below mu_lo and the unassigned units can no longer lift it,
     tested from per-cell potentials on the cells a move lowers or opens.
     ``tally`` is False where the deficit prune cannot fire, and runs then
-    keep no deficit.  The options that a count change flips are listed
-    once per cell and increment, for every count the change can start
-    from, and each option keeps its shared steps ``(cell, increment,
-    flips)``.  A branched unit's feasible counts are not recounted when
-    it is popped: the pop restores the counts it had at the branch.  A
-    run works on copies of the mutable tables, so an engine serves any
+    keep no deficit.
+
+    The engine picks one of two kernels when it is built, and builds
+    only the tables that kernel reads.  Both make the same search: the
+    same nodes, prunes, witnesses and ``chosen`` at a budget stop.
+
+    * The bit kernel (``bits``) runs when the support is not pinned
+      below all cells and there are at most ``_BIT_OPTIONS`` options.
+      Option o is bit o of an int, and ``blocked[cell][count]`` is the
+      mask of the options that no longer fit once the cell holds that
+      count.  A move ORs in one mask per cell it touches, and a node
+      reads every free unit's feasible options from one mask at once.
+    * The list kernel runs otherwise.  The options that a count change
+      flips are listed once per cell and increment, for every count the
+      change can start from, and each option keeps its shared steps
+      ``(cell, increment, flips)``.  A move walks only the watchers it
+      crosses, which is cheaper than whole masks on large inputs, and
+      it keeps the per-option tallies that a pinned support reads.  A
+      branched unit's feasible counts are not recounted when it is
+      popped: the pop restores the counts it had at the branch.
+
+    A run works on copies of the mutable tables, so an engine serves any
     number of runs, each with its own seed.
     """
 
@@ -217,12 +249,7 @@ class _SplitEngine:
         self.contribs, self.n_cells, self.n_units = contribs, n_cells, n_units
         self.mu_lo, self.nd_cells, self.unliftable = mu_lo, nd_cells, unliftable
         self.complete = complete = nd_cells == n_cells
-        # With the support pinned below all cells, an option is feasible
-        # only if the cells it would open fit in the slack (nd_cells less
-        # the nonzero cells).  That test binds only while the slack is
-        # below max_new, the most cells one option touches.
         self.pinned = pinned = nd_cells is not None and not complete
-        self.max_new = max_new = max(map(len, contribs), default=0)
         # no unassigned unit can lower the deficit by more than this
         inc_of = itemgetter(1)
         totals = [sum(map(inc_of, con)) for con in contribs]
@@ -262,7 +289,50 @@ class _SplitEngine:
         # run keeps no deficit tally and never tests it.
         self.tally = not (complete and mu_hi == mu_lo and n_cells * mu_lo <= sum(totals[::3])
                           and totals[::3] == totals[1::3] == totals[2::3])
+        # deficit = sum of gap[count] over cells: how far the live cells
+        # sit below mu_lo; empty cells are live only when the support is
+        # complete
+        self.gap = [
+            mu_lo - c if c < mu_lo and (complete or c) else 0 for c in range(mu_hi + 1)
+        ]
+        self.bits = not pinned and 3 * n_units <= _BIT_OPTIONS
+        if self.bits:
+            self._bit_tables(mu_hi)
+        else:
+            self._list_tables(mu_hi)
 
+    def _bit_tables(self, mu_hi: int) -> None:
+        """The bit kernel's tables.  An option adding inc to a cell fits
+        while the cell's count is at most mu_hi - inc, so it is in
+        ``blocked[cell][c]`` for every count c above that (every count,
+        if inc > mu_hi).  No count passes mu_hi, so each cell has mu_hi
+        + 1 masks, and ``inf`` at the root is the OR of their first.
+        ``steps[o]`` holds one step (cell, inc, row) per entry of
+        contribs[o], shared by every option with that entry: row[c] is
+        the cell's mask at count c + inc, the one a move from c ORs in."""
+        blocked = [[0] * (mu_hi + 1) for _ in range(self.n_cells)]
+        for o, con in enumerate(self.contribs):
+            bit = 1 << o
+            for cl, inc in con:
+                row = blocked[cl]
+                for c in range(max(0, mu_hi - inc + 1), mu_hi + 1):
+                    row[c] |= bit
+        self.blocked = blocked
+        self.inf = 0
+        for row in blocked:
+            self.inf |= row[0]
+        interned = {(cl, inc): (cl, inc, blocked[cl][inc:])
+                    for cl, inc in dict.fromkeys(chain.from_iterable(self.contribs))}
+        self.steps = [tuple(map(interned.__getitem__, con)) for con in self.contribs]
+
+    def _list_tables(self, mu_hi: int) -> None:
+        """The list kernel's tables."""
+        contribs, n_cells, n_units, pinned = self.contribs, self.n_cells, self.n_units, self.pinned
+        # With the support pinned below all cells, an option is feasible
+        # only if the cells it would open fit in the slack (nd_cells less
+        # the nonzero cells).  That test binds only while the slack is
+        # below max_new, the most cells one option touches.
+        self.max_new = max_new = max(map(len, contribs), default=0)
         # Domains.  over[o] counts the cells option o would push past
         # mu_hi, so o is feasible iff over[o] == 0 (and the support pin
         # allows it).  An option adding inc to a cell fits while the
@@ -313,12 +383,6 @@ class _SplitEngine:
             )
             for s in range(max_new if pinned else 0)
         ]
-        # deficit = sum of gap[count] over cells: how far the live cells
-        # sit below mu_lo; empty cells are live only when the support is
-        # complete
-        self.gap = [
-            mu_lo - c if c < mu_lo and (complete or c) else 0 for c in range(mu_hi + 1)
-        ]
 
     def run(self, spec: SearchSpec) -> tuple[str, list[int], SearchStats]:
         """Search with each unit's feasible options tried in index order
@@ -331,7 +395,31 @@ class _SplitEngine:
         not limited by the recursion limit.  It branches fail-first: on
         the free unit with the fewest feasible options, ties going to the
         lowest unit index, so the node order depends on nothing but the
-        input and the seed.  Domains are kept incrementally: a move
+        input and the seed.  A forced unit tries its one feasible option;
+        a unit with two or three tries them in its order.
+        ``stats.nodes`` never exceeds ``spec.node_budget``; the clock is
+        read at the first fresh node and then once per ``_CLOCK_STRIDE``
+        nodes.
+        """
+        units = [[o, o + 1, o + 2] for o in range(0, 3 * self.n_units, 3)]
+        if spec.seed is not None:
+            shuffle = random.Random(spec.seed).shuffle
+            for order in units:
+                shuffle(order)
+        start = time.monotonic()
+        kernel = self._run_bits if self.bits else self._run_lists
+        stop, chosen, nodes, prunes = kernel(units, spec, start)
+        stats = SearchStats(nodes=nodes, elapsed=time.monotonic() - start, stop=stop)
+        for name, n in zip(
+            ("no-feasible-split", "deficit-exceeds-capacity", "pair-unliftable"), prunes
+        ):
+            if n:
+                stats.prunes[name] = n
+        status = stop if stop in ("found", "exhausted") else "budget-exceeded"
+        return status, chosen, stats
+
+    def _run_lists(self, units: list[list[int]], spec: SearchSpec, start: float) -> tuple:
+        """The list kernel.  Domains are kept incrementally: a move
         updates only the options of free units that watch a cell whose
         count it changed, and C-level scans of a bytearray of feasible
         counts give the fail-first choice without scoring every unit.
@@ -341,15 +429,9 @@ class _SplitEngine:
         ``over`` it raised, which its undo replays.  Popping a unit
         restores the feasible counts saved at its branch, and with the
         support pinned the slack is kept from a running count of the
-        nonzero cells, so neither is recounted.  ``stats.nodes`` never
-        exceeds ``spec.node_budget``; the clock is read at the first fresh
-        node and then once per ``_CLOCK_STRIDE`` nodes.
+        nonzero cells, so neither is recounted.  Returns the stop cause,
+        ``chosen``, the node count and the three prune counts.
         """
-        units = [[o, o + 1, o + 2] for o in range(0, 3 * self.n_units, 3)]
-        if spec.seed is not None:
-            shuffle = random.Random(spec.seed).shuffle
-            for order in units:
-                shuffle(order)
         # the tables a run changes are copied; every table is a local
         steps, n_cells, n_units = self.steps, self.n_cells, self.n_units
         mu_lo, nd_cells, unliftable, tally = self.mu_lo, self.nd_cells, self.unliftable, self.tally
@@ -387,7 +469,6 @@ class _SplitEngine:
         budget = spec.node_budget
         time_budget = spec.time_budget
         nodes = no_split = over_capacity = unliftable_cell = clock_at = 0
-        start = time.monotonic()
         chosen = [0] * n_units
         n_free = n_units
         # [unit, its feasible options, how many, next position, trail]
@@ -530,17 +611,131 @@ class _SplitEngine:
                 break
             else:
                 stop = "exhausted"
+        return stop, chosen, nodes, (no_split, over_capacity, unliftable_cell)
 
-        stats = SearchStats(nodes=nodes, elapsed=time.monotonic() - start, stop=stop)
-        for name, n in (
-            ("no-feasible-split", no_split),
-            ("deficit-exceeds-capacity", over_capacity),
-            ("pair-unliftable", unliftable_cell),
-        ):
-            if n:
-                stats.prunes[name] = n
-        status = stop if stop in ("found", "exhausted") else "budget-exceeded"
-        return status, chosen, stats
+    def _run_bits(self, units: list[list[int]], spec: SearchSpec, start: float) -> tuple:
+        """The bit kernel: ``_run_lists`` with the domains kept as masks.
+        ``inf`` is the OR of ``blocked[cell][count]`` over the cells at
+        their current counts, the options that no longer fit.  Counts
+        only rise down the stack, so a move ORs in the masks of the
+        counts it reaches; each frame keeps ``inf`` as it was at its
+        branch, and an undo restores it from there, so there is no trail.
+        ``free`` holds the options of the units not on the stack.  A node
+        shifts ``free & ~inf`` into three slices that hold unit i's
+        options 3i, 3i+1 and 3i+2 at bit 3i, and reads the units with 0,
+        1, 2 or 3 feasible options, all at once, from the slices' OR,
+        parity and AND; the lowest set bit k = 3i of such a mask is the
+        lowest such unit.  Returns what ``_run_lists`` returns.
+        """
+        steps, n_cells, n_units = self.steps, self.n_cells, self.n_units
+        mu_lo, nd_cells, unliftable, tally = self.mu_lo, self.nd_cells, self.unliftable, self.tally
+        complete, capacity, losses, gap = self.complete, self.capacity, self.losses, self.gap
+        pot = self.pot[:] if unliftable else self.pot
+        opens = unliftable and not complete  # an opening cell is tested
+        low = int("001" * n_units or "0", 2)  # bit 3i of every unit i
+        free = (1 << 3 * n_units) - 1
+        free_low = low  # bit 3i of every free unit i
+        inf = self.inf
+        counts = [0] * n_cells
+        deficit = gap[0] * n_cells if tally else 0
+
+        budget = spec.node_budget
+        time_budget = spec.time_budget
+        nodes = no_split = over_capacity = unliftable_cell = clock_at = 0
+        chosen = [0] * n_units
+        n_free = n_units
+        # [unit, its feasible options, how many, next position, inf at the branch]
+        stack: list[list] = []
+        stop = None
+        while stop is None:
+            # a fresh node, as in _run_lists
+            if not n_free:
+                if deficit == 0 and (nd_cells is None or n_cells - counts.count(0) == nd_cells):
+                    stop = "found"
+                    break
+            elif nodes >= budget or nodes >= clock_at and time.monotonic() - start > time_budget:
+                stop = "node-budget" if nodes >= budget else "time-budget"
+                break
+            else:
+                if nodes >= clock_at:
+                    clock_at = nodes + _CLOCK_STRIDE
+                fit = free & ~inf
+                f0 = fit & low
+                f1 = fit >> 1 & low
+                f2 = fit >> 2 & low
+                some = f0 | f1 | f2
+                if some == free_low:  # no free unit is left without an option
+                    three = f0 & f1 & f2
+                    odd = f0 ^ f1 ^ f2
+                    if one := odd ^ three:  # a forced unit: its one open option
+                        k = (one & -one).bit_length() - 1
+                        # its option bits read 1, 2 or 4 for option k, k+1 or k+2
+                        least, opts = 1, (k + ((fit >> k & 7) >> 1),)
+                    elif two := some ^ odd:
+                        k = (two & -two).bit_length() - 1
+                        x, y, z = units[k // 3]
+                        least = 2
+                        opts = (y, z) if inf >> x & 1 else (x, z) if inf >> y & 1 else (x, y)
+                    else:
+                        k = (three & -three).bit_length() - 1
+                        least, opts = 3, units[k // 3]
+                    free ^= 7 << k
+                    free_low ^= 1 << k
+                    n_free -= 1
+                    stack.append([k // 3, opts, least, 0, inf])
+                else:
+                    no_split += 1
+            # undo the last option tried and apply the next untried one
+            while stack:
+                frame = stack[-1]
+                i, opts, n_opts, pos, inf = frame
+                if pos:
+                    o = opts[pos - 1]
+                    if unliftable:
+                        for cl, d in losses[o]:
+                            pot[cl] += d
+                    for cl, inc, _ in steps[o]:
+                        c = counts[cl] - inc
+                        counts[cl] = c
+                        if tally:
+                            deficit += gap[c] - gap[c + inc]
+                if pos == n_opts:
+                    stack.pop()
+                    free |= 7 << 3 * i
+                    free_low |= 1 << 3 * i
+                    n_free += 1
+                    continue
+                if nodes >= budget:
+                    stop = "node-budget"
+                    break
+                frame[3] = pos + 1
+                nodes += 1
+                o = opts[pos]
+                chosen[i] = o
+                if unliftable:
+                    fail = False
+                    for cl, d in losses[o]:
+                        pot[cl] = p = pot[cl] - d
+                        if p < mu_lo and (complete or counts[cl]):
+                            fail = True
+                for cl, inc, row in steps[o]:
+                    c = counts[cl]
+                    counts[cl] = c + inc
+                    inf |= row[c]
+                    if tally:
+                        deficit += gap[c + inc] - gap[c]
+                    if opens and not c and pot[cl] < mu_lo:  # the cell opens below reach
+                        fail = True
+                if tally and deficit > capacity * n_free:
+                    over_capacity += 1
+                    continue
+                if unliftable and fail:
+                    unliftable_cell += 1
+                    continue
+                break
+            else:
+                stop = "exhausted"
+        return stop, chosen, nodes, (no_split, over_capacity, unliftable_cell)
 
 
 # ---------------------------------------------------------------------------

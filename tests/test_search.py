@@ -387,6 +387,30 @@ def test_rotational_search_pinned(
     assert _same_objects(problem_builds, [first, twin])
 
 
+def test_bool128_orbit_search_is_pinned_on_both_kernels(monkeypatch):
+    # the Boolean SQS(128) under the maps x -> 2^k x + s mod 127: 96 base
+    # blocks, so 288 options over 63 difference classes.  Seed 2 finds
+    # the same witness at the same node on the bit kernel, which the
+    # engine picks, and on the list kernel
+    spec = orbit_spec(boolean_rotational_design(7), {pow(2, k, 127) for k in range(7)})
+    search_spec = SearchSpec(complete_uniform(), seed=2)
+    want = ("found", 10686, {"no-feasible-split": 2732}, "d4f5e9411bccaab9")
+    out = search_rotational(spec, search_spec)
+    problem = spec._memo["problem"]
+    assert (problem.engine.bits, len(problem.engine.contribs)) == (True, 288)
+    assert _rotational_result(spec, search_spec) == want
+    with monkeypatch.context() as patch:
+        patch.setattr(search, "_BIT_OPTIONS", 0)
+        lists = search._SplitEngine(
+            problem.engine.contribs, 63, problem.mu, problem.mu, 63, unliftable=False
+        )
+        assert not lists.bits
+        patch.setattr(problem, "engine", lists)
+        assert _rotational_result(spec, search_spec) == want
+    cls = classify(rotational_expand(out.witness))
+    assert (cls.kind, cls.nd_pairs, cls.mu_min, cls.mu_max) == ("complete-uniform", 8128, 21, 21)
+
+
 def test_rotational_search_has_no_depth_limit():
     spec = _stripped_spec("ro38")
     assert len(spec.base_blocks) == 57
@@ -624,7 +648,9 @@ def test_rotational_search_interleaved_specs_match_pins():
 
 def _engine_snapshot(engine):
     """A deep copy of the engine's tables, steps and the watch lists
-    they share included, with the sharing kept: one copy per list."""
+    they share included, with the sharing kept: one copy per list.  A
+    bit-kernel engine's masks, its steps' rows among them, are ints, so
+    the copy holds them too."""
     return copy.deepcopy(vars(engine))
 
 
@@ -637,7 +663,28 @@ def _steps_share_watch(engine):
     )
 
 
-def test_engine_runs_leave_the_tables_unchanged():
+def _steps_read_blocked(engine):
+    return all(
+        row == engine.blocked[cl][inc:]
+        for steps in engine.steps
+        for cl, inc, row in steps
+    )
+
+
+def _tables_of_its_kernel(engine):
+    """Whether the engine's steps are those of the kernel it picked."""
+    return _steps_read_blocked(engine) if engine.bits else _steps_share_watch(engine)
+
+
+def test_engine_runs_leave_the_tables_unchanged(monkeypatch):
+    # each kernel's tables, the bit kernel's masks and the list kernel's
+    # lists; a limit of 0 options puts every engine on the list kernel
+    for limit in (search._BIT_OPTIONS, 0):
+        monkeypatch.setattr(search, "_BIT_OPTIONS", limit)
+        _check_runs_leave_the_tables_unchanged(limit > 0)
+
+
+def _check_runs_leave_the_tables_unchanged(bits):
     for name, runs in (
         ("ro38", ((5, 3000, "found"), (1, 3000, "budget-exceeded"))),
         ("ro62", ((None, 10**8, "found"), (2, 10**8, "found"))),
@@ -646,6 +693,7 @@ def test_engine_runs_leave_the_tables_unchanged():
         out = search_rotational(spec, SearchSpec(complete_uniform(), node_budget=0))
         assert out.status == "budget-exceeded"
         problem = spec._memo["problem"]
+        assert problem.engine.bits == bits
         before = (
             _engine_snapshot(problem.engine), list(problem.splits), list(problem.classes)
         )
@@ -655,35 +703,53 @@ def test_engine_runs_leave_the_tables_unchanged():
             )
             assert out.status == status
             assert (_engine_snapshot(problem.engine), problem.splits, problem.classes) == before
-            assert _steps_share_watch(problem.engine)
-    # a pinned support adds the open-cell tallies, which runs copy too
+            assert _tables_of_its_kernel(problem.engine)
+    # a pinned support adds the open-cell tallies, which runs copy too;
+    # it runs on the list kernel whatever the limit
     blocks = [b[0] + b[1] for b in boolean_sqs(4).blocks]
     contribs, _, n_cells = _engine_input(
         search_nesting, blocks, SearchSpec(band(0, 1), node_budget=0)
     )
     res = search._resolve_target(minimum_uniform(), 16)
     engine = search._SplitEngine(contribs, n_cells, res.mu_lo, res.mu_hi, res.nd_pairs, True)
-    assert engine.pinned and engine.within and engine.losses
+    assert engine.pinned and engine.within and engine.losses and not engine.bits
     before = _engine_snapshot(engine)
     for budget, status in ((10**5, "found"), (500, "budget-exceeded")):
         assert engine.run(SearchSpec(minimum_uniform(), node_budget=budget))[0] == status
         assert _engine_snapshot(engine) == before
         assert _steps_share_watch(engine)
+    # a free support with the unliftable prune and the deficit tally on:
+    # bool4 under a band, 420 options
+    engine = _flat_engine("bool4", band(4, 6))
+    assert engine.bits == bits and engine.tally and engine.losses
+    before = _engine_snapshot(engine)
+    for seed in (None, 3):
+        assert engine.run(SearchSpec(band(4, 6), node_budget=3000, seed=seed))[2].nodes
+        assert _engine_snapshot(engine) == before
+        assert _tables_of_its_kernel(engine)
 
 
-def test_engine_steps_list_the_watchers_each_change_crosses():
-    # flips[c] of a step (cell, inc) holds the watchers of the thresholds
-    # c .. c+inc-1, for every count c at which an option fits the cell
-    # (c + inc <= mu_hi); one step serves every option with that entry
+def _table_cases():
+    """(contribs, n_cells, mu_lo, mu_hi, nd_cells): ro62's orbit input,
+    whose options touch 5 to 10 classes with increments of 2 among them,
+    the synthetic increments, and bool4's pinned minimum-uniform input."""
     contribs, _, n_cells = _engine_input(
         search_rotational, _stripped_spec("ro62"), SearchSpec(complete_uniform(), node_budget=0)
     )
-    cases = [(contribs, n_cells, 10, 10, None)]
-    cases += [case[:5] for case in _synthetic_increment_cases()]
-    cases += [case[:5] for case in _bool4_minimum_cases()][:1]
+    yield contribs, n_cells, 10, 10, None
+    yield from (case[:5] for case in _synthetic_increment_cases())
+    yield from [case[:5] for case in _bool4_minimum_cases()][:1]
+
+
+def test_engine_steps_list_the_watchers_each_change_crosses(monkeypatch):
+    # flips[c] of a step (cell, inc) holds the watchers of the thresholds
+    # c .. c+inc-1, for every count c at which an option fits the cell
+    # (c + inc <= mu_hi); one step serves every option with that entry
+    monkeypatch.setattr(search, "_BIT_OPTIONS", 0)
     incs = set()
-    for contribs, n_cells, lo, hi, nd in cases:
+    for contribs, n_cells, lo, hi, nd in _table_cases():
         engine = search._SplitEngine(contribs, n_cells, lo, hi, nd, True)
+        assert not engine.bits
         shared = {}
         for o, steps in enumerate(engine.steps):
             assert [(cl, inc) for cl, inc, _ in steps] == list(contribs[o])
@@ -697,6 +763,40 @@ def test_engine_steps_list_the_watchers_each_change_crosses():
                 incs.add(inc)
         assert _steps_share_watch(engine)
     assert incs == {1, 2, 3}
+
+
+def test_engine_masks_hold_the_options_each_count_rules_out():
+    # blocked[cell][c] holds option o iff o adds inc to the cell and
+    # c + inc passes mu_hi (capped at the largest reach); a step's row[c]
+    # is the mask at c + inc, and inf at the root the OR at count 0
+    kernels = set()
+    for contribs, n_cells, lo, hi, nd in _table_cases():
+        engine = search._SplitEngine(contribs, n_cells, lo, hi, nd, True)
+        kernels.add(engine.bits)
+        if not engine.bits:
+            continue
+        assert not hasattr(engine, "watch")
+        reach = Counter()
+        for span in _spans(contribs):
+            reach.update(span)
+        hi = max(0, min(hi, max(reach.values(), default=0)))
+        assert len(engine.blocked) == n_cells
+        entries = list(map(dict, contribs))
+        root = 0
+        for cl, row in enumerate(engine.blocked):
+            assert row == [
+                sum(1 << o for o, own in enumerate(entries) if cl in own and c + own[cl] > hi)
+                for c in range(hi + 1)
+            ]
+            root |= row[0]
+        assert engine.inf == root
+        shared = {}
+        for o, steps in enumerate(engine.steps):
+            assert [(cl, inc) for cl, inc, _ in steps] == list(contribs[o])
+            for step in steps:
+                assert shared.setdefault(step[:2], step) is step
+        assert _steps_read_blocked(engine)
+    assert kernels == {True, False}  # bool4 minimum-uniform is pinned
 
 
 def _expanded_pairs(spec):
@@ -1521,12 +1621,30 @@ def test_deficit_tally_is_kept_only_where_its_prune_can_fire():
     assert want[2].prunes["deficit-exceeds-capacity"] > 0
 
 
-def test_engine_follows_the_unit_orders():
+def _kernels(monkeypatch):
+    """Yield True, then False: first the engine picks its own kernel,
+    then a limit of 0 options forces the list kernel on every input
+    that has a unit."""
+    for bits in (True, False):
+        with monkeypatch.context() as patch:
+            if not bits:
+                patch.setattr(search, "_BIT_OPTIONS", 0)
+            yield bits
+
+
+def _picks_bits(contribs, n_cells, nd):
+    """The bit kernel's input: a support that is not pinned below all
+    cells, and at most 512 options."""
+    return nd in (None, n_cells) and len(contribs) <= 512
+
+
+def test_engine_follows_the_unit_orders(monkeypatch):
     # a seeded run, each unit's options in a shuffled order, makes the
     # same search as the reference over the contributions read in that
-    # order, including the pinned slack's tallies past their threshold.
-    # Each case takes its own seed among those that leave option 0 first
-    # in unit 0, so an unset chosen entry (0) reads alike in both
+    # order, including the pinned slack's tallies past their threshold,
+    # on the kernel the engine picks and on the list kernel.  Each case
+    # takes its own seed among those that leave option 0 first in unit
+    # 0, so an unset chosen entry (0) reads alike in both
     seeds = (seed for seed in count() if _unit_orders(1, seed)[0][0] == 0)
     orders = set()
     cases = chain(
@@ -1535,42 +1653,110 @@ def test_engine_follows_the_unit_orders():
         _sweep_cases("sqs10", "block", (None,)),
         _sweep_cases("ro26", "orbit", (None,)),
     )
-    runs = 0
+    runs = Counter()
     for contribs, n_cells, lo, hi, nd, budget, _ in cases:
         seed = next(seeds)
         units = _unit_orders(len(contribs) // 3, seed)
         orders.add(tuple(units))
         for unliftable in (True, False):
             spec = SearchSpec(complete_uniform(), node_budget=budget)
-            engine = search._SplitEngine(contribs, n_cells, lo, hi, nd, unliftable)
-            status, chosen, stats = engine.run(
-                SearchSpec(complete_uniform(), node_budget=budget, seed=seed)
-            )
             want = reference_assign_splits(
                 _seeded(contribs, units), n_cells, lo, hi, nd, unliftable, spec
             )
-            assert (status, stats.nodes, stats.prunes) == (want[0], want[2].nodes, want[2].prunes)
-            assert chosen == [
-                units[i][o - 3 * i] if 0 <= o - 3 * i < 3 else o
-                for i, o in enumerate(want[1])
-            ]
-            runs += 1
-    assert runs == 2 * len(orders)
+            for allowed in _kernels(monkeypatch):
+                engine = search._SplitEngine(contribs, n_cells, lo, hi, nd, unliftable)
+                assert engine.bits == (allowed and _picks_bits(contribs, n_cells, nd))
+                status, chosen, stats = engine.run(
+                    SearchSpec(complete_uniform(), node_budget=budget, seed=seed)
+                )
+                assert (status, stats.nodes, stats.prunes) == (
+                    want[0], want[2].nodes, want[2].prunes
+                )
+                assert chosen == [
+                    units[i][o - 3 * i] if 0 <= o - 3 * i < 3 else o
+                    for i, o in enumerate(want[1])
+                ]
+                runs[engine.bits] += 1
+    assert sum(runs.values()) == 4 * len(orders)
+    assert runs[True] and runs[False]
+
+
+def _check_kernels_against_reference(cases, monkeypatch):
+    """Run every case, with the unliftable prune on and off, on the
+    kernel the engine picks and on the list kernel, against the
+    reference; returns how many runs each kernel made."""
+    runs = Counter()
+    for contribs, n_cells, lo, hi, nd, budget, seed in cases:
+        for unliftable in (True, False):
+            spec = SearchSpec(complete_uniform(), node_budget=budget)
+            want = reference_assign_splits(contribs, n_cells, lo, hi, nd, unliftable, spec)
+            for allowed in _kernels(monkeypatch):
+                engine = search._SplitEngine(contribs, n_cells, lo, hi, nd, unliftable)
+                assert engine.bits == (allowed and _picks_bits(contribs, n_cells, nd))
+                got = engine.run(spec)
+                assert got[2].nodes <= budget
+                assert got[2].stop == STOPS[got[0]]
+                # chosen at a budget stop pins the node order
+                assert (got[0], got[1], got[2].nodes, got[2].prunes) == (
+                    want[0], want[1], want[2].nodes, want[2].prunes
+                ), (seed, lo, hi, nd, unliftable, engine.bits)
+                runs[engine.bits] += 1
+    return runs
 
 
 @pytest.mark.parametrize("case", ENGINE_SWEEP)
-def test_engine_matches_reference(case):
-    runs = 0
-    for contribs, n_cells, lo, hi, nd, budget, seed in ENGINE_SWEEP[case]():
-        for unliftable in (True, False):
-            spec = SearchSpec(complete_uniform(), node_budget=budget)
-            got = search._SplitEngine(contribs, n_cells, lo, hi, nd, unliftable).run(spec)
-            want = reference_assign_splits(contribs, n_cells, lo, hi, nd, unliftable, spec)
-            assert got[2].nodes <= budget
-            assert got[2].stop == STOPS[got[0]]
-            # chosen at a budget stop pins the node order
-            assert (got[0], got[1], got[2].nodes, got[2].prunes) == (
-                want[0], want[1], want[2].nodes, want[2].prunes
-            ), (seed, lo, hi, nd, unliftable)
-            runs += 1
-    assert runs
+def test_engine_matches_reference(case, monkeypatch):
+    runs = _check_kernels_against_reference(ENGINE_SWEEP[case](), monkeypatch)
+    assert runs[False]
+
+
+def _limit_cases(n_units):
+    """n_units units over 48 cells: every fourth unit, from unit 1 on,
+    is in a random core whose options add 1 or 2 to two or three cells,
+    and the options of the other units touch no cell; under a band with
+    the support free, and with every cell live at mu = 3.  Within the
+    budget each of the three prunes fires, the unliftable one only with
+    its prune on, the deficit one only with it off."""
+    rng = random.Random(11)
+    contribs = []
+    for o in range(3 * n_units):
+        con = {}
+        while o // 3 % 4 == 1 and len(con) < 2 + (rng.random() < 0.5):
+            con[int(rng.random() * 48)] = 1 + (rng.random() < 0.3)
+        contribs.append(tuple(sorted(con.items())))
+    for lo, hi, nd in ((2, 4, None), (3, 3, 48)):
+        yield contribs, 48, lo, hi, nd, 3000, None
+
+
+def test_engine_kernels_meet_at_the_option_limit(monkeypatch):
+    # 510 options, the most whole units within 512, take the bit kernel
+    # and 513 the list kernel; both search as the reference does, and so
+    # does an input with no cell at all
+    assert search._BIT_OPTIONS == 512
+    for n_units, bits in ((170, True), (171, False)):
+        cases = list(_limit_cases(n_units))
+        assert all(len(case[0]) == 3 * n_units for case in cases)
+        runs = _check_kernels_against_reference(cases, monkeypatch)
+        assert runs == Counter({True: 2 * len(cases) * bits, False: 2 * len(cases) * (2 - bits)})
+    empty = [([()] * 12, 0, 1, 2, nd, 100, None) for nd in (None, 0)]
+    runs = _check_kernels_against_reference(empty, monkeypatch)
+    assert runs == Counter({True: 4, False: 4})
+
+
+def test_engine_picks_its_kernel_from_its_input():
+    # bits: the five orbit problems of the search-orbit benchmark
+    for name, options in (("ro20", 45), ("ro26", 78), ("ro38", 171), ("ro62", 93),
+                          ("bool32", 24)):
+        engine = search._OrbitProblem(_stripped_spec(name)).engine
+        assert (len(engine.contribs), engine.bits) == (options, True)
+        assert not hasattr(engine, "watch") and not hasattr(engine, "over")
+    # lists: flat inputs past 512 options, and pinned supports of any size
+    for name, target, options in (
+        ("ro20", complete_uniform(), 855),
+        ("ro38", complete_uniform(), 6327),
+        ("sqs10", uniform(2), 90),
+        ("bool4", minimum_uniform(), 420),
+    ):
+        engine = _flat_engine(name, target)
+        assert (len(engine.contribs), engine.bits, engine.pinned) == (options, False, options < 512)
+        assert not hasattr(engine, "blocked")
