@@ -244,8 +244,9 @@ def _cmd_search(args) -> int:
         blocks = [b[0] + b[1] for b in design.blocks]
         out = search.search_nesting(blocks, spec)
         serialize = fileio.serialize_design
+    prunes = ",".join(f"{name}:{n}" for name, n in out.stats.prunes.items()) or "none"
     print(
-        f"status={out.status} nodes={out.stats.nodes} "
+        f"status={out.status} nodes={out.stats.nodes} prunes={prunes} "
         f"elapsed={out.stats.elapsed:.2f}s"
         + (f" reason: {out.reason}" if out.reason else ""),
         file=sys.stderr,

@@ -275,16 +275,19 @@ def _image_rows(spec: RotationalSpec) -> Iterator[tuple[list[Pair], int, list[Pa
         twice; such a p never expands to a design, as p + 1 is odd.)"""
         r = rows.get(d)
         if r is None:
-            if d == p:
-                r = [(s, p) for s in range(p)]
-            elif 2 * d > p:
-                # {s, s + d} = {s + d, s + d + (p - d)}
-                r = row(p - d)
+            # {s, s + d} = {s + d, s + d + (p - d)}: the row of p - d, turned
+            e = p - d if d < p < 2 * d else d
+            r = rows.get(e)
+            if r is None:
+                if e == p:
+                    r = [(s, p) for s in range(p)]
+                else:
+                    r = [(s, s + e) for s in range(p - e)]
+                    r += [(s + e - p, s) for s in range(p - e, p)]
+                rows[e] = r
+            if e != d:
                 r = r[d:] + r[:d]
-            else:
-                r = [(s, s + d) for s in range(p - d)]
-                r += [(s + d - p, s) for s in range(p - d, p)]
-            rows[d] = r
+                rows[d] = r
         return r
 
     multipliers = sorted(spec.multipliers)

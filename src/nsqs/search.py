@@ -5,11 +5,12 @@ One engine, two front ends, plus local rebalancing:
 * :class:`_SplitEngine` -- the engine: an explicit-stack depth-first
   search for one of three splits per *unit*, where each split adds to
   the counts of *cells* that must end in the target band.  It runs on
-  one of two kernels that make the same search: int masks over all
-  splits when there are at most 512 splits and the support is not
-  pinned, as in every orbit search, and crossing lists otherwise, as
-  in flat searches of large or pinned inputs, where whole masks cost
-  more than walking the splits a move flips.
+  one of two kernels that make the same search: int masks over the
+  units, one per split position, when there are at most 8192 splits
+  and the support is not pinned, as in every orbit search and flat
+  searches up to v = 40, and crossing lists otherwise, as in flat
+  searches of larger or pinned inputs, where whole masks cost more
+  than walking the splits a move flips.
 * :func:`search_nesting` -- units are whole blocks, cells are pairs.
 * :func:`search_rotational` -- units are rotational base blocks, cells
   are difference classes, so one node covers a whole orbit of blocks.
@@ -36,9 +37,10 @@ import random
 import time
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import chain, islice
 from math import comb
-from operator import itemgetter
+from operator import and_, itemgetter
 from typing import Optional
 
 from .analysis import min_nd_pairs, split_classes, uniform_obstruction
@@ -186,15 +188,19 @@ def _check_band(what: str, lo: Optional[int], hi: Optional[int]) -> None:
 _CLOCK_STRIDE = 4096  # nodes from one read of the clock to the next
 
 # The most options an input may have for the bit kernel, which answers
-# the fail-first question from whole-int masks and so pays per node for
-# every option; the list kernel pays only for the watchers a move
-# crosses.  Engine CPU per node on a 2-CPU Xeon host with CPython 3.11:
-# with 288 options (the Boolean SQS(128) orbit problem) the bit kernel
-# is 3.4-3.8x faster; with 855 (flat ro20 complete-uniform) the two are
-# even; with 6 327 (flat ro38 complete-uniform) the list kernel is 1.3x
-# faster.  The limit sits below the even point: an unpinned flat search
-# takes bits up to v = 16 (420 options) and the list kernel from v = 20.
-_BIT_OPTIONS = 512
+# the fail-first question from whole-int masks over the units and so
+# pays per node for every unit; the list kernel pays only for the
+# watchers a move crosses.  Flat complete-uniform inputs, bits against
+# lists, medians of 3 processes on a 2-CPU Xeon host with CPython 3.11
+# (engine CPU per node; set-up; tables): ro20 (855 options, 5 000
+# nodes) 2.1 against 2.7 us, 2.8 against 2.2 ms, 0.24 against 0.30 MB;
+# ro38 (6 327, 200 000 nodes) 3.0 against 3.5 us, 18 against 11 ms, 1.8
+# against 2.2 MB; ro62 (28 365, 100 000 nodes) 5.2 against 2.9 us, 104
+# against 71 ms, 12.1 against 9.8 MB.  A flat input's masks grow as
+# about v^5 / 128 bytes.  The limit sits between ro38 and ro62: an
+# unpinned flat search takes bits up to v = 40 (7 410 options) and the
+# list kernel from v = 44 (9 933).
+_BIT_OPTIONS = 8192
 
 
 class _SplitEngine:
@@ -219,10 +225,12 @@ class _SplitEngine:
 
     * The bit kernel (``bits``) runs when the support is not pinned
       below all cells and there are at most ``_BIT_OPTIONS`` options.
-      Option o is bit o of an int, and ``blocked[cell][count]`` is the
-      mask of the options that no longer fit once the cell holds that
-      count.  A move ORs in one mask per cell it touches, and a node
-      reads every free unit's feasible options from one mask at once.
+      Its masks are ints over the units, one per option position k:
+      bit i of ``fit[k]`` is set while option 3i + k fits.  For each
+      cell and count, ``rows`` keeps the three complements of the units
+      whose option stops fitting there, where any does.  A move ANDs in
+      those of each cell it touches, and a node reads every free unit's
+      feasible options from the three masks at once.
     * The list kernel runs otherwise.  The options that a count change
       flips are listed once per cell and increment, for every count the
       change can start from, and each option keeps its shared steps
@@ -302,27 +310,52 @@ class _SplitEngine:
             self._list_tables(mu_hi)
 
     def _bit_tables(self, mu_hi: int) -> None:
-        """The bit kernel's tables.  An option adding inc to a cell fits
-        while the cell's count is at most mu_hi - inc, so it is in
-        ``blocked[cell][c]`` for every count c above that (every count,
-        if inc > mu_hi).  No count passes mu_hi, so each cell has mu_hi
-        + 1 masks, and ``inf`` at the root is the OR of their first.
-        ``steps[o]`` holds one step (cell, inc, row) per entry of
-        contribs[o], shared by every option with that entry: row[c] is
-        the cell's mask at count c + inc, the one a move from c ORs in."""
-        blocked = [[0] * (mu_hi + 1) for _ in range(self.n_cells)]
+        """The bit kernel's tables, masks over the units: bit i of
+        ``fit[k]`` is set while option 3i + k may still fit.  An option
+        adding inc to a cell fits while the cell's count is at most
+        mu_hi - inc, so it stops fitting once the count reaches mu_hi -
+        inc + 1, or from the root on if inc > mu_hi.  ``rows[cell][t]``
+        holds, for each count t > 0 at which some option stops fitting
+        the cell, the three masks ``full ^ b_k``, where b_k holds the
+        units whose option k does; None where none does.  ``fit`` at the
+        root is ``full`` less the options that never fit.  ``steps[o]``
+        holds one step (cell, inc, row) per entry of contribs[o], shared
+        by every option with that entry: row[t] is the AND of the cell's
+        masks at the counts t - inc + 1 .. t, the ones a move that
+        brings the cell to t passes, or None if there are none.  For inc
+        == 1, row is the cell's row itself."""
+        full = (1 << self.n_units) - 1
+        top = mu_hi + 1
+        stopping: dict[tuple[int, int], list[int]] = {}
         for o, con in enumerate(self.contribs):
-            bit = 1 << o
+            bit = 1 << o // 3
+            k = o % 3
             for cl, inc in con:
-                row = blocked[cl]
-                for c in range(max(0, mu_hi - inc + 1), mu_hi + 1):
-                    row[c] |= bit
-        self.blocked = blocked
-        self.inf = 0
-        for row in blocked:
-            self.inf |= row[0]
-        interned = {(cl, inc): (cl, inc, blocked[cl][inc:])
-                    for cl, inc in dict.fromkeys(chain.from_iterable(self.contribs))}
+                key = (cl, top - inc if inc < top else 0)
+                masks = stopping.get(key)
+                if masks is None:
+                    stopping[key] = masks = [0, 0, 0]
+                masks[k] |= bit
+        rows: list[list] = [[None] * top for _ in range(self.n_cells)]
+        never = [0, 0, 0]
+        for (cl, t), masks in stopping.items():
+            if t:
+                rows[cl][t] = tuple(full ^ b for b in masks)
+            else:
+                for k, b in enumerate(masks):
+                    never[k] |= b
+        self.rows = rows
+        self.fit = tuple(full ^ b for b in never)
+
+        def reached(masks: list) -> Optional[tuple[int, int, int]]:
+            live = [m for m in masks if m]
+            if len(live) < 2:
+                return live[0] if live else None
+            return tuple(reduce(and_, col) for col in zip(*live))
+
+        interned = {(cl, inc): (cl, inc, rows[cl] if inc == 1 else [
+            reached(rows[cl][t - inc + 1:t + 1]) if t >= inc else None for t in range(top)
+        ]) for cl, inc in dict.fromkeys(chain.from_iterable(self.contribs))}
         self.steps = [tuple(map(interned.__getitem__, con)) for con in self.contribs]
 
     def _list_tables(self, mu_hi: int) -> None:
@@ -614,28 +647,25 @@ class _SplitEngine:
         return stop, chosen, nodes, (no_split, over_capacity, unliftable_cell)
 
     def _run_bits(self, units: list[list[int]], spec: SearchSpec, start: float) -> tuple:
-        """The bit kernel: ``_run_lists`` with the domains kept as masks.
-        ``inf`` is the OR of ``blocked[cell][count]`` over the cells at
-        their current counts, the options that no longer fit.  Counts
-        only rise down the stack, so a move ORs in the masks of the
-        counts it reaches; each frame keeps ``inf`` as it was at its
-        branch, and an undo restores it from there, so there is no trail.
-        ``free`` holds the options of the units not on the stack.  A node
-        shifts ``free & ~inf`` into three slices that hold unit i's
-        options 3i, 3i+1 and 3i+2 at bit 3i, and reads the units with 0,
-        1, 2 or 3 feasible options, all at once, from the slices' OR,
-        parity and AND; the lowest set bit k = 3i of such a mask is the
-        lowest such unit.  Returns what ``_run_lists`` returns.
+        """The bit kernel: ``_run_lists`` with the domains kept as masks
+        over the units, one per option position.  ``fit0``, ``fit1`` and
+        ``fit2`` hold the units whose option 3i, 3i+1 or 3i+2 still fits.
+        Counts only rise down the stack, so a move ANDs in the masks of
+        the counts it reaches; each frame keeps the three masks as they
+        were at its branch, and an undo restores them from there, so
+        there is no trail.  ``free`` holds the units not on the stack.  A
+        node masks each of the three with ``free`` and reads the units
+        with 0, 1, 2 or 3 feasible options, all at once, from their OR,
+        parity and AND; the lowest set bit of such a mask is the lowest
+        such unit.  Returns what ``_run_lists`` returns.
         """
         steps, n_cells, n_units = self.steps, self.n_cells, self.n_units
         mu_lo, nd_cells, unliftable, tally = self.mu_lo, self.nd_cells, self.unliftable, self.tally
         complete, capacity, losses, gap = self.complete, self.capacity, self.losses, self.gap
         pot = self.pot[:] if unliftable else self.pot
         opens = unliftable and not complete  # an opening cell is tested
-        low = int("001" * n_units or "0", 2)  # bit 3i of every unit i
-        free = (1 << 3 * n_units) - 1
-        free_low = low  # bit 3i of every free unit i
-        inf = self.inf
+        free = (1 << n_units) - 1
+        fit0, fit1, fit2 = self.fit
         counts = [0] * n_cells
         deficit = gap[0] * n_cells if tally else 0
 
@@ -644,7 +674,8 @@ class _SplitEngine:
         nodes = no_split = over_capacity = unliftable_cell = clock_at = 0
         chosen = [0] * n_units
         n_free = n_units
-        # [unit, its feasible options, how many, next position, inf at the branch]
+        # [unit, its feasible options, how many, next position, its bit,
+        #  fit0, fit1, fit2 at the branch]
         stack: list[list] = []
         stop = None
         while stop is None:
@@ -659,36 +690,38 @@ class _SplitEngine:
             else:
                 if nodes >= clock_at:
                     clock_at = nodes + _CLOCK_STRIDE
-                fit = free & ~inf
-                f0 = fit & low
-                f1 = fit >> 1 & low
-                f2 = fit >> 2 & low
+                f0 = fit0 & free
+                f1 = fit1 & free
+                f2 = fit2 & free
                 some = f0 | f1 | f2
-                if some == free_low:  # no free unit is left without an option
+                if some == free:  # no free unit is left without an option
                     three = f0 & f1 & f2
                     odd = f0 ^ f1 ^ f2
                     if one := odd ^ three:  # a forced unit: its one open option
-                        k = (one & -one).bit_length() - 1
-                        # its option bits read 1, 2 or 4 for option k, k+1 or k+2
-                        least, opts = 1, (k + ((fit >> k & 7) >> 1),)
+                        bit = one & -one
+                        i = bit.bit_length() - 1
+                        least, opts = 1, (3 * i + (0 if f0 & bit else 1 if f1 & bit else 2),)
                     elif two := some ^ odd:
-                        k = (two & -two).bit_length() - 1
-                        x, y, z = units[k // 3]
+                        bit = two & -two
+                        i = bit.bit_length() - 1
+                        # the option that does not fit
+                        out = 3 * i + (0 if not f0 & bit else 1 if not f1 & bit else 2)
+                        x, y, z = units[i]
                         least = 2
-                        opts = (y, z) if inf >> x & 1 else (x, z) if inf >> y & 1 else (x, y)
+                        opts = (y, z) if x == out else (x, z) if y == out else (x, y)
                     else:
-                        k = (three & -three).bit_length() - 1
-                        least, opts = 3, units[k // 3]
-                    free ^= 7 << k
-                    free_low ^= 1 << k
+                        bit = three & -three
+                        i = bit.bit_length() - 1
+                        least, opts = 3, units[i]
+                    free ^= bit
                     n_free -= 1
-                    stack.append([k // 3, opts, least, 0, inf])
+                    stack.append([i, opts, least, 0, bit, fit0, fit1, fit2])
                 else:
                     no_split += 1
             # undo the last option tried and apply the next untried one
             while stack:
                 frame = stack[-1]
-                i, opts, n_opts, pos, inf = frame
+                i, opts, n_opts, pos, bit, fit0, fit1, fit2 = frame
                 if pos:
                     o = opts[pos - 1]
                     if unliftable:
@@ -701,8 +734,7 @@ class _SplitEngine:
                             deficit += gap[c] - gap[c + inc]
                 if pos == n_opts:
                     stack.pop()
-                    free |= 7 << 3 * i
-                    free_low |= 1 << 3 * i
+                    free |= bit
                     n_free += 1
                     continue
                 if nodes >= budget:
@@ -719,12 +751,16 @@ class _SplitEngine:
                         if p < mu_lo and (complete or counts[cl]):
                             fail = True
                 for cl, inc, row in steps[o]:
-                    c = counts[cl]
-                    counts[cl] = c + inc
-                    inf |= row[c]
+                    c = counts[cl] + inc
+                    counts[cl] = c
+                    if masks := row[c]:  # options stop fitting the cell
+                        m0, m1, m2 = masks
+                        fit0 &= m0
+                        fit1 &= m1
+                        fit2 &= m2
                     if tally:
-                        deficit += gap[c + inc] - gap[c]
-                    if opens and not c and pot[cl] < mu_lo:  # the cell opens below reach
+                        deficit += gap[c] - gap[c - inc]
+                    if opens and c == inc and pot[cl] < mu_lo:  # the cell opens below reach
                         fail = True
                 if tally and deficit > capacity * n_free:
                     over_capacity += 1

@@ -3,6 +3,7 @@
 import hashlib
 import io
 import json
+import re
 import time
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -255,6 +256,25 @@ def test_search_found_writes_design(capsys, sqs10_file, tmp_path):
     path.write_text(out)
     code, out, _ = run(capsys, "classify", str(path))
     assert out.splitlines()[0] == "uniform M=30 mu=2"
+
+
+def test_search_status_line_carries_the_prune_counts(capsys, sqs10_file):
+    # the counts follow nodes=N, in the order the engine reports them,
+    # and read none where no prune fired
+    code, _, err = run(
+        capsys, "search", sqs10_file, "--target", "uniform", "--mu", "2"
+    )
+    assert code == 0
+    assert re.fullmatch(
+        r"status=found nodes=381 prunes=no-feasible-split:60,pair-unliftable:85 "
+        r"elapsed=\d+\.\d\ds\n",
+        err,
+    )
+    code, _, err = run(
+        capsys, "search", sqs10_file, "--target", "uniform", "--mu", "3"
+    )
+    assert code == 1
+    assert err.startswith("status=refused nodes=0 prunes=none elapsed=0.00s reason: ")
 
 
 def test_search_flat_design_has_no_depth_limit(capsys, tmp_path):

@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import functools
+import gc
 import hashlib
 import operator
 import pickle
@@ -270,7 +271,7 @@ BLOCK_PINS = [
     "name,target,seed,budget,status,nodes,prunes,witness", BLOCK_PINS
 )
 def test_search_nesting_pinned(
-    name, target, seed, budget, status, nodes, prunes, witness
+    monkeypatch, name, target, seed, budget, status, nodes, prunes, witness
 ):
     blocks = (
         [b[0] + b[1] for b in boolean_sqs(4).blocks]
@@ -278,7 +279,9 @@ def test_search_nesting_pinned(
         else _point_sets(name)
     )
     goal, kind = BLOCK_TARGETS[target]
-    out = search_nesting(blocks, SearchSpec(goal, node_budget=budget, seed=seed))
+    spec = SearchSpec(goal, node_budget=budget, seed=seed)
+    kernels = _spy_kernels(monkeypatch)
+    out = search_nesting(blocks, spec)
     assert out.status == status
     assert out.stats.stop == STOPS[status]
     assert out.stats.nodes == nodes
@@ -289,6 +292,31 @@ def test_search_nesting_pinned(
         assert _witness_digest(serialize_design(out.witness)) == witness
         assert verify_steiner(out.witness).ok
         assert classify(out.witness).kind == kind
+    # a support that is not pinned takes the bit kernel, and the list
+    # kernel makes the same search
+    free = target not in ("uniform2", "minimum")
+    assert kernels == [free]
+    if free:
+        monkeypatch.setattr(search, "_BIT_OPTIONS", 0)
+        lists = search_nesting(blocks, spec)
+        assert kernels == [True, False]
+        assert (lists.status, lists.stats.nodes, dict(lists.stats.prunes)) == (
+            status, nodes, prunes
+        )
+        assert (lists.witness and _witness_digest(serialize_design(lists.witness))) == witness
+
+
+def _spy_kernels(monkeypatch):
+    """The list, in run order, of whether each engine run took bits."""
+    kernels = []
+    run = search._SplitEngine.run
+
+    def spy(engine, spec):
+        kernels.append(engine.bits)
+        return run(engine, spec)
+
+    monkeypatch.setattr(search._SplitEngine, "run", spy)
+    return kernels
 
 
 def test_search_nesting_has_no_depth_limit():
@@ -512,6 +540,23 @@ def test_rotational_search_warm_cache_matches_cold(
     assert _same_objects(problem_builds, [stripped] + [o for o in others for _ in range(2)])
 
 
+def test_orbit_builds_leave_nothing_for_the_collector():
+    # an expansion and an orbit problem hold no reference cycle, so what
+    # they build is freed on return: with the collector paused, a
+    # collection afterwards finds nothing to free
+    spec = _stripped_spec("ro62")
+    gc.collect()
+    gc.disable()
+    try:
+        assert len(rotational_expand(spec).blocks) == 9455
+        freed = gc.collect()
+        assert search._OrbitProblem(spec).mu == 10
+        freed = (freed, gc.collect())
+    finally:
+        gc.enable()
+    assert freed == (0, 0)
+
+
 def test_memo_is_no_part_of_a_specs_value():
     spec = _stripped_spec("ro20")
     before = pickle.dumps(spec)
@@ -663,9 +708,22 @@ def _steps_share_watch(engine):
     )
 
 
-def _steps_read_blocked(engine):
+def _reached(masks):
+    """The AND of the masks that are not None, position by position, or
+    None if all are."""
+    live = [m for m in masks if m is not None]
+    return tuple(functools.reduce(operator.and_, col) for col in zip(*live)) if live else None
+
+
+def _steps_read_rows(engine):
+    """Whether each step's row[t] is the AND of its cell's masks at the
+    counts t - inc + 1 .. t, None below inc, and for inc 1 the cell's
+    row itself."""
     return all(
-        row == engine.blocked[cl][inc:]
+        row is engine.rows[cl] if inc == 1 else row == [
+            _reached(engine.rows[cl][t - inc + 1:t + 1]) if t >= inc else None
+            for t in range(len(engine.rows[cl]))
+        ]
         for steps in engine.steps
         for cl, inc, row in steps
     )
@@ -673,7 +731,7 @@ def _steps_read_blocked(engine):
 
 def _tables_of_its_kernel(engine):
     """Whether the engine's steps are those of the kernel it picked."""
-    return _steps_read_blocked(engine) if engine.bits else _steps_share_watch(engine)
+    return _steps_read_rows(engine) if engine.bits else _steps_share_watch(engine)
 
 
 def test_engine_runs_leave_the_tables_unchanged(monkeypatch):
@@ -732,12 +790,15 @@ def _check_runs_leave_the_tables_unchanged(bits):
 def _table_cases():
     """(contribs, n_cells, mu_lo, mu_hi, nd_cells): ro62's orbit input,
     whose options touch 5 to 10 classes with increments of 2 among them,
-    the synthetic increments, and bool4's pinned minimum-uniform input."""
+    the synthetic increments, also under mu_hi = 2, where an option that
+    adds 3 to a cell fits at no count, and bool4's pinned minimum-uniform
+    input."""
     contribs, _, n_cells = _engine_input(
         search_rotational, _stripped_spec("ro62"), SearchSpec(complete_uniform(), node_budget=0)
     )
     yield contribs, n_cells, 10, 10, None
     yield from (case[:5] for case in _synthetic_increment_cases())
+    yield next(_synthetic_increment_cases())[:2] + (2, 2, None)
     yield from [case[:5] for case in _bool4_minimum_cases()][:1]
 
 
@@ -766,9 +827,13 @@ def test_engine_steps_list_the_watchers_each_change_crosses(monkeypatch):
 
 
 def test_engine_masks_hold_the_options_each_count_rules_out():
-    # blocked[cell][c] holds option o iff o adds inc to the cell and
-    # c + inc passes mu_hi (capped at the largest reach); a step's row[c]
-    # is the mask at c + inc, and inf at the root the OR at count 0
+    # option 3i + k adding inc to a cell fits while the cell's count c
+    # has c + inc <= mu_hi (capped at the largest reach).  rows[cell][t]
+    # holds, at position k, full less the units whose option k fits at
+    # t - 1 but not at t, or None where no option stops at t; fit at the
+    # root is full less the options that fit at no count; a step's
+    # row[t] holds full less the units whose option k fits at t - inc
+    # but not at t, or None where that is no unit or t < inc
     kernels = set()
     for contribs, n_cells, lo, hi, nd in _table_cases():
         engine = search._SplitEngine(contribs, n_cells, lo, hi, nd, True)
@@ -780,22 +845,37 @@ def test_engine_masks_hold_the_options_each_count_rules_out():
         for span in _spans(contribs):
             reach.update(span)
         hi = max(0, min(hi, max(reach.values(), default=0)))
-        assert len(engine.blocked) == n_cells
+        full = (1 << len(contribs) // 3) - 1
         entries = list(map(dict, contribs))
-        root = 0
-        for cl, row in enumerate(engine.blocked):
-            assert row == [
-                sum(1 << o for o, own in enumerate(entries) if cl in own and c + own[cl] > hi)
-                for c in range(hi + 1)
+
+        def stopped(cl, c, t):
+            """Position by position, full less the units whose option fits
+            the cell at count c but not at count t; None if none do."""
+            masks = [
+                sum(1 << o // 3 for o in range(k, len(entries), 3)
+                    if cl in entries[o] and c + entries[o][cl] <= hi < t + entries[o][cl])
+                for k in range(3)
             ]
-            root |= row[0]
-        assert engine.inf == root
+            return tuple(full ^ m for m in masks) if any(masks) else None
+
+        assert len(engine.rows) == n_cells
+        for cl, row in enumerate(engine.rows):
+            assert row == [None] + [stopped(cl, t - 1, t) for t in range(1, hi + 1)]
+        never = [
+            sum(1 << o // 3 for o in range(k, len(entries), 3)
+                if any(inc > hi for inc in entries[o].values()))
+            for k in range(3)
+        ]
+        assert engine.fit == tuple(full ^ m for m in never)
         shared = {}
         for o, steps in enumerate(engine.steps):
             assert [(cl, inc) for cl, inc, _ in steps] == list(contribs[o])
             for step in steps:
-                assert shared.setdefault(step[:2], step) is step
-        assert _steps_read_blocked(engine)
+                cl, inc, row = step
+                assert shared.setdefault((cl, inc), step) is step
+                assert row == [stopped(cl, t - inc, t) if t >= inc else None
+                               for t in range(hi + 1)]
+        assert _steps_read_rows(engine)
     assert kernels == {True, False}  # bool4 minimum-uniform is pinned
 
 
@@ -1634,8 +1714,8 @@ def _kernels(monkeypatch):
 
 def _picks_bits(contribs, n_cells, nd):
     """The bit kernel's input: a support that is not pinned below all
-    cells, and at most 512 options."""
-    return nd in (None, n_cells) and len(contribs) <= 512
+    cells, and at most search._BIT_OPTIONS options."""
+    return nd in (None, n_cells) and len(contribs) <= search._BIT_OPTIONS
 
 
 def test_engine_follows_the_unit_orders(monkeypatch):
@@ -1729,11 +1809,11 @@ def _limit_cases(n_units):
 
 
 def test_engine_kernels_meet_at_the_option_limit(monkeypatch):
-    # 510 options, the most whole units within 512, take the bit kernel
-    # and 513 the list kernel; both search as the reference does, and so
-    # does an input with no cell at all
-    assert search._BIT_OPTIONS == 512
-    for n_units, bits in ((170, True), (171, False)):
+    # 8 190 options, the most whole units within 8 192, take the bit
+    # kernel and 8 193 the list kernel; both search as the reference
+    # does, and so does an input with no cell at all
+    assert search._BIT_OPTIONS == 8192
+    for n_units, bits in ((2730, True), (2731, False)):
         cases = list(_limit_cases(n_units))
         assert all(len(case[0]) == 3 * n_units for case in cases)
         runs = _check_kernels_against_reference(cases, monkeypatch)
@@ -1744,19 +1824,23 @@ def test_engine_kernels_meet_at_the_option_limit(monkeypatch):
 
 
 def test_engine_picks_its_kernel_from_its_input():
-    # bits: the five orbit problems of the search-orbit benchmark
+    # bits: the five orbit problems of the search-orbit benchmark, and
+    # flat inputs with a free support up to the limit
     for name, options in (("ro20", 45), ("ro26", 78), ("ro38", 171), ("ro62", 93),
                           ("bool32", 24)):
         engine = search._OrbitProblem(_stripped_spec(name)).engine
         assert (len(engine.contribs), engine.bits) == (options, True)
         assert not hasattr(engine, "watch") and not hasattr(engine, "over")
-    # lists: flat inputs past 512 options, and pinned supports of any size
+    for name, options in (("ro20", 855), ("ro38", 6327)):
+        engine = _flat_engine(name, complete_uniform())
+        assert (len(engine.contribs), engine.bits, engine.pinned) == (options, True, False)
+        assert not hasattr(engine, "watch") and not hasattr(engine, "over")
+    # lists: pinned supports of any size, and flat inputs past the limit
     for name, target, options in (
-        ("ro20", complete_uniform(), 855),
-        ("ro38", complete_uniform(), 6327),
         ("sqs10", uniform(2), 90),
         ("bool4", minimum_uniform(), 420),
+        ("ro62", complete_uniform(), 28365),
     ):
         engine = _flat_engine(name, target)
-        assert (len(engine.contribs), engine.bits, engine.pinned) == (options, False, options < 512)
-        assert not hasattr(engine, "blocked")
+        assert (len(engine.contribs), engine.bits, engine.pinned) == (options, False, options < 8192)
+        assert not hasattr(engine, "rows") and not hasattr(engine, "fit")
